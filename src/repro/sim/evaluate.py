@@ -17,6 +17,8 @@ stale data in real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -163,27 +165,39 @@ def _per_access_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
 
     merged_core, merged_idx = merge_order(workload)
     n = stream.num_accesses
-    merged_core = merged_core[:n]
-    merged_idx = merged_idx[:n]
-    pcs = np.empty(n, dtype=np.uint64)
-    for core, trace in enumerate(workload.traces):
-        sel = merged_core == core
-        pcs[sel] = trace.pc[merged_idx[sel]]
-    return pcs
+    traces = workload.traces
+    offsets = np.cumsum([0] + [len(trace.pc) for trace in traces[:-1]])
+    pcs = np.concatenate([trace.pc for trace in traces]).astype(np.uint64, copy=False)
+    return pcs[offsets[merged_core[:n]] + merged_idx[:n]]
 
 
 def replay_level_predictor(
     stream: OutcomeStream, predictor, pcs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sequentially replay level-prediction lookups over the event stream.
+    """Replay level-prediction lookups over the event stream.
 
     Returns per-access predicted levels (0 = memory/no prediction),
     per-access confidence flags, and the total recalibration stall
-    cycles.  Event interleaving matches :func:`replay_predictor`: events
-    caused by earlier accesses land before access *i*'s lookup, access
-    *i*'s own events land before the next miss's lookup, and the train
-    step observes the true outcome between the lookup and the time
-    advance — the same order the integrated loop performs.
+    cycles.  Runs the batched kernel
+    (:func:`~repro.sim.vector_replay.replay_levelpred_vectorized`) unless
+    the predictor is ineligible or ``REPRO_NO_VECTOR_REPLAY`` is set;
+    the scalar loop is the reference both paths must agree with.
+    """
+    if vector_replay.use_vector(predictor):
+        return vector_replay.replay_levelpred_vectorized(stream, predictor, pcs)
+    return _replay_level_predictor_scalar(stream, predictor, pcs)
+
+
+def _replay_level_predictor_scalar(
+    stream: OutcomeStream, predictor, pcs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sequential level-prediction replay (the checked-mode oracle).
+
+    Event interleaving matches :func:`replay_predictor`: events caused by
+    earlier accesses land before access *i*'s lookup, access *i*'s own
+    events land before the next miss's lookup, and the train step
+    observes the true outcome between the lookup and the time advance —
+    the same order the integrated loop performs.
     """
     h = stream.hit_level
     n = len(h)
@@ -237,13 +251,28 @@ def replay_level_predictor(
 def replay_ehc(
     stream: OutcomeStream, predictor
 ) -> tuple[np.ndarray, float]:
-    """Sequentially replay expected-hit-count lookups over the events.
+    """Replay expected-hit-count lookups over the events.
 
     Returns the per-access predicted-dead flags (meaningful at L1
-    misses) and the total recalibration stall cycles.  Per miss the
-    order is: prior events, dead-block lookup, LLC-hit observation (when
-    the walk will hit at the LLC), time advance — then the miss's own
-    events before the next lookup, exactly as the integrated loop does.
+    misses) and the total recalibration stall cycles.  Runs the batched
+    kernel (:func:`~repro.sim.vector_replay.replay_ehc_vectorized`)
+    unless the predictor is ineligible or ``REPRO_NO_VECTOR_REPLAY`` is
+    set; the scalar loop is the reference both paths must agree with.
+    """
+    if vector_replay.use_vector(predictor):
+        return vector_replay.replay_ehc_vectorized(stream, predictor)
+    return _replay_ehc_scalar(stream, predictor)
+
+
+def _replay_ehc_scalar(
+    stream: OutcomeStream, predictor
+) -> tuple[np.ndarray, float]:
+    """Sequential expected-hit-count replay (the checked-mode oracle).
+
+    Per miss the order is: prior events, dead-block lookup, LLC-hit
+    observation (when the walk will hit at the LLC), time advance — then
+    the miss's own events before the next lookup, exactly as the
+    integrated loop does.
     """
     h = stream.hit_level
     n = len(h)
@@ -290,39 +319,57 @@ def replay_ehc(
     return dead, stall
 
 
+#: Predictor state each batched kernel must leave exactly as its scalar
+#: loop would, per scheme kind (dotted attribute paths).
+_REPLAY_STATE = {
+    "predictor": ("table._bits", "mirror._counts", "table_updates",
+                  "engine.l1_misses", "engine.sweeps"),
+    "levelpred": ("table._bits", "mirror._counts", "tags", "levels", "conf",
+                  "table_updates", "_last", "engine.l1_misses",
+                  "engine.sweeps"),
+    "ehc": ("expected", "cur", "mirror._counts", "table_updates",
+            "engine.l1_misses", "engine.sweeps"),
+}
+
+
 def _assert_replay_equivalent(
     stream: OutcomeStream,
     scheme: SchemeSpec,
     machine: MachineConfig,
-    predictor: PresencePredictor,
-    predicted: np.ndarray,
-    consulted: np.ndarray,
-    stall: float,
+    predictor,
+    outputs: tuple,
+    sequential,
 ) -> None:
-    """Checked mode: the vectorized replay must match a sequential re-run.
+    """Checked mode: a batched replay must match a sequential re-run.
 
-    Builds a second fresh predictor, replays it sequentially, and compares
-    every observable the evaluation consumes — per-access predictions and
-    consults, stall cycles, final table bits, mirror counts, and the
-    telemetry dict.  Any divergence is a bug in the vectorized kernel (or
-    a predictor that wrongly passed :func:`vector_replay.eligible`).
+    Builds a second fresh predictor, replays it with ``sequential`` (the
+    scalar loop, called as ``sequential(stream, predictor)``), and
+    compares every observable the evaluation consumes — each per-access
+    output array, the stall cycles, the final predictor state listed in
+    :data:`_REPLAY_STATE`, and the telemetry dict.  Any divergence is a
+    bug in the batched kernel (or a predictor that wrongly passed
+    :func:`vector_replay.eligible`).
     """
     reference = scheme.build_predictor(machine)
-    ref_pred, ref_cons, ref_stall = replay_predictor(stream, reference)
+    expected = sequential(stream, reference)
     problems = []
-    if not np.array_equal(predicted, ref_pred):
-        bad = np.nonzero(predicted != ref_pred)[0]
-        problems.append(
-            f"{len(bad)} prediction(s) differ (first at access {int(bad[0])})"
-        )
-    if not np.array_equal(consulted, ref_cons):
-        problems.append("consulted mask differs")
-    if stall != ref_stall:
-        problems.append(f"stall {stall} != sequential {ref_stall}")
-    if not np.array_equal(predictor.table._bits, reference.table._bits):
-        problems.append("final table bits differ")
-    if not np.array_equal(predictor.mirror._counts, reference.mirror._counts):
-        problems.append("final mirror counts differ")
+    for k, (got, want) in enumerate(zip(outputs, expected)):
+        if isinstance(got, np.ndarray):
+            if not np.array_equal(got, want):
+                bad = np.nonzero(got != want)[0]
+                problems.append(
+                    f"output {k}: {len(bad)} access(es) differ "
+                    f"(first at access {int(bad[0])})"
+                )
+        elif got != want:
+            problems.append(f"stall {got} != sequential {want}")
+    for path in _REPLAY_STATE[scheme.kind]:
+        got, want = attrgetter(path)(predictor), attrgetter(path)(reference)
+        if isinstance(got, np.ndarray):
+            if not np.array_equal(got, want):
+                problems.append(f"final {path} differs")
+        elif got != want:
+            problems.append(f"final {path} {got!r} != sequential {want!r}")
     if predictor.stats() != reference.stats():
         problems.append(
             f"telemetry differs: {predictor.stats()} != {reference.stats()}"
@@ -332,6 +379,15 @@ def _assert_replay_equivalent(
             f"vectorized replay diverged from sequential for scheme "
             f"{scheme.name!r}: " + "; ".join(problems)
         )
+
+
+def _replay_path(replay_span, predictor) -> bool:
+    """Tag the replay span and count the path the replay will take."""
+    vector = vector_replay.use_vector(predictor)
+    path = "vector" if vector else "sequential"
+    replay_span.tag(path=path)
+    telemetry.count(f"replay.{path}")
+    return vector
 
 
 def evaluate_scheme(
@@ -354,11 +410,11 @@ def evaluate_scheme(
     probed, never whether memory is reached), which dilutes relative gains
     — the sensitivity the ``ext-memory`` experiment studies.
 
-    Plain ReDHiP predictors replay through the epoch-batched NumPy kernel
-    (:mod:`repro.sim.vector_replay`) unless ``REPRO_NO_VECTOR_REPLAY`` is
-    set; ``checked`` (default: the ``REPRO_CHECKED`` environment) replays
-    *both* paths and raises if they diverge in any observable — the
-    equivalence oracle for the vectorized kernel.
+    Plain ReDHiP, LevelPred and EHC predictors replay through the batched
+    NumPy kernels (:mod:`repro.sim.vector_replay`) unless
+    ``REPRO_NO_VECTOR_REPLAY`` is set; ``checked`` (default: the
+    ``REPRO_CHECKED`` environment) replays *both* paths and raises if they
+    diverge in any observable — the equivalence oracle for the kernels.
     """
     # The zoo schemes walk (or skip) levels in patterns the binary
     # predicted-present flow below cannot express; they get dedicated
@@ -401,21 +457,17 @@ def evaluate_scheme(
         with telemetry.span(
             "replay", scheme=scheme.name, workload=workload.name
         ) as replay_span:
-            if vector_replay.eligible(predictor) and not vector_replay.vector_replay_disabled():
-                replay_span.tag(path="vector")
-                telemetry.count("replay.vector")
+            if _replay_path(replay_span, predictor):
                 predicted, consulted, stall = vector_replay.replay_redhip_vectorized(
                     stream, predictor
                 )
                 if checked:
                     with telemetry.span("replay_equivalence_check"):
                         _assert_replay_equivalent(
-                            stream, scheme, machine, predictor, predicted,
-                            consulted, stall,
+                            stream, scheme, machine, predictor,
+                            (predicted, consulted, stall), replay_predictor,
                         )
             else:
-                replay_span.tag(path="sequential")
-                telemetry.count("replay.sequential")
                 predicted, consulted, stall = replay_predictor(stream, predictor)
         fn = int((~predicted & (h >= 2)).sum())
         if fn:
@@ -564,12 +616,18 @@ def _evaluate_levelpred(
         with telemetry.span(
             "replay", scheme=scheme.name, workload=workload.name
         ) as replay_span:
-            replay_span.tag(path="sequential")
-            telemetry.count("replay.sequential")
+            vector = _replay_path(replay_span, predictor)
             telemetry.count("replay.levelpred")
             pred_level, confident, stall = replay_level_predictor(
                 stream, predictor, pcs
             )
+            if vector and checked:
+                with telemetry.span("replay_equivalence_check"):
+                    _assert_replay_equivalent(
+                        stream, scheme, machine, predictor,
+                        (pred_level, confident, stall),
+                        partial(_replay_level_predictor_scalar, pcs=pcs),
+                    )
         skip_mask = miss_mask & confident & (pred_level == 0)
         fn = int((skip_mask & (h >= 2)).sum())
         if fn:
@@ -730,10 +788,15 @@ def _evaluate_ehc(
     with telemetry.span(
         "replay", scheme=scheme.name, workload=workload.name
     ) as replay_span:
-        replay_span.tag(path="sequential")
-        telemetry.count("replay.sequential")
+        vector = _replay_path(replay_span, predictor)
         telemetry.count("replay.ehc")
         dead, stall = replay_ehc(stream, predictor)
+        if vector and checked:
+            with telemetry.span("replay_equivalence_check"):
+                _assert_replay_equivalent(
+                    stream, scheme, machine, predictor, (dead, stall),
+                    _replay_ehc_scalar,
+                )
 
     with telemetry.span("energy_accounting", scheme=scheme.name,
                         workload=workload.name):
