@@ -43,6 +43,7 @@ import atexit
 import os
 import tempfile
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -208,23 +209,21 @@ def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
 
     # Figures may list the same canonical cell twice (e.g. two sweep
     # points that collapse to the same period); run each once.
-    cells, seen = [], set()
+    by_fingerprint: dict = {}
     for cell in spec.cells(cfg, **kwargs):
-        if cell.fingerprint() not in seen:
-            seen.add(cell.fingerprint())
-            cells.append(cell)
+        by_fingerprint.setdefault(cell.fingerprint(), cell)
+    cells, fingerprints = list(by_fingerprint.values()), list(by_fingerprint)
     workers = default_workers() if os.environ.get("REPRO_PARALLEL") else 1
     with _grid_store(store, spec.experiment_id) as store_path:
         stream_cache = _grid_stream_cache(cfg, store_path)
-        report = run_cells(cells, spec.experiment_id, store_path,
-                           workers=workers, faults_plan=cfg.faults,
-                           stream_cache=stream_cache)
+        run = partial(run_cells, cells, spec.experiment_id, store_path,
+                      workers=workers, faults_plan=cfg.faults,
+                      stream_cache=stream_cache, fingerprints=fingerprints)
+        report = run()
         if report.failed:
             # One retry pass: transient failures (injected cell faults,
             # lost workers) heal on resume; persistent ones are real.
-            report = run_cells(cells, spec.experiment_id, store_path,
-                               workers=workers, faults_plan=cfg.faults,
-                               stream_cache=stream_cache)
+            report = run()
         if report.failed:
             failed = ", ".join(label for _, label, _ in report.failed)
             raise ReproError(

@@ -23,6 +23,10 @@ Design rules:
 * **single writer** — sweep workers never touch the store; they return
   rows to the parent, which is the only process that writes.  Readers
   (``repro query``) can open the file at any time.
+* **commits once per ingested shard** — the scheduler receives a whole
+  shard's rows at once and appends them inside one :meth:`ResultsStore.
+  transaction`, so a shard costs one commit (one fsync), not one per row.
+  A bare ``append`` outside a transaction still commits at once.
 
 Schema (``cells`` table)::
 
@@ -44,6 +48,7 @@ import json
 import math
 import sqlite3
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,6 +148,7 @@ class ResultsStore:
         self._conn = sqlite3.connect(self.path)
         self._conn.execute(_CREATE)
         self._conn.commit()
+        self._batching = False
 
     # ---------------------------------------------------------- lifecycle
     def close(self) -> None:
@@ -156,10 +162,32 @@ class ResultsStore:
         return False
 
     # -------------------------------------------------------------- write
+    @contextmanager
+    def transaction(self):
+        """Group appends into one commit.
+
+        Inside the block :meth:`append` inserts without committing; the
+        rows commit together on a clean exit and roll back if the block
+        raises.  Readers on other connections see all of them or none.
+        """
+        if self._batching:
+            raise ReproError("ResultsStore transactions do not nest")
+        self._batching = True
+        try:
+            yield self
+        except BaseException:
+            self._conn.rollback()
+            raise
+        else:
+            self._conn.commit()
+        finally:
+            self._batching = False
+
     def append(self, row: CellRow) -> bool:
         """Insert one completed cell; returns False when the fingerprint
         is already present (``INSERT OR IGNORE`` — append-only, so a
-        resumed sweep racing a stale worker can never overwrite a row)."""
+        resumed sweep racing a stale worker can never overwrite a row).
+        Commits at once unless inside :meth:`transaction`."""
         cur = self._conn.execute(
             "INSERT OR IGNORE INTO cells VALUES "
             "(?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?,?)",
@@ -175,7 +203,8 @@ class ResultsStore:
                 STORE_SCHEMA,
             ),
         )
-        self._conn.commit()
+        if not self._batching:
+            self._conn.commit()
         return cur.rowcount > 0
 
     # --------------------------------------------------------------- read

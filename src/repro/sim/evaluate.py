@@ -23,11 +23,15 @@ from operator import attrgetter
 import numpy as np
 
 from repro import checking, telemetry
+from repro.core.redhip import ReDHiPController
 from repro.energy.accounting import EnergyLedger
 from repro.energy.params import MachineConfig
 from repro.energy.timing import TimingResult
 from repro.hierarchy.events import EVENT_FILL, OutcomeStream
 from repro.predictors.base import PresencePredictor, SchemeSpec
+from repro.predictors.cbf_scheme import CBFPredictor
+from repro.predictors.ehc import EHCController
+from repro.predictors.levelpred import LevelPredController
 from repro.sim import vector_replay
 from repro.sim.charging import PROBE_PHASED, ChargingKernel
 from repro.util.validation import ReproError
@@ -101,15 +105,31 @@ class SchemeResult:
 def replay_predictor(
     stream: OutcomeStream, predictor: PresencePredictor
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sequentially replay L1-miss lookups against the LLC event stream.
+    """Replay L1-miss lookups against the LLC event stream.
 
     Returns the per-access prediction array (only meaningful where the
     access missed L1), the per-access *consulted* array (False where a
     gated predictor answered without touching its table), and the total
     recalibration stall cycles.  Event ordering matches hardware:
     fills/evictions caused by access *i* are applied after access *i*'s
-    lookup (the lookup races ahead of the fill).
+    lookup (the lookup races ahead of the fill).  Eligible predictors run
+    their batched kernel (:mod:`repro.sim.vector_replay`) unless
+    ``REPRO_NO_VECTOR_REPLAY`` is set; everything else, and the
+    checked-mode reference, is :func:`_replay_predictor_scalar`.
     """
+    if vector_replay.use_vector(predictor):
+        if type(predictor) is CBFPredictor:
+            return vector_replay.replay_cbf_vectorized(stream, predictor)
+        return vector_replay.replay_redhip_vectorized(stream, predictor)
+    return _replay_predictor_scalar(stream, predictor)
+
+
+def _replay_predictor_scalar(
+    stream: OutcomeStream, predictor: PresencePredictor
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sequential presence replay (the checked-mode oracle): one Python
+    call per L1 miss and per LLC event, in :func:`replay_predictor`'s
+    event order."""
     h = stream.hit_level
     n = len(h)
     predicted = np.ones(n, dtype=bool)
@@ -320,15 +340,17 @@ def _replay_ehc_scalar(
 
 
 #: Predictor state each batched kernel must leave exactly as its scalar
-#: loop would, per scheme kind (dotted attribute paths).
+#: loop would, per predictor class (dotted attribute paths).
 _REPLAY_STATE = {
-    "predictor": ("table._bits", "mirror._counts", "table_updates",
-                  "engine.l1_misses", "engine.sweeps"),
-    "levelpred": ("table._bits", "mirror._counts", "tags", "levels", "conf",
-                  "table_updates", "_last", "engine.l1_misses",
-                  "engine.sweeps"),
-    "ehc": ("expected", "cur", "mirror._counts", "table_updates",
-            "engine.l1_misses", "engine.sweeps"),
+    ReDHiPController: ("table._bits", "mirror._counts", "table_updates",
+                       "engine.l1_misses", "engine.sweeps"),
+    CBFPredictor: ("filter._counts", "filter._disabled", "filter.inserts",
+                   "filter.deletes", "filter.saturations", "table_updates"),
+    LevelPredController: ("table._bits", "mirror._counts", "tags", "levels",
+                          "conf", "table_updates", "_last",
+                          "engine.l1_misses", "engine.sweeps"),
+    EHCController: ("expected", "cur", "mirror._counts", "table_updates",
+                    "engine.l1_misses", "engine.sweeps"),
 }
 
 
@@ -363,7 +385,7 @@ def _assert_replay_equivalent(
                 )
         elif got != want:
             problems.append(f"stall {got} != sequential {want}")
-    for path in _REPLAY_STATE[scheme.kind]:
+    for path in _REPLAY_STATE[type(predictor)]:
         got, want = attrgetter(path)(predictor), attrgetter(path)(reference)
         if isinstance(got, np.ndarray):
             if not np.array_equal(got, want):
@@ -410,8 +432,8 @@ def evaluate_scheme(
     probed, never whether memory is reached), which dilutes relative gains
     — the sensitivity the ``ext-memory`` experiment studies.
 
-    Plain ReDHiP, LevelPred and EHC predictors replay through the batched
-    NumPy kernels (:mod:`repro.sim.vector_replay`) unless
+    Plain ReDHiP, CBF, LevelPred and EHC predictors replay through the
+    batched NumPy kernels (:mod:`repro.sim.vector_replay`) unless
     ``REPRO_NO_VECTOR_REPLAY`` is set; ``checked`` (default: the
     ``REPRO_CHECKED`` environment) replays *both* paths and raises if they
     diverge in any observable — the equivalence oracle for the kernels.
@@ -457,18 +479,20 @@ def evaluate_scheme(
         with telemetry.span(
             "replay", scheme=scheme.name, workload=workload.name
         ) as replay_span:
-            if _replay_path(replay_span, predictor):
-                predicted, consulted, stall = vector_replay.replay_redhip_vectorized(
-                    stream, predictor
-                )
-                if checked:
-                    with telemetry.span("replay_equivalence_check"):
-                        _assert_replay_equivalent(
-                            stream, scheme, machine, predictor,
-                            (predicted, consulted, stall), replay_predictor,
-                        )
+            vector = _replay_path(replay_span, predictor)
+            # ReDHiP calls its kernel directly, so a per-layer profile
+            # tells ReDHiP replays from dispatched (CBF, scalar) ones.
+            if vector and type(predictor) is ReDHiPController:
+                replay = vector_replay.replay_redhip_vectorized
             else:
-                predicted, consulted, stall = replay_predictor(stream, predictor)
+                replay = replay_predictor
+            predicted, consulted, stall = replay(stream, predictor)
+            if vector and checked:
+                with telemetry.span("replay_equivalence_check"):
+                    _assert_replay_equivalent(
+                        stream, scheme, machine, predictor,
+                        (predicted, consulted, stall), _replay_predictor_scalar,
+                    )
         fn = int((~predicted & (h >= 2)).sum())
         if fn:
             raise ReproError(

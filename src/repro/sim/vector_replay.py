@@ -2,8 +2,9 @@
 
 The scalar replays in :mod:`repro.sim.evaluate` walk the LLC event stream
 against a predictor one L1 miss at a time — a Python call per miss plus a
-Python call per LLC event.  For three predictors that loop is batchable,
-because their visible state changes in a schedule fixed in advance:
+Python call per LLC event.  For the three recalibrating predictors that
+loop is batchable, because their visible state changes in a schedule
+fixed in advance:
 
 * **fills set bits** — and never clear them (the PT-monotonicity invariant
   checked mode already enforces); evictions touch only the tag mirror;
@@ -40,13 +41,23 @@ The two predictor-zoo controllers reuse that schedule:
   within an epoch a miss reads either the value at the epoch start or the
   ``cur`` of the latest eviction on its entry in the same epoch.
 
-Each kernel mutates its controller to the exact end-of-run state the
-scalar loop would leave (tables, mirror counts, telemetry counters,
-sweep/stall totals), so ``predictor.stats()`` and every derived
-:class:`SchemeResult` field are bit-identical.  Predictors whose state
-depends on their own per-event history — CBF (per-eviction decrements),
-MissMap, gated wrappers, the adaptive (churn-triggered) engine — stay on
-the scalar path; :func:`eligible` is the gate.
+The counting-Bloom-filter competitor needs no schedule at all:
+
+* **CBF** (:func:`replay_cbf_vectorized`) — it never recalibrates and its
+  lookups never touch the filter.  Each counter is a +1/-1 walk over the
+  events on its entry that disables itself at the first overflow or
+  underflow, so one stable sort of the events by entry turns every walk
+  into a running sum, and one ``searchsorted`` on ``(entry, when)`` finds
+  the state each miss reads.
+
+Each kernel mutates its predictor to the exact end-of-run state the
+scalar loop would leave (tables, mirror or filter counts, telemetry
+counters, sweep/stall totals), so ``predictor.stats()`` and every derived
+:class:`SchemeResult` field are bit-identical.  Predictors whose
+per-event updates do not decompose this way — MissMap (page-granular
+capacity evictions), gated wrappers (window state), the adaptive
+(churn-triggered) engine — stay on the scalar path; :func:`eligible` is
+the gate.
 
 ``REPRO_NO_VECTOR_REPLAY=1`` forces the scalar path everywhere, and
 checked mode runs both paths and asserts equivalence (see
@@ -56,6 +67,7 @@ checked mode runs both paths and asserts equivalence (see
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 
@@ -63,15 +75,17 @@ from repro import telemetry
 from repro.core.recalibration import RecalibrationEngine
 from repro.core.redhip import ReDHiPController
 from repro.hierarchy.events import EVENT_FILL, OutcomeStream
+from repro.predictors.bloom import CountingBloomFilter
+from repro.predictors.cbf_scheme import CBFPredictor
 from repro.predictors.ehc import EHC_MAX, EHCController
 from repro.predictors.hashes import bits_hash_array, xor_hash_array
 from repro.predictors.levelpred import CONF_CONFIDENT, CONF_MAX, LevelPredController
 from repro.sim.charging import recal_stall_cycles
 from repro.util.validation import ConfigError
 
-__all__ = ["NO_VECTOR_ENV", "eligible", "replay_ehc_vectorized",
-           "replay_levelpred_vectorized", "replay_redhip_vectorized",
-           "use_vector", "vector_replay_disabled"]
+__all__ = ["NO_VECTOR_ENV", "eligible", "replay_cbf_vectorized",
+           "replay_ehc_vectorized", "replay_levelpred_vectorized",
+           "replay_redhip_vectorized", "use_vector", "vector_replay_disabled"]
 
 #: Escape hatch: force the sequential replay path everywhere.
 NO_VECTOR_ENV = "REPRO_NO_VECTOR_REPLAY"
@@ -96,12 +110,16 @@ def eligible(predictor) -> bool:
     """Can ``predictor`` be replayed by one of the batched kernels?
 
     Exactly the plain ReDHiP, LevelPred and EHC controllers with the
-    fixed-period engine: subclasses and wrappers (gating, checked-mode
+    fixed-period engine, and the plain CBF predictor over its own
+    counting filter: subclasses and wrappers (gating, checked-mode
     delegation, the adaptive churn-triggered engine) may observe
     per-event state and must replay sequentially.  ``type(...) is`` — not
     ``isinstance`` — on purpose.
     """
     kind = type(predictor)
+    if kind is CBFPredictor:
+        return (type(predictor.filter) is CountingBloomFilter
+                and predictor.filter.hash_kind in ("bits", "xor"))
     if kind is ReDHiPController:
         if predictor.hash_kind not in ("bits", "xor"):
             return False
@@ -123,12 +141,12 @@ def _require(predictor, kind: type) -> None:
         )
 
 
-def _index_array(controller, blocks: np.ndarray) -> np.ndarray:
-    """Vectorized counterpart of ``controller._index``."""
-    if controller.hash_kind == "bits":
-        idx = bits_hash_array(blocks, controller.table.p)
+def _index_array(hash_kind: str, p: int, blocks: np.ndarray) -> np.ndarray:
+    """Vectorized counterpart of a ``p``-bit ``hash_kind`` table index."""
+    if hash_kind == "bits":
+        idx = bits_hash_array(blocks, p)
     else:
-        idx = xor_hash_array(blocks, controller.table.p)
+        idx = xor_hash_array(blocks, p)
     return idx.astype(np.intp)
 
 
@@ -200,10 +218,11 @@ def _replay_presence(stream: OutcomeStream, predictor, miss_mask: np.ndarray,
     the scalar loop would.
     """
     n_miss = len(miss_at)
-    miss_entry = _index_array(predictor, stream.block[miss_mask])
+    index = partial(_index_array, predictor.hash_kind, predictor.table.p)
+    miss_entry = index(stream.block[miss_mask])
     when = stream.llc_when
     ev_fill = stream.llc_op == EVENT_FILL
-    ev_entry = _index_array(predictor, stream.llc_block)
+    ev_entry = index(stream.llc_block)
 
     bits = predictor.table._bits
     counts = predictor.mirror._counts
@@ -533,3 +552,93 @@ def replay_ehc_vectorized(
     dead = np.zeros(len(h), dtype=bool)
     dead[miss_mask] = dead_m
     return dead, stall
+
+
+# ------------------------------------------------------------------ CBF
+def replay_cbf_vectorized(
+    stream: OutcomeStream, predictor: CBFPredictor
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Batched equivalent of :func:`repro.sim.evaluate.replay_predictor`
+    for the counting-Bloom-filter predictor.
+
+    CBF never recalibrates and its lookups never feed back into the
+    filter, so each counter is an independent +1/-1 walk over the events
+    on its entry.  One stable sort of the events by entry gives every
+    walk as a running sum; the first value outside ``0..max_count`` is the
+    overflow or underflow that disables the entry, after which the counter
+    keeps its pre-violation value.  A miss reads the state its entry had
+    after the last event strictly before it, found for all misses at once
+    with one ``searchsorted`` on ``(entry, when)``.  Returns
+    ``(predicted, consulted, stall)`` and leaves the filter counts,
+    disabled flags and every telemetry counter where the scalar loop
+    would.
+    """
+    _require(predictor, CBFPredictor)
+    cbf = predictor.filter
+    h = stream.hit_level
+    miss_mask = h != 1
+    miss_at = np.flatnonzero(miss_mask)
+    n_miss = len(miss_at)
+    when = stream.llc_when
+    m = len(when)
+    counters, disabled = cbf._counts, cbf._disabled
+    entries = _index_array(cbf.hash_kind, cbf.p,
+                           np.concatenate([stream.block[miss_mask], stream.llc_block]))
+    miss_entry, ev_entry = entries[:n_miss], entries[n_miss:]
+
+    # Events grouped by entry; the stable sort keeps time order within one.
+    order = _stable_argsort(ev_entry, cbf.num_entries)
+    entry = ev_entry[order]
+    ev_fill = stream.llc_op[order] == EVENT_FILL
+    step = np.where(ev_fill, 1, -1)
+    group = np.ones(m, dtype=bool)
+    np.not_equal(entry[1:], entry[:-1], out=group[1:])
+    starts = np.flatnonzero(group)
+    group_of = np.cumsum(group) - 1
+    group_start = starts[group_of]
+    was_disabled = disabled[entry]
+
+    # Each counter's walk as if it never saturated, from its initial count.
+    running = np.cumsum(step)
+    offset = (running - step)[starts] - counters[entry[starts]]
+    value = running - offset[group_of]
+    bad = (value < 0) | (value > cbf.max_count)
+    bad &= ~was_disabled
+    # Disabled after event k: the entry's first violation is at or before k.
+    last_bad = np.maximum.accumulate(np.where(bad, np.arange(m), -1))
+    dead = last_bad >= group_start
+    dead |= was_disabled
+    present_after = dead | (value > 0)
+
+    # Per miss: its entry's last event strictly earlier in time (-1: none).
+    stride = max(len(h), int(when.max(initial=0)) + 1)
+    ev_key = entry.astype(np.int64) * stride + when[order]
+    prev = np.searchsorted(ev_key, miss_entry.astype(np.int64) * stride + miss_at) - 1
+    seen = prev >= 0
+    seen[seen] = entry[prev[seen]] == miss_entry[seen]
+    out = disabled[miss_entry] | (counters[miss_entry] > 0)
+    out[seen] = present_after[prev[seen]]
+
+    # Final filter state: the pre-violation count on disabled entries.
+    first_bad = bad.copy()
+    first_bad[1:] &= last_bad[:-1] < group_start[1:]
+    first_bad = np.flatnonzero(first_bad)
+    ends = np.empty_like(starts)                  # each entry's last event
+    ends[:-1] = starts[1:] - 1
+    ends[-1:] = m - 1
+    final = value[ends]
+    final[group_of[first_bad]] = value[first_bad] - step[first_bad]
+    live = ~was_disabled[starts]
+    counters[entry[starts][live]] = final[live]
+    disabled[entry[first_bad]] = True
+
+    fills = int(np.count_nonzero(ev_fill))
+    cbf.inserts += fills
+    cbf.deletes += m - fills
+    cbf.saturations += len(first_bad)
+    predictor.table_updates += m
+    predictor.lookups += n_miss
+    predictor.predicted_miss += int(n_miss - np.count_nonzero(out))
+    predicted = np.ones(len(h), dtype=bool)
+    predicted[miss_mask] = out
+    return predicted, miss_mask, 0.0              # CBF always consults

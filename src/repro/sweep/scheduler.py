@@ -11,11 +11,11 @@ prewarm_streams`: a worker that crashes, hangs past the timeout, or
 raises loses only its own shard, which re-executes serially in the
 parent; a pool that cannot spawn at all degrades to the serial path.
 
-Results land in the append-only store *as each shard completes* (the
-parent is the only writer), so killing a sweep at any point preserves
-every finished cell; restarting the same :class:`SweepSpec` skips every
-fingerprint already recorded and the final canonical store content is
-identical to an uninterrupted run's.
+Results land in the append-only store *as each shard completes*, one
+transaction per shard (the parent is the only writer), so killing a
+sweep at any point preserves every finished shard; restarting the same
+:class:`SweepSpec` skips every fingerprint already recorded and the
+final canonical store content is identical to an uninterrupted run's.
 
 A failing cell (a bug, or an injected ``sweep.cell`` fault) is skipped
 and reported — never written — so the next run re-attempts exactly that
@@ -312,9 +312,11 @@ class _Beacon:
         self.tick()
 
 
-def _execute_cells(cells, sweep_name: str, stream_cache: "str | None",
-                   faults_plan: "str | None", progress=None) -> tuple:
-    """Run one shard's cells in this process.
+def _execute_cells(cells, fingerprints, sweep_name: str,
+                   stream_cache: "str | None", faults_plan: "str | None",
+                   progress=None) -> tuple:
+    """Run one shard's cells (with their ``fingerprints``, in the same
+    order) in this process.
 
     Returns ``(rows, failures, stages)`` where ``stages`` maps each
     completed fingerprint to its per-stage seconds (walk/replay/charge,
@@ -326,9 +328,8 @@ def _execute_cells(cells, sweep_name: str, stream_cache: "str | None",
     rows, failures, stages = [], [], {}
     cfg = cells[0].sim_config(stream_cache=stream_cache, faults=faults_plan)
     runner = ExperimentRunner(cfg)
-    for cell in cells:
+    for cell, fingerprint in zip(cells, fingerprints):
         label = cell.label()
-        fingerprint = cell.fingerprint()
         if progress is not None:
             progress(label, len(rows))
         fired = faults.check("sweep.cell", key=cell.workload)
@@ -392,13 +393,15 @@ def _execute_cells(cells, sweep_name: str, stream_cache: "str | None",
     return rows, failures, stages
 
 
-def run_shard(payloads: list, sweep_name: str, stream_cache: "str | None",
-              faults_plan: "str | None", heartbeats=None, shard: int = 0,
+def run_shard(payloads: list, fingerprints: list, sweep_name: str,
+              stream_cache: "str | None", faults_plan: "str | None",
+              heartbeats=None, shard: int = 0,
               interval: float = DEFAULT_HEARTBEAT_S) -> tuple:
     """Worker entry point (module-level, picklable).
 
     Cells travel as dicts and are rebuilt here — same rationale as
-    :func:`repro.sim.parallel.walk_one`.  The worker always runs its own
+    :func:`repro.sim.parallel.walk_one` — next to the fingerprints the
+    parent already computed.  The worker always runs its own
     telemetry session so per-cell fault summaries exist even when the
     parent is untraced; the parent merges the snapshot only when tracing.
     The ``parallel.worker`` fault site fires at entry, keyed by the
@@ -416,7 +419,7 @@ def run_shard(payloads: list, sweep_name: str, stream_cache: "str | None",
             beacon.start()
         try:
             rows, failures, stages = _execute_cells(
-                cells, sweep_name, stream_cache, faults_plan,
+                cells, fingerprints, sweep_name, stream_cache, faults_plan,
                 progress=beacon.progress if beacon is not None else None)
         finally:
             if beacon is not None:
@@ -429,13 +432,17 @@ def _ingest(store: ResultsStore, rows, failures, report: SweepReport,
             journal: SweepJournal, stages: "dict | None" = None) -> None:
     """Record one shard's outcome (parent-side single writer).
 
-    Every outcome is journalled *unconditionally*; the ``sweep.cell``
-    telemetry events and ``sweep.cells.*`` counters mirror it only when
-    a session is active.
+    The shard's rows commit in one store transaction, and only then is
+    each outcome journalled, so a journalled ``cell_completed`` is always
+    durable in the store.  Every outcome is journalled *unconditionally*;
+    the ``sweep.cell`` telemetry events and ``sweep.cells.*`` counters
+    mirror it only when a session is active.
     """
     stages = stages or {}
-    for row in rows:
-        if store.append(row):
+    with store.transaction():
+        accepted = [store.append(row) for row in rows]
+    for row, added in zip(rows, accepted):
+        if added:
             report.completed += 1
             journal.append("cell_completed", fingerprint=row.fingerprint,
                            cell=f"{row.workload}/{row.scheme}",
@@ -494,6 +501,7 @@ def run_cells(
     max_cells: "int | None" = None,
     faults_plan: "str | None" = None,
     stream_cache: "str | None" = None,
+    fingerprints: "list | None" = None,
 ) -> SweepReport:
     """Run (or resume) an explicit cell list against a store.
 
@@ -502,11 +510,18 @@ def run_cells(
     lands here, inheriting resume, sharding, journaling and fault
     policies without a :class:`SweepSpec` in between.  ``stream_cache``
     defaults to the store-adjacent directory (unless an explicit
-    ``REPRO_STREAM_CACHE`` claims it).
+    ``REPRO_STREAM_CACHE`` claims it).  ``fingerprints`` are the cells'
+    fingerprints in order, when the caller already has them; each cell is
+    otherwise hashed exactly once here.
     """
     store_path = Path(store_path)
     _ensure_plan(faults_plan)
     cells = list(cells)
+    if fingerprints is None:
+        fingerprints = [cell.fingerprint() for cell in cells]
+    elif len(fingerprints) != len(cells):
+        raise ValueError(f"{len(fingerprints)} fingerprints for "
+                         f"{len(cells)} cells")
     report = SweepReport(sweep=name, store_path=store_path,
                          total=len(cells), resumed=0, completed=0)
     if stream_cache is None:
@@ -519,17 +534,19 @@ def run_cells(
             SweepJournal(journal_path(store_path)) as journal:
         report.journal_path = journal.path
         done = store.completed()
-        pending, resumed_fps = [], []
-        for cell in cells:
-            if cell.fingerprint() in done:
+        pending, fingerprint_of, resumed_fps = [], {}, []
+        for cell, fp in zip(cells, fingerprints):
+            if fp in done:
                 report.resumed += 1
-                resumed_fps.append(cell.fingerprint())
+                resumed_fps.append(fp)
                 telemetry.count("sweep.cells.resumed")
             else:
                 pending.append(cell)
+                fingerprint_of[cell] = fp
         if max_cells is not None:
             pending = pending[:max_cells]
-        shards = shard_cells(pending)
+        shards = [(shard, [fingerprint_of[cell] for cell in shard])
+                  for shard in shard_cells(pending)]
         report.shards = len(shards)
         report.workers = min(nworkers, len(shards)) if shards else 0
 
@@ -552,16 +569,8 @@ def run_cells(
                 telemetry.count("sweep.cells.planned", len(cells))
                 if shards:
                     if nworkers == 1 or len(shards) == 1:
-                        for index, shard in enumerate(shards):
-                            journal.append(
-                                "shard_dispatched", shard=index,
-                                workload=shard[0].workload, cells=len(shard),
-                                inline=True,
-                                fingerprints=[c.fingerprint() for c in shard])
-                            rows, failures, stages = _execute_cells(
-                                shard, name, stream_cache, faults_plan)
-                            _ingest(store, rows, failures, report, journal,
-                                    stages)
+                        _run_inline(shards, name, store, report,
+                                    stream_cache, faults_plan, journal)
                     else:
                         _run_pooled(shards, name, store, report, stream_cache,
                                     faults_plan, nworkers, timeout, journal)
@@ -575,6 +584,19 @@ def run_cells(
                        ok=report.ok)
         journal.sync()
     return report
+
+
+def _run_inline(shards, name, store, report, stream_cache, faults_plan,
+                journal: SweepJournal) -> None:
+    """Run ``(cells, fingerprints)`` shards one after another in this
+    process, ingesting each as it finishes."""
+    for index, (shard, fps) in enumerate(shards):
+        journal.append("shard_dispatched", shard=index,
+                       workload=shard[0].workload, cells=len(shard),
+                       inline=True, fingerprints=fps)
+        rows, failures, stages = _execute_cells(
+            shard, fps, name, stream_cache, faults_plan)
+        _ingest(store, rows, failures, report, journal, stages)
 
 
 def _heartbeat_channel() -> tuple:
@@ -674,7 +696,8 @@ def _await_shard(fut, timeout: float, tick) -> tuple:
 
 def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                 nworkers, timeout, journal: SweepJournal) -> None:
-    """Fan shards over a process pool, absorbing every worker loss.
+    """Fan ``(cells, fingerprints)`` shards over a process pool,
+    absorbing every worker loss.
 
     Same policy stack as :func:`prewarm_streams`: spawn failure degrades
     to all-serial; a timeout/crash/exception costs only that shard, which
@@ -696,14 +719,8 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
             RuntimeWarning,
             stacklevel=3,
         )
-        for index, shard in enumerate(shards):
-            journal.append("shard_dispatched", shard=index,
-                           workload=shard[0].workload, cells=len(shard),
-                           inline=True,
-                           fingerprints=[c.fingerprint() for c in shard])
-            rows, failures, stages = _execute_cells(
-                shard, name, stream_cache, faults_plan)
-            _ingest(store, rows, failures, report, journal, stages)
+        _run_inline(shards, name, store, report, stream_cache, faults_plan,
+                    journal)
         return
     telemetry.count("parallel.pools")
     traced = telemetry.active() is not None
@@ -729,31 +746,32 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
 
     try:
         futures = []
-        for index, shard in enumerate(shards):
-            fut = pool.submit(run_shard, [asdict(c) for c in shard],
+        for index, (shard, fps) in enumerate(shards):
+            fut = pool.submit(run_shard, [asdict(c) for c in shard], fps,
                               name, stream_cache, faults_plan,
                               channel, index, interval)
             watches[index] = _ShardWatch(shard[0].workload)
             journal.append("shard_dispatched", shard=index,
                            workload=shard[0].workload, cells=len(shard),
-                           fingerprints=[c.fingerprint() for c in shard])
-            futures.append((index, shard, fut))
-        for index, shard, fut in futures:
+                           fingerprints=fps)
+            futures.append((index, shard, fps, fut))
+        for index, shard, fps, fut in futures:
             try:
                 rows, failures, stages, snapshot = _await_shard(
                     fut, timeout, tick)
             except FutureTimeoutError:
-                lost.append((index, shard, f"timed out after {timeout:g}s"))
+                lost.append((index, shard, fps,
+                             f"timed out after {timeout:g}s"))
                 abandoned = True
                 continue
             except BrokenExecutor:
-                lost.append((index, shard,
+                lost.append((index, shard, fps,
                              "died without returning a result "
                              "(process pool broken)"))
                 abandoned = True
                 continue
             except Exception as exc:
-                lost.append((index, shard,
+                lost.append((index, shard, fps,
                              f"raised {exc.__class__.__name__}: {exc}"))
                 continue
             finally:
@@ -767,7 +785,7 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
         pool.shutdown(wait=not abandoned, cancel_futures=True)
         if manager is not None:
             manager.shutdown()
-    for index, shard, reason in lost:
+    for index, shard, fps, reason in lost:
         telemetry.count("parallel.worker_lost")
         journal.append("worker_lost", shard=index,
                        workload=shard[0].workload, reason=reason)
@@ -781,6 +799,6 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
             RuntimeWarning,
             stacklevel=3,
         )
-        rows, failures, stages = _execute_cells(shard, name,
+        rows, failures, stages = _execute_cells(shard, fps, name,
                                                 stream_cache, faults_plan)
         _ingest(store, rows, failures, report, journal, stages)

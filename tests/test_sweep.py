@@ -198,6 +198,131 @@ def test_export_csv_renders_inf_none_and_dicts(tmp_path):
         assert '"{""faults.injected"":1}"' in text2
 
 
+# ---------------------------------------------------------- shard ingest
+def _ingest_shard(tmp_path, rows, store=None, on_journal=None):
+    """Ingest ``rows`` as one shard; returns (store, report, records)."""
+    from repro.sweep.journal import SweepJournal, read_journal
+    from repro.sweep.scheduler import SweepReport, _ingest
+
+    if store is None:
+        store = ResultsStore(tmp_path / "s.sqlite")
+    report = SweepReport(sweep="t", store_path=store.path, total=len(rows),
+                         resumed=0, completed=0)
+    path = tmp_path / "s.journal.ndjson"
+    with SweepJournal(path) as journal:
+        if on_journal is not None:
+            real = journal.append
+
+            def append(event, **fields):
+                on_journal(event)
+                real(event, **fields)
+
+            journal.append = append
+        _ingest(store, rows, [("f9", "tiny/mcf/lbm", "boom")], report, journal)
+    return store, report, read_journal(path)[0]
+
+
+def _visible_rows(path) -> int:
+    """Row count as a second connection sees it (committed rows only)."""
+    import sqlite3
+
+    other = sqlite3.connect(path)
+    try:
+        return other.execute("SELECT COUNT(*) FROM cells").fetchone()[0]
+    finally:
+        other.close()
+
+
+def test_shard_ingest_commits_once(tmp_path):
+    store = ResultsStore(tmp_path / "s.sqlite")
+    statements = []
+    store._conn.set_trace_callback(statements.append)
+    rows = [_row(fp=f"f{k}") for k in range(5)]
+    _, report, _ = _ingest_shard(tmp_path, rows, store)
+    assert report.completed == 5
+    assert [s for s in statements if s.strip().upper() == "COMMIT"] == ["COMMIT"]
+    store.close()
+
+
+def test_shard_rows_are_durable_before_completions_are_journalled(tmp_path):
+    """A second connection sees the whole shard by the time the first
+    ``cell_completed`` line is written."""
+    rows = [_row(fp=f"f{k}") for k in range(4)]
+    seen = []
+
+    def on_journal(event):
+        if event == "cell_completed":
+            seen.append(_visible_rows(tmp_path / "s.sqlite"))
+
+    store, _, records = _ingest_shard(tmp_path, rows, on_journal=on_journal)
+    assert seen == [4] * 4
+    assert [r["event"] for r in records] == ["cell_completed"] * 4 + ["cell_failed"]
+    store.close()
+
+
+def test_raced_fingerprint_still_journals_resumed(tmp_path):
+    store = ResultsStore(tmp_path / "s.sqlite")
+    store.append(_row(fp="f1"))
+    _, report, records = _ingest_shard(tmp_path, [_row(fp="f1"), _row(fp="f2")],
+                                       store)
+    assert (report.completed, report.resumed) == (1, 1)
+    assert records[0] == {**records[0], "event": "cell_resumed",
+                          "fingerprint": "f1", "raced": True}
+    assert records[1]["event"] == "cell_completed"
+    store.close()
+
+
+def test_store_transaction_rolls_back_and_bare_append_commits(tmp_path):
+    def visible():
+        return _visible_rows(tmp_path / "s.sqlite")
+
+    with ResultsStore(tmp_path / "s.sqlite") as store:
+        with pytest.raises(RuntimeError):
+            with store.transaction():
+                assert store.append(_row(fp="f1"))
+                raise RuntimeError("shard lost mid-ingest")
+        assert len(store) == 0
+        assert store.append(_row(fp="f2"))
+        assert visible() == 1                 # outside a transaction: at once
+        with store.transaction():
+            store.append(_row(fp="f3"))
+            with pytest.raises(ReproError, match="do not nest"):
+                with store.transaction():
+                    pass
+            assert visible() == 1             # not before the commit
+        assert visible() == 2
+
+
+def test_run_cells_hashes_each_cell_once(tmp_path, monkeypatch):
+    """A fresh run and a fully resumed rerun each fingerprint every cell
+    exactly once; caller-supplied fingerprints are not recomputed."""
+    from repro.sweep import scheduler
+
+    cells = tiny_spec().cells()
+    fingerprints = [cell.fingerprint() for cell in cells]
+    calls = []
+    real = CellSpec.fingerprint
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(CellSpec, "fingerprint", counted)
+    store = tmp_path / "s.sqlite"
+    cache = str(tmp_path / "cache")
+    first = scheduler.run_cells(cells, "t", store, workers=1, stream_cache=cache)
+    assert first.completed == len(cells) and len(calls) == len(cells)
+    calls.clear()
+    again = scheduler.run_cells(cells, "t", store, workers=1, stream_cache=cache)
+    assert again.resumed == len(cells) and len(calls) == len(cells)
+    calls.clear()
+    scheduler.run_cells(cells, "t", store, workers=1, stream_cache=cache,
+                        fingerprints=fingerprints)
+    assert calls == []
+    with pytest.raises(ValueError):
+        scheduler.run_cells(cells, "t", store, fingerprints=fingerprints[1:])
+
+
 # -------------------------------------------------------- run and resume
 def test_run_rerun_and_interrupted_runs_converge(tmp_path):
     spec = tiny_spec(stream_cache=str(tmp_path / "cache"))

@@ -2,15 +2,17 @@
 
 The kernels' contract (see :mod:`repro.sim.vector_replay`): for every
 stream and every fixed-period plain-ReDHiP, LevelPred or EHC
-configuration, the batched replay is *bit-identical* to the sequential
-loop — same per-access outputs, same stall cycles, same final predictor
-state, same telemetry — and therefore every derived :class:`SchemeResult`
-field matches.  Stateful predictors (CBF, MissMap, gated, adaptive
-engine) must be declared ineligible and keep the sequential path.
+configuration, and every plain CBF, the batched replay is *bit-identical*
+to the sequential loop — same per-access outputs, same stall cycles, same
+final predictor state, same telemetry — and therefore every derived
+:class:`SchemeResult` field matches.  Predictors that observe per-event
+state (MissMap, gated, adaptive engine) must be declared ineligible and
+keep the sequential path.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from functools import partial
 
@@ -21,13 +23,13 @@ from repro import checking, telemetry
 from repro.core.gating import gated_redhip_scheme
 from repro.core.redhip import ReDHiPController, redhip_scheme
 from repro.hierarchy.events import EVENT_EVICT, EVENT_FILL, OutcomeStream
-from repro.predictors.cbf_scheme import cbf_scheme
+from repro.predictors.cbf_scheme import CBFPredictor, cbf_scheme
 from repro.predictors.ehc import EHCController, ehc_scheme
 from repro.predictors.levelpred import LevelPredController, levelpred_scheme
 from repro.predictors.missmap import missmap_scheme
 from repro.sim import evaluate, vector_replay
 from repro.sim.config import SimConfig
-from repro.sim.evaluate import evaluate_scheme, replay_predictor
+from repro.sim.evaluate import _replay_predictor_scalar, evaluate_scheme
 from repro.sim.runner import ExperimentRunner
 from repro.util.proptest import cases
 from repro.util.validation import ConfigError, ReproError
@@ -102,7 +104,7 @@ def test_direct_replay_equivalence_with_sweeps(seeded):
     for period in (1, 7, 300, None):
         seq = ReDHiPController(cfg.machine, recal_period=period)
         vec = ReDHiPController(cfg.machine, recal_period=period)
-        p1, c1, s1 = replay_predictor(stream, seq)
+        p1, c1, s1 = _replay_predictor_scalar(stream, seq)
         p2, c2, s2 = vector_replay.replay_redhip_vectorized(stream, vec)
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(c1, c2)
@@ -123,7 +125,7 @@ def test_never_recalibrating_replay_keeps_miss_count(seeded):
     cfg, _, stream = seeded
     seq = ReDHiPController(cfg.machine, recal_period=None)
     vec = ReDHiPController(cfg.machine, recal_period=None)
-    replay_predictor(stream, seq)
+    _replay_predictor_scalar(stream, seq)
     vector_replay.replay_redhip_vectorized(stream, vec)
     assert seq.engine.l1_misses == 0
     assert vec.engine.l1_misses == seq.engine.l1_misses
@@ -137,19 +139,24 @@ def test_eligibility_gate(tiny_machine):
     assert eligible(ReDHiPController(tiny_machine, hash_kind="xor"))
     # Adaptive engine observes per-event churn: not batchable.
     assert not eligible(ReDHiPController(tiny_machine, recal_threshold=0.5))
-    # The zoo controllers have dedicated kernels.
+    # The zoo controllers and CBF (either hash) have dedicated kernels.
     assert eligible(LevelPredController(tiny_machine, recal_period=None))
     assert eligible(EHCController(tiny_machine, recal_period=64))
-    # Stateful / wrapped predictors: not batchable.
-    for spec in (cbf_scheme(), gated_redhip_scheme(), missmap_scheme()):
+    for hash_kind in ("xor", "bits"):
+        assert eligible(cbf_scheme(hash_kind=hash_kind).build_predictor(tiny_machine))
+    # Predictors observing per-event state, and wrappers: not batchable.
+    for spec in (gated_redhip_scheme(), missmap_scheme()):
         assert not eligible(spec.build_predictor(tiny_machine))
 
 
 def test_ineligible_predictor_rejected(seeded, tiny_machine):
     _, _, stream = seeded
-    predictor = cbf_scheme().build_predictor(tiny_machine)
-    with pytest.raises(ReproError, match="not epoch-batchable"):
-        vector_replay.replay_redhip_vectorized(stream, predictor)
+    for spec in (missmap_scheme(), gated_redhip_scheme()):
+        predictor = spec.build_predictor(tiny_machine)
+        for kernel in (vector_replay.replay_redhip_vectorized,
+                       vector_replay.replay_cbf_vectorized):
+            with pytest.raises(ReproError, match="not epoch-batchable"):
+                kernel(stream, predictor)
 
 
 # ---------------------------------------------------------- escape hatch
@@ -404,7 +411,7 @@ def test_phantom_eviction_raises_on_both_paths(tiny_machine, kind):
     pcs = np.zeros(3, dtype=np.uint64)
     if kind == "redhip":
         make = partial(ReDHiPController, tiny_machine)
-        paths = (partial(replay_predictor, stream),
+        paths = (partial(_replay_predictor_scalar, stream),
                  partial(vector_replay.replay_redhip_vectorized, stream))
     else:
         make = partial(ZOO_CONTROLLERS[kind], tiny_machine)
@@ -517,3 +524,201 @@ def test_per_access_pcs_is_one_gather(tiny_machine):
     got = evaluate._per_access_pcs(stream, workload)
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------------------------ CBF kernel
+def _cbf_state(predictor: CBFPredictor) -> dict:
+    """Every end-of-run observable of a CBF predictor."""
+    cbf = predictor.filter
+    return {"counts": cbf._counts.copy(), "disabled": cbf._disabled.copy(),
+            "inserts": cbf.inserts, "deletes": cbf.deletes,
+            "saturations": cbf.saturations,
+            "table_updates": predictor.table_updates,
+            "stats": predictor.stats()}
+
+
+def _cbf_divergences(stream, make, warm=()) -> tuple:
+    """Replay two fresh CBF predictors down both paths — after each path
+    has first replayed the ``warm`` streams — and return what differs and
+    the scalar-replayed predictor."""
+    scalar, batched = make(), make()
+    for earlier in warm:
+        _replay_predictor_scalar(earlier, scalar)
+        vector_replay.replay_cbf_vectorized(earlier, batched)
+    want = _replay_predictor_scalar(stream, scalar)
+    got = vector_replay.replay_cbf_vectorized(stream, batched)
+    diffs = [f"output {k}" for k, (a, b) in enumerate(zip(got, want))
+             if not _same(a, b)]
+    want_state, got_state = _cbf_state(scalar), _cbf_state(batched)
+    diffs += [name for name in want_state
+              if not _same(got_state[name], want_state[name])]
+    return diffs, scalar
+
+
+def _disables(predictor: CBFPredictor) -> tuple:
+    """(overflow, underflow) disables left in the filter: a counter keeps
+    its pre-violation value, ``max_count`` or 0."""
+    cbf = predictor.filter
+    off = cbf._disabled
+    return (int(np.count_nonzero(off & (cbf._counts == cbf.max_count))),
+            int(np.count_nonzero(off & (cbf._counts == 0))))
+
+
+def _drop_fills(stream, rng, fraction: float):
+    """The stream minus a random share of its fills, so later evictions
+    of those blocks underflow their counters."""
+    keep = (stream.llc_op != EVENT_FILL) | (rng.random(len(stream.llc_op)) >= fraction)
+    return dataclasses.replace(stream, llc_when=stream.llc_when[keep],
+                               llc_op=stream.llc_op[keep],
+                               llc_block=stream.llc_block[keep])
+
+
+CBF_FUZZ_SEED = 20261017
+
+
+def test_fuzz_cbf_kernel_matches_scalar(monkeypatch, tmp_path):
+    """Random geometry x workload family, every counter width 1-8 under
+    both hashes, at budgets of 8-64 bytes: the batched CBF replay matches
+    the scalar loop in outputs and end-of-run filter state.  Every other
+    case drops a share of the fills, so evictions underflow as well as
+    fills overflow; the fuzz must see both kinds of disable.  A divergence
+    writes a seed-replay bundle."""
+    monkeypatch.setenv(checking.REPLAY_DIR_ENV, str(tmp_path))
+    overflows = underflows = 0
+    for i, rng in cases(seed=CBF_FUZZ_SEED, n=12):
+        machine = random_machine(rng)
+        family = ZOO_FUZZ_FAMILIES[int(rng.integers(0, len(ZOO_FUZZ_FAMILIES)))]
+        refs = int(rng.integers(150, 1000))
+        seed = int(rng.integers(0, 2**31))
+        cfg = SimConfig(machine=machine, refs_per_core=refs, seed=seed)
+        workload = build_case_workload(family, machine, refs, seed)
+        runner = ExperimentRunner(cfg)
+        runner.add_workload(workload)
+        stream = runner.stream(workload.name)
+        if i % 2:
+            stream = _drop_fills(stream, rng, 0.2)
+        for bits in range(1, 9):
+            for hash_kind in ("xor", "bits"):
+                budget = 1 << int(rng.integers(3, 7))  # 8 .. 64 B
+                make = partial(CBFPredictor, budget, bits, hash_kind)
+                diffs, scalar = _cbf_divergences(stream, make)
+                if not diffs:
+                    over, under = _disables(scalar)
+                    overflows += over
+                    underflows += under
+                    continue
+                bundle = {
+                    "fuzz_seed": CBF_FUZZ_SEED, "case": i, "scheme": "cbf",
+                    "machine": machine.name, "family": family,
+                    "refs_per_core": refs, "seed": seed, "budget_bytes": budget,
+                    "counter_bits": bits, "hash": hash_kind,
+                    "dropped_fills": bool(i % 2), "diverged": diffs,
+                }
+                path = checking.default_replay_dir() / f"cbf-replay-case{i}.json"
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_text(json.dumps(bundle, indent=2, sort_keys=True))
+                pytest.fail(f"case {i}: CBF kernel diverged in {diffs} "
+                            f"(bundle: {path})")
+    assert overflows and underflows, (overflows, underflows)
+
+
+@pytest.mark.parametrize("hash_kind", ["xor", "bits"])
+def test_cbf_directed_streams(tiny_machine, hash_kind):
+    """No LLC events, no L1 misses, every event on one entry (a 2-bit
+    counter that overflows) and random hot pools at several widths, from
+    a fresh filter and from one a previous replay left in use."""
+    rng = np.random.default_rng(13)
+    no_events = _synthetic_stream(rng.choice([0, 2, 3, 4], size=200),
+                                  rng.integers(0, 50, size=200))
+    no_misses = _synthetic_stream(
+        [1] * 6, [1, 2, 3, 4, 5, 6],
+        [(0, EVENT_FILL, 9), (2, EVENT_FILL, 10), (4, EVENT_EVICT, 9)])
+    make = partial(CBFPredictor, 64, 2, hash_kind)
+    entries = make().filter.num_entries
+    # Under either hash, blocks 5 + k * (entries + entries**2) share entry 5.
+    same = [5 + k * (entries + entries * entries) for k in range(8)]
+    one_entry_events = [(i, EVENT_FILL, same[i]) for i in range(8)]
+    one_entry_events += [(8 + i, EVENT_EVICT, same[i]) for i in range(8)]
+    one_entry = _synthetic_stream([0] * 8 + [2] * 12, same + same[:8] + same[:4],
+                                  one_entry_events)
+    for stream in (no_events, no_misses, one_entry):
+        assert _cbf_divergences(stream, make)[0] == []
+    scalar = _cbf_divergences(one_entry, make)[1]
+    assert scalar.filter.saturations == 1 and scalar.filter._disabled[5]
+    for bits in (1, 3, 8):
+        for pool in (3, 40):
+            stream = _random_valid_stream(rng, 500, pool, evict_rate=0.05)
+            make = partial(CBFPredictor, 8, bits, hash_kind)
+            assert _cbf_divergences(stream, make)[0] == [], (bits, pool)
+            # From used filters: the first rerun starts from non-zero
+            # counts, the second also from entries the first disabled.
+            for warm in ([stream], [stream, stream]):
+                assert _cbf_divergences(stream, make, warm)[0] == [], (bits, pool)
+    twice = _cbf_divergences(stream, partial(CBFPredictor, 8, 1, hash_kind),
+                             [stream])[1]
+    assert twice.filter.disabled_fraction > 0
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_cbf_eviction_before_fill_disables(tiny_machine, vector):
+    """A CBF treats an eviction it never saw filled as an underflow: the
+    entry disables and answers "present" from then on, on both paths,
+    where the tag-mirror schemes refuse the stream."""
+    stream = _synthetic_stream([0, 0, 2], [4, 77, 77],
+                               [(0, EVENT_EVICT, 77), (1, EVENT_FILL, 4)])
+    predictor = CBFPredictor(64, 4, "bits")
+    replay = vector_replay.replay_cbf_vectorized if vector else _replay_predictor_scalar
+    predicted, _, _ = replay(stream, predictor)
+    assert predicted.tolist() == [False, True, True]
+    assert predictor.filter.saturations == 1
+    assert predictor.filter._disabled[77 % predictor.filter.num_entries]
+    # The entry stays disabled: a later fill/evict pair that would bring
+    # a live counter back to zero still answers "present".
+    again = _synthetic_stream([0, 0, 2], [77, 5, 77],
+                              [(0, EVENT_FILL, 77), (1, EVENT_EVICT, 77)])
+    predicted, _, _ = replay(again, predictor)
+    assert predicted.tolist() == [True, False, True]
+    assert predictor.filter.saturations == 1
+
+
+def test_cbf_dispatch_and_escape_hatch(zoo_case, monkeypatch):
+    """The evaluator runs CBF through the kernel (via ``replay_predictor``),
+    and ``REPRO_NO_VECTOR_REPLAY`` keeps it on the scalar loop."""
+    cfg, wl, stream = zoo_case
+    calls = []
+    real = vector_replay.replay_cbf_vectorized
+
+    def spy(stream_, predictor_):
+        calls.append(predictor_.name)
+        return real(stream_, predictor_)
+
+    monkeypatch.setattr(vector_replay, "replay_cbf_vectorized", spy)
+    fast = evaluate_scheme(stream, cfg.machine, cbf_scheme(), wl, checked=False)
+    assert calls == ["CBF"]
+    monkeypatch.setenv(vector_replay.NO_VECTOR_ENV, "1")
+    slow = evaluate_scheme(stream, cfg.machine, cbf_scheme(), wl, checked=False)
+    assert calls == ["CBF"]
+    assert _result_facts(fast) == _result_facts(slow)
+
+
+@pytest.mark.parametrize("poison", ["output", "state"])
+def test_checked_mode_catches_divergent_cbf_kernel(zoo_case, monkeypatch, poison):
+    """Mutation test: a flipped answer, or a filter counter the kernel
+    leaves wrong, trips the checked-mode oracle — which must therefore
+    be the scalar loop, not the dispatcher that runs the kernel."""
+    cfg, wl, stream = zoo_case
+    real = vector_replay.replay_cbf_vectorized
+
+    def poisoned(stream_, predictor_):
+        predicted, consulted, stall = real(stream_, predictor_)
+        if poison == "state":
+            predictor_.filter.deletes += 1
+            return predicted, consulted, stall
+        predicted = predicted.copy()
+        predicted[np.flatnonzero(~predicted)[0]] = True  # still conservative
+        return predicted, consulted, stall
+
+    monkeypatch.setattr(vector_replay, "replay_cbf_vectorized", poisoned)
+    match = "filter.deletes" if poison == "state" else "output 0"
+    with pytest.raises(ReproError, match=match):
+        evaluate_scheme(stream, cfg.machine, cbf_scheme(), wl, checked=True)
