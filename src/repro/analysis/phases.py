@@ -89,9 +89,10 @@ def windowed_skip_rate(
     """
     check_positive("window", window)
     predicted, _consulted, _stall = replay_predictor(stream, predictor)
-    h = stream.hit_level
-    absent = (h == 0).astype(np.int64)
-    skipped = (absent.astype(bool) & ~predicted).astype(np.int64)
+    misses = stream.l1_misses
+    absent = (stream.hit_level == 0).astype(np.int64)
+    skipped = np.zeros(stream.num_accesses, dtype=np.int64)
+    skipped[misses.at] = (misses.hit_level == 0) & ~predicted
     a = _window_sums(absent, window)
     s = _window_sums(skipped, window)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -72,20 +72,36 @@ class TimingModel:
             Global stall (recalibration sweeps block the PT and the LLC
             tag array, so they are charged against the whole run).
         """
+        if len(core_ids) != len(gaps):
+            raise ConfigError("core_ids/gaps/latencies length mismatch")
+        # bincount over core ids gives per-core sums without a Python loop.
+        gap_sums = np.bincount(core_ids, weights=gaps.astype(np.float64),
+                               minlength=self.machine.cores)
+        return self.fold(core_ids, gap_sums[: self.machine.cores], latencies,
+                         cpis, stall_cycles)
+
+    def fold(
+        self,
+        core_ids: np.ndarray,
+        gap_sums: np.ndarray,
+        latencies: np.ndarray,
+        cpis: np.ndarray,
+        stall_cycles: float = 0.0,
+    ) -> TimingResult:
+        """:meth:`run` with the per-core compute gaps already summed
+        (``gap_sums``: float64[cores]); they do not depend on the scheme,
+        so the evaluator sums them once per stream."""
         cores = self.machine.cores
-        if cpis.shape != (cores,):
-            raise ConfigError(f"cpis must have shape ({cores},)")
-        if not (len(core_ids) == len(gaps) == len(latencies)):
+        if cpis.shape != (cores,) or gap_sums.shape != (cores,):
+            raise ConfigError(f"cpis and gap_sums must have shape ({cores},)")
+        if len(core_ids) != len(latencies):
             raise ConfigError("core_ids/gaps/latencies length mismatch")
         check_positive("stall_cycles + 1", stall_cycles + 1)
 
-        compute = np.zeros(cores, dtype=np.float64)
-        memory = np.zeros(cores, dtype=np.float64)
-        # bincount over core ids gives per-core sums without a Python loop.
-        gap_sums = np.bincount(core_ids, weights=gaps.astype(np.float64), minlength=cores)
-        lat_sums = np.bincount(core_ids, weights=latencies.astype(np.float64), minlength=cores)
-        compute[: len(gap_sums)] = gap_sums[:cores] * cpis
-        memory[: len(lat_sums)] = lat_sums[:cores]
+        lat_sums = np.bincount(core_ids, minlength=cores,
+                               weights=np.asarray(latencies, dtype=np.float64))
+        compute = gap_sums * cpis
+        memory = lat_sums[:cores]
         total = compute + memory
         return TimingResult(
             core_cycles=total,

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-__all__ = ["EVENT_FILL", "EVENT_EVICT", "OutcomeStream", "OutcomeRecorder"]
+__all__ = ["EVENT_FILL", "EVENT_EVICT", "L1MissView", "OutcomeStream",
+           "OutcomeRecorder"]
 
 #: LLC event opcodes.
 EVENT_FILL = 1
@@ -31,6 +33,42 @@ EVENT_EVICT = 2
 
 #: hit_level value meaning "served by main memory".
 MEMORY_LEVEL = 0
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class L1MissView:
+    """A stream's L1 misses, in access order: everything a scheme acts on.
+
+    Every scheme decides and charges only at L1 misses (an L1 hit costs
+    the L1 delay under every scheme), so the replay kernels and the
+    evaluation flows work over these ``k`` misses rather than all ``n``
+    accesses.  The arrays are read-only; :attr:`at` maps miss ordinal
+    ``j`` back to its access index.
+    """
+
+    at: np.ndarray          # intp[k]    access index of each L1 miss
+    hit_level: np.ndarray   # int8[k]    2..L, or 0 for memory
+    hit_rank: np.ndarray    # int8[k]
+    block: np.ndarray       # uint64[k]
+    core_gap_sums: np.ndarray  # float64[c] compute gaps per core, c = max core + 1
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def gap_sums(self, cores: int) -> np.ndarray:
+        """Per-core compute-gap sums over *all* accesses, as ``cores``
+        entries (a core that issued nothing sums to 0).  They do not
+        depend on the scheme, so every evaluation of the stream shares
+        them."""
+        sums = np.zeros(cores, dtype=np.float64)
+        k = min(cores, len(self.core_gap_sums))
+        sums[:k] = self.core_gap_sums[:k]
+        return sums
 
 
 @dataclass(frozen=True)
@@ -57,6 +95,20 @@ class OutcomeStream:
     def l1_miss_mask(self) -> np.ndarray:
         """Boolean mask of accesses that missed in L1 (consult the PT)."""
         return self.hit_level != 1
+
+    @cached_property
+    def l1_misses(self) -> L1MissView:
+        """The cached :class:`L1MissView` — derived on first use, never
+        persisted (the stream cache stores only the dataclass fields)."""
+        at = np.flatnonzero(self.hit_level != 1)
+        return L1MissView(
+            at=_frozen(at),
+            hit_level=_frozen(self.hit_level[at]),
+            hit_rank=_frozen(self.hit_rank[at]),
+            block=_frozen(self.block[at]),
+            core_gap_sums=_frozen(np.bincount(
+                self.core, weights=self.gap.astype(np.float64))),
+        )
 
     def level_lookups(self, level: int) -> int:
         """Demand lookups a conventional (no-prediction) walk performs at

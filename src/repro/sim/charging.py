@@ -311,10 +311,15 @@ class ChargingKernel:
         return d1 + (lat - d1) / mlp
 
     # --------------------------------------------------------------- bulk
-    def charge_l1_bulk(self, ledger: EnergyLedger, n: int) -> np.ndarray:
-        """Bulk form of :meth:`charge_l1`: the initial latency vector."""
+    # The bulk methods below ``charge_l1_bulk`` take per-L1-miss arrays
+    # (a stream's :class:`~repro.hierarchy.events.L1MissView` order): an
+    # L1 hit is charged its L1 probe and nothing else under every scheme.
+    def charge_l1_bulk(self, ledger: EnergyLedger, n: int,
+                       n_misses: int) -> np.ndarray:
+        """Bulk form of :meth:`charge_l1` for ``n`` accesses: the initial
+        latency vector of their ``n_misses`` L1 misses."""
         ledger.charge(self.names[1], CAT_PROBE, self.par_e[1], n)
-        return np.full(n, float(self.par_d[1]), dtype=np.float64)
+        return np.full(n_misses, float(self.par_d[1]), dtype=np.float64)
 
     def charge_lookup_bulk(self, ledger: EnergyLedger, lat: np.ndarray,
                            consulted: np.ndarray) -> None:
@@ -395,7 +400,8 @@ class ChargingKernel:
     def charge_fills_bulk(self, ledger: EnergyLedger, h: np.ndarray,
                           true_misses: int, weight: float) -> None:
         """Optional fill accounting (identical across schemes): every
-        level is filled by memory fetches, plus by hits below it."""
+        level is filled by memory fetches, plus by hits below it.  ``h``
+        may omit the L1 hits, which fill nothing."""
         if weight <= 0.0:
             return
         for level in range(1, self.num_levels + 1):
@@ -417,12 +423,17 @@ class ChargingKernel:
             ledger.charge(COMPONENT_PT, CAT_RECAL, recal_nj, 1)
 
     # ------------------------------------------------------ timing/static
-    def run_timing(self, core_ids, gaps, latencies, cpis,
+    def run_timing(self, core_ids, gap_sums, miss_at, miss_latencies, cpis,
                    stall_cycles: float) -> TimingResult:
-        """Fold per-access latencies into per-core cycles."""
-        return TimingModel(self.machine).run(
-            core_ids=core_ids, gaps=gaps, latencies=latencies, cpis=cpis,
-            stall_cycles=stall_cycles,
+        """Fold latencies into per-core cycles.  The miss latencies land
+        in a per-access vector in one scatter; every other access is an
+        L1 hit at the L1 delay.  ``gap_sums`` are the per-core compute
+        gaps (:meth:`~repro.hierarchy.events.L1MissView.gap_sums`)."""
+        latencies = np.full(len(core_ids), float(self.par_d[1]), dtype=np.float64)
+        latencies[miss_at] = miss_latencies
+        return TimingModel(self.machine).fold(
+            core_ids=core_ids, gap_sums=gap_sums, latencies=latencies,
+            cpis=cpis, stall_cycles=stall_cycles,
         )
 
     def static_energy_nj(self, exec_cycles: float, include_pt: bool) -> float:

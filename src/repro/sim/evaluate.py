@@ -107,14 +107,14 @@ def replay_predictor(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Replay L1-miss lookups against the LLC event stream.
 
-    Returns the per-access prediction array (only meaningful where the
-    access missed L1), the per-access *consulted* array (False where a
-    gated predictor answered without touching its table), and the total
-    recalibration stall cycles.  Event ordering matches hardware:
-    fills/evictions caused by access *i* are applied after access *i*'s
-    lookup (the lookup races ahead of the fill).  Eligible predictors run
-    their batched kernel (:mod:`repro.sim.vector_replay`) unless
-    ``REPRO_NO_VECTOR_REPLAY`` is set; everything else, and the
+    Returns, per L1 miss (in :attr:`OutcomeStream.l1_misses` order), the
+    presence prediction and whether the lookup *consulted* the table
+    (False where a gated predictor answered without touching it), plus
+    the total recalibration stall cycles.  Event ordering matches
+    hardware: fills/evictions caused by access *i* are applied after
+    access *i*'s lookup (the lookup races ahead of the fill).  Eligible
+    predictors run their batched kernel (:mod:`repro.sim.vector_replay`)
+    unless ``REPRO_NO_VECTOR_REPLAY`` is set; everything else, and the
     checked-mode reference, is :func:`_replay_predictor_scalar`.
     """
     if vector_replay.use_vector(predictor):
@@ -124,57 +124,56 @@ def replay_predictor(
     return _replay_predictor_scalar(stream, predictor)
 
 
-def _replay_predictor_scalar(
-    stream: OutcomeStream, predictor: PresencePredictor
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sequential presence replay (the checked-mode oracle): one Python
-    call per L1 miss and per LLC event, in :func:`replay_predictor`'s
-    event order."""
-    h = stream.hit_level
-    n = len(h)
-    predicted = np.ones(n, dtype=bool)
-    consulted = np.zeros(n, dtype=bool)
-    miss_mask = h != 1
-    miss_idx = np.nonzero(miss_mask)[0].tolist()
-    miss_blocks = stream.block[miss_mask].tolist()
-
+def _scalar_misses(stream: OutcomeStream, predictor):
+    """The event walk every scalar oracle shares: yields ``(block,
+    hit_level)`` per L1 miss after applying to ``predictor`` the LLC
+    events of every earlier access, then drains the remaining events so
+    predictor telemetry covers the full run."""
+    misses = stream.l1_misses
     when = stream.llc_when.tolist()
     ops = stream.llc_op.tolist()
     eblocks = stream.llc_block.tolist()
     m = len(when)
-
-    lookup = predictor.predict_present
     fill = predictor.on_llc_fill
     evict = predictor.on_llc_evict
-    note = predictor.note_l1_miss
 
-    stall = 0.0
     ei = 0
-    out = []
-    consults = []
-    for pos, i in enumerate(miss_idx):
+    for i, block, level in zip(misses.at.tolist(), misses.block.tolist(),
+                               misses.hit_level.tolist()):
         while ei < m and when[ei] < i:
             if ops[ei] == EVENT_FILL:
                 fill(eblocks[ei])
             else:
                 evict(eblocks[ei])
             ei += 1
-        out.append(lookup(miss_blocks[pos]))
-        consults.append(predictor.last_consulted)
-        stall += note()
-    while ei < m:  # drain so predictor telemetry covers the full run
+        yield block, level
+    for ei in range(ei, m):
         if ops[ei] == EVENT_FILL:
             fill(eblocks[ei])
         else:
             evict(eblocks[ei])
-        ei += 1
-    predicted[miss_mask] = np.asarray(out, dtype=bool) if out else False
-    consulted[miss_mask] = np.asarray(consults, dtype=bool) if consults else False
-    return predicted, consulted, stall
 
 
-def _per_access_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
-    """Per-access program counters in the merged multi-core order.
+def _replay_predictor_scalar(
+    stream: OutcomeStream, predictor: PresencePredictor
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Sequential presence replay (the checked-mode oracle): one Python
+    call per L1 miss and per LLC event, in :func:`replay_predictor`'s
+    event order."""
+    lookup = predictor.predict_present
+    note = predictor.note_l1_miss
+    stall = 0.0
+    out = []
+    consults = []
+    for block, _level in _scalar_misses(stream, predictor):
+        out.append(lookup(block))
+        consults.append(predictor.last_consulted)
+        stall += note()
+    return np.array(out, dtype=bool), np.array(consults, dtype=bool), stall
+
+
+def _miss_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
+    """Program counter of each L1 miss, in the merged multi-core order.
 
     The outcome stream deliberately carries no PCs (the content walk is
     PC-blind); the level predictor's PC^block index reconstructs them
@@ -184,11 +183,11 @@ def _per_access_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
     from repro.sim.content import merge_order
 
     merged_core, merged_idx = merge_order(workload)
-    n = stream.num_accesses
+    at = stream.l1_misses.at
     traces = workload.traces
     offsets = np.cumsum([0] + [len(trace.pc) for trace in traces[:-1]])
     pcs = np.concatenate([trace.pc for trace in traces]).astype(np.uint64, copy=False)
-    return pcs[offsets[merged_core[:n]] + merged_idx[:n]]
+    return pcs[offsets[merged_core[at]] + merged_idx[at]]
 
 
 def replay_level_predictor(
@@ -196,9 +195,10 @@ def replay_level_predictor(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Replay level-prediction lookups over the event stream.
 
-    Returns per-access predicted levels (0 = memory/no prediction),
-    per-access confidence flags, and the total recalibration stall
-    cycles.  Runs the batched kernel
+    ``pcs`` holds each L1 miss's program counter (:func:`_miss_pcs`).
+    Returns per-L1-miss predicted levels (0 = memory/no prediction) and
+    confidence flags, and the total recalibration stall cycles.  Runs the
+    batched kernel
     (:func:`~repro.sim.vector_replay.replay_levelpred_vectorized`) unless
     the predictor is ineligible or ``REPRO_NO_VECTOR_REPLAY`` is set;
     the scalar loop is the reference both paths must agree with.
@@ -219,53 +219,21 @@ def _replay_level_predictor_scalar(
     observes the true outcome between the lookup and the time advance —
     the same order the integrated loop performs.
     """
-    h = stream.hit_level
-    n = len(h)
-    pred_level = np.zeros(n, dtype=np.int64)
-    confident = np.zeros(n, dtype=bool)
-    miss_mask = h != 1
-    miss_idx = np.nonzero(miss_mask)[0].tolist()
-    miss_blocks = stream.block[miss_mask].tolist()
-    miss_pcs = pcs[miss_mask].tolist()
-    miss_h = h[miss_mask].tolist()
-
-    when = stream.llc_when.tolist()
-    ops = stream.llc_op.tolist()
-    eblocks = stream.llc_block.tolist()
-    m = len(when)
-
     predict = predictor.predict
     train = predictor.train
-    fill = predictor.on_llc_fill
-    evict = predictor.on_llc_evict
     note = predictor.note_l1_miss
-
     stall = 0.0
-    ei = 0
     levels_out = []
     conf_out = []
-    for pos, i in enumerate(miss_idx):
-        while ei < m and when[ei] < i:
-            if ops[ei] == EVENT_FILL:
-                fill(eblocks[ei])
-            else:
-                evict(eblocks[ei])
-            ei += 1
-        level, conf = predict(miss_pcs[pos], miss_blocks[pos])
-        levels_out.append(level)
+    # The walk goes first in the zip so its trailing drain still runs.
+    for (block, level), pc in zip(_scalar_misses(stream, predictor), pcs.tolist()):
+        predicted, conf = predict(pc, block)
+        levels_out.append(predicted)
         conf_out.append(conf)
-        train(miss_pcs[pos], miss_blocks[pos], miss_h[pos])
+        train(pc, block, level)
         stall += note()
-    while ei < m:  # drain so predictor telemetry covers the full run
-        if ops[ei] == EVENT_FILL:
-            fill(eblocks[ei])
-        else:
-            evict(eblocks[ei])
-        ei += 1
-    if levels_out:
-        pred_level[miss_mask] = np.asarray(levels_out, dtype=np.int64)
-        confident[miss_mask] = np.asarray(conf_out, dtype=bool)
-    return pred_level, confident, stall
+    return (np.array(levels_out, dtype=np.int64),
+            np.array(conf_out, dtype=bool), stall)
 
 
 def replay_ehc(
@@ -273,11 +241,11 @@ def replay_ehc(
 ) -> tuple[np.ndarray, float]:
     """Replay expected-hit-count lookups over the events.
 
-    Returns the per-access predicted-dead flags (meaningful at L1
-    misses) and the total recalibration stall cycles.  Runs the batched
-    kernel (:func:`~repro.sim.vector_replay.replay_ehc_vectorized`)
-    unless the predictor is ineligible or ``REPRO_NO_VECTOR_REPLAY`` is
-    set; the scalar loop is the reference both paths must agree with.
+    Returns the per-L1-miss predicted-dead flags and the total
+    recalibration stall cycles.  Runs the batched kernel
+    (:func:`~repro.sim.vector_replay.replay_ehc_vectorized`) unless the
+    predictor is ineligible or ``REPRO_NO_VECTOR_REPLAY`` is set; the
+    scalar loop is the reference both paths must agree with.
     """
     if vector_replay.use_vector(predictor):
         return vector_replay.replay_ehc_vectorized(stream, predictor)
@@ -294,49 +262,18 @@ def _replay_ehc_scalar(
     the miss's own events before the next lookup, exactly as the
     integrated loop does.
     """
-    h = stream.hit_level
-    n = len(h)
     num_levels = stream.num_levels
-    dead = np.zeros(n, dtype=bool)
-    miss_mask = h != 1
-    miss_idx = np.nonzero(miss_mask)[0].tolist()
-    miss_blocks = stream.block[miss_mask].tolist()
-    miss_h = h[miss_mask].tolist()
-
-    when = stream.llc_when.tolist()
-    ops = stream.llc_op.tolist()
-    eblocks = stream.llc_block.tolist()
-    m = len(when)
-
     predict = predictor.predict_dead
     observe = predictor.observe_hit
-    fill = predictor.on_llc_fill
-    evict = predictor.on_llc_evict
     note = predictor.note_l1_miss
-
     stall = 0.0
-    ei = 0
     out = []
-    for pos, i in enumerate(miss_idx):
-        while ei < m and when[ei] < i:
-            if ops[ei] == EVENT_FILL:
-                fill(eblocks[ei])
-            else:
-                evict(eblocks[ei])
-            ei += 1
-        out.append(predict(miss_blocks[pos]))
-        if miss_h[pos] == num_levels:
-            observe(miss_blocks[pos])
+    for block, level in _scalar_misses(stream, predictor):
+        out.append(predict(block))
+        if level == num_levels:
+            observe(block)
         stall += note()
-    while ei < m:
-        if ops[ei] == EVENT_FILL:
-            fill(eblocks[ei])
-        else:
-            evict(eblocks[ei])
-        ei += 1
-    if out:
-        dead[miss_mask] = np.asarray(out, dtype=bool)
-    return dead, stall
+    return np.array(out, dtype=bool), stall
 
 
 #: Predictor state each batched kernel must leave exactly as its scalar
@@ -366,10 +303,11 @@ def _assert_replay_equivalent(
 
     Builds a second fresh predictor, replays it with ``sequential`` (the
     scalar loop, called as ``sequential(stream, predictor)``), and
-    compares every observable the evaluation consumes — each per-access
+    compares every observable the evaluation consumes — each per-miss
     output array, the stall cycles, the final predictor state listed in
-    :data:`_REPLAY_STATE`, and the telemetry dict.  Any divergence is a
-    bug in the batched kernel (or a predictor that wrongly passed
+    :data:`_REPLAY_STATE`, and the telemetry dict.  A differing output
+    names the access index of its first differing miss.  Any divergence
+    is a bug in the batched kernel (or a predictor that wrongly passed
     :func:`vector_replay.eligible`).
     """
     reference = scheme.build_predictor(machine)
@@ -377,11 +315,14 @@ def _assert_replay_equivalent(
     problems = []
     for k, (got, want) in enumerate(zip(outputs, expected)):
         if isinstance(got, np.ndarray):
-            if not np.array_equal(got, want):
-                bad = np.nonzero(got != want)[0]
+            if got.shape != want.shape:
+                problems.append(f"output {k}: shape {got.shape} != "
+                                f"sequential {want.shape}")
+            elif not np.array_equal(got, want):
+                bad = np.flatnonzero(got != want)
                 problems.append(
-                    f"output {k}: {len(bad)} access(es) differ "
-                    f"(first at access {int(bad[0])})"
+                    f"output {k}: {len(bad)} L1 miss(es) differ (first at "
+                    f"access {int(stream.l1_misses.at[bad[0]])})"
                 )
         elif got != want:
             problems.append(f"stall {got} != sequential {want}")
@@ -403,13 +344,13 @@ def _assert_replay_equivalent(
         )
 
 
-def _replay_path(replay_span, predictor) -> bool:
-    """Tag the replay span and count the path the replay will take."""
-    vector = vector_replay.use_vector(predictor)
-    path = "vector" if vector else "sequential"
-    replay_span.tag(path=path)
-    telemetry.count(f"replay.{path}")
-    return vector
+def _replay_binary(stream: OutcomeStream, predictor):
+    """The binary flow's replay.  ReDHiP calls its kernel directly, so a
+    per-layer profile tells ReDHiP replays from dispatched (CBF, scalar)
+    ones."""
+    if type(predictor) is ReDHiPController and vector_replay.use_vector(predictor):
+        return vector_replay.replay_redhip_vectorized(stream, predictor)
+    return replay_predictor(stream, predictor)
 
 
 def evaluate_scheme(
@@ -432,122 +373,138 @@ def evaluate_scheme(
     probed, never whether memory is reached), which dilutes relative gains
     — the sensitivity the ``ext-memory`` experiment studies.
 
-    Plain ReDHiP, CBF, LevelPred and EHC predictors replay through the
-    batched NumPy kernels (:mod:`repro.sim.vector_replay`) unless
-    ``REPRO_NO_VECTOR_REPLAY`` is set; ``checked`` (default: the
-    ``REPRO_CHECKED`` environment) replays *both* paths and raises if they
-    diverge in any observable — the equivalence oracle for the kernels.
+    Every scheme acts only at L1 misses, so the replay and every charge
+    run over the stream's :class:`~repro.hierarchy.events.L1MissView`;
+    L1 hits pay the L1 probe and nothing else.  Plain ReDHiP, CBF,
+    LevelPred and EHC predictors replay through the batched NumPy kernels
+    (:mod:`repro.sim.vector_replay`) unless ``REPRO_NO_VECTOR_REPLAY`` is
+    set; ``checked`` (default: the ``REPRO_CHECKED`` environment) replays
+    *both* paths and raises if they diverge in any observable — the
+    equivalence oracle for the kernels.
     """
-    # The zoo schemes walk (or skip) levels in patterns the binary
-    # predicted-present flow below cannot express; they get dedicated
-    # accounting paths that consume the same kernel and the same frozen
-    # stream, so the existing flow stays byte-for-byte untouched.
-    if scheme.kind in ("levelpred", "oracle_level"):
-        return _evaluate_levelpred(
-            stream, machine, scheme, workload,
-            fill_energy_weight=fill_energy_weight,
-            memory_latency=memory_latency,
-            memory_energy_nj=memory_energy_nj,
-            mlp=mlp, dram=dram, checked=checked,
-        )
-    if scheme.kind == "ehc":
-        return _evaluate_ehc(
-            stream, machine, scheme, workload,
-            fill_energy_weight=fill_energy_weight,
-            memory_latency=memory_latency,
-            memory_energy_nj=memory_energy_nj,
-            mlp=mlp, dram=dram, checked=checked,
-        )
-
-    kernel = ChargingKernel.for_scheme(machine, scheme)
-    ledger = EnergyLedger()
-    h = stream.hit_level
-    n = stream.num_accesses
-    num_levels = stream.num_levels
-    miss_mask = h != 1
-    l1_misses = int(miss_mask.sum())
-    true_misses = int((h == 0).sum())
-
-    # ---- prediction ------------------------------------------------------
-    predictor = None
-    stall = 0.0
-    consulted = np.zeros(n, dtype=bool)
     if checked is None:
         checked = checking.enabled(None)
-    if scheme.kind == "predictor":
-        predictor = scheme.build_predictor(machine)
+    run = _Evaluation(stream, machine, scheme, workload, checked,
+                      fill_energy_weight, memory_latency, memory_energy_nj,
+                      mlp, dram)
+    # The zoo schemes walk (or skip) levels in patterns the binary
+    # predicted-present flow cannot express; they get their own decision
+    # and per-level charges, then the same shared tail.
+    if scheme.kind in ("levelpred", "oracle_level"):
+        return _evaluate_levelpred(run)
+    if scheme.kind == "ehc":
+        return _evaluate_ehc(run)
+    return _evaluate_presence(run)
+
+
+class _Evaluation:
+    """One (stream, scheme) evaluation: what the three flows share — the
+    replay wrapper, the per-miss charging steps and the charging tail."""
+
+    def __init__(self, stream: OutcomeStream, machine: MachineConfig,
+                 scheme: SchemeSpec, workload: Workload, checked: bool,
+                 fill_energy_weight: float, memory_latency: float,
+                 memory_energy_nj: float, mlp: float, dram) -> None:
+        self.stream = stream
+        self.machine = machine
+        self.scheme = scheme
+        self.workload = workload
+        self.checked = checked
+        self.fill_energy_weight = fill_energy_weight
+        self.memory_latency = memory_latency
+        self.memory_energy_nj = memory_energy_nj
+        self.mlp = mlp
+        self.dram = dram
+        self.kernel = ChargingKernel.for_scheme(machine, scheme)
+        self.ledger = EnergyLedger()
+        self.misses = stream.l1_misses
+        self.h = self.misses.hit_level
+
+    def context(self) -> dict:
+        return checking.evaluation_context(self.machine.name, self.workload.name,
+                                           self.scheme.name)
+
+    def replay(self, replay, sequential, counter: "str | None" = None):
+        """Build the scheme's predictor and run ``replay(stream,
+        predictor)`` in a ``replay`` span tagged with the path it takes.
+        In checked mode a batched replay is re-run through ``sequential``
+        (its scalar oracle) and must match it exactly.  Returns the
+        predictor and the replay's per-miss outputs."""
+        scheme = self.scheme
+        predictor = scheme.build_predictor(self.machine)
         with telemetry.span(
-            "replay", scheme=scheme.name, workload=workload.name
+            "replay", scheme=scheme.name, workload=self.workload.name
         ) as replay_span:
-            vector = _replay_path(replay_span, predictor)
-            # ReDHiP calls its kernel directly, so a per-layer profile
-            # tells ReDHiP replays from dispatched (CBF, scalar) ones.
-            if vector and type(predictor) is ReDHiPController:
-                replay = vector_replay.replay_redhip_vectorized
-            else:
-                replay = replay_predictor
-            predicted, consulted, stall = replay(stream, predictor)
-            if vector and checked:
+            vector = vector_replay.use_vector(predictor)
+            path = "vector" if vector else "sequential"
+            replay_span.tag(path=path)
+            telemetry.count(f"replay.{path}")
+            if counter is not None:
+                telemetry.count(counter)
+            outputs = replay(self.stream, predictor)
+            if vector and self.checked:
                 with telemetry.span("replay_equivalence_check"):
-                    _assert_replay_equivalent(
-                        stream, scheme, machine, predictor,
-                        (predicted, consulted, stall), _replay_predictor_scalar,
-                    )
-        fn = int((~predicted & (h >= 2)).sum())
+                    _assert_replay_equivalent(self.stream, scheme, self.machine,
+                                              predictor, outputs, sequential)
+        return predictor, outputs
+
+    def refuse_false_negatives(self, mask: np.ndarray) -> None:
+        """``mask`` marks misses skipped although a cache held the block."""
+        fn = int(np.count_nonzero(mask))
         if fn:
             raise ReproError(
-                f"scheme {scheme.name!r} produced {fn} false negatives — "
+                f"scheme {self.scheme.name!r} produced {fn} false negatives — "
                 "it would serve stale data in hardware"
             )
-    elif scheme.kind == "oracle":
-        predicted = h != 0
-    else:
-        predicted = np.ones(n, dtype=bool)
 
-    skips = int((~predicted & (h == 0) & miss_mask).sum())
-    false_positives = int((predicted & (h == 0)).sum()) if scheme.skips_on_predicted_miss else 0
+    def accounting(self):
+        # The accounting stages are pure NumPy over frozen arrays; the
+        # span makes their share of the wall time visible in `repro stats`.
+        return telemetry.span("energy_accounting", scheme=self.scheme.name,
+                              workload=self.workload.name)
 
-    # The accounting stages below are pure NumPy over frozen arrays; the
-    # span makes their share of the wall time visible in `repro stats`.
-    with telemetry.span("energy_accounting", scheme=scheme.name,
-                        workload=workload.name):
-        # ---- latency + probe energy ------------------------------------------
-        lat = kernel.charge_l1_bulk(ledger, n)
+    def charge_start(self, consulted: "np.ndarray | None") -> np.ndarray:
+        """L1 probes for every access, table lookups for the ``consulted``
+        misses (None: no lookup charge); returns the per-miss latencies."""
+        lat = self.kernel.charge_l1_bulk(self.ledger, self.stream.num_accesses,
+                                         len(self.misses))
+        if consulted is not None:
+            self.kernel.charge_lookup_bulk(self.ledger, lat, consulted)
+        return lat
 
-        if scheme.consults_table:
-            # Gated predictors answer some misses without a table consult;
-            # only real consults pay the lookup delay and energy.
-            kernel.charge_lookup_bulk(ledger, lat, consulted)
+    def charge_level(self, lat: np.ndarray, level: int, reach: np.ndarray,
+                     mode: "str | None" = None) -> tuple[int, int]:
+        """Probe ``level`` for the ``reach`` misses; returns (probes, hits)."""
+        hits = reach & (self.h == level)
+        n_reach = int(np.count_nonzero(reach))
+        n_hits = int(np.count_nonzero(hits))
+        self.kernel.charge_level_bulk(
+            self.ledger, lat, level, hits, reach & (self.h != level), n_reach,
+            n_hits, hit_rank=self.misses.hit_rank, mode=mode,
+        )
+        return n_reach, n_hits
 
-        # Per-level reach/hit masks, computed once here; the kernel turns
-        # them into latency and per-category energy charges.
-        level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, num_levels + 1):
-            reach = (h == 0) | (h >= level)
-            if scheme.skips_on_predicted_miss:
-                reach = reach & predicted
-            hits = reach & (h == level)
-            misses = reach & (h != level)
-            n_reach = int(reach.sum())
-            n_hits = int(hits.sum())
-            level_tallies[level] = (n_reach, n_hits)
-            kernel.charge_level_bulk(
-                ledger, lat, level, hits, misses, n_reach, n_hits,
-                hit_rank=stream.hit_rank,
-            )
+    def finish(self, lat: np.ndarray, level_tallies: dict, predictor,
+               stall: float, skips: int = 0,
+               false_positives: int = 0) -> SchemeResult:
+        """The shared tail: memory, fills, MLP, predictor maintenance,
+        timing, static energy and the per-level hit rates."""
+        kernel, ledger, misses = self.kernel, self.ledger, self.misses
+        stream, scheme = self.stream, self.scheme
+        memory = self.h == 0
+        true_misses = int(np.count_nonzero(memory))
 
         # ---- main memory (the paper's free data store unless configured) -----
         kernel.charge_memory_bulk(
-            ledger, lat, h == 0, stream.block, true_misses,
-            memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
-            dram=dram,
+            ledger, lat, memory, misses.block, true_misses,
+            memory_latency=self.memory_latency,
+            memory_energy_nj=self.memory_energy_nj, dram=self.dram,
         )
-
         # ---- fills (optional accounting, identical across schemes) -----------
-        kernel.charge_fills_bulk(ledger, h, true_misses, fill_energy_weight)
-
+        kernel.charge_fills_bulk(ledger, self.h, true_misses,
+                                 self.fill_energy_weight)
         # ---- memory-level parallelism (1.0 = the paper's serialized model) ---
-        lat = kernel.mlp_adjust(lat, mlp)
+        lat = kernel.mlp_adjust(lat, self.mlp)
 
         # ---- predictor maintenance -------------------------------------------
         predictor_stats: dict = {}
@@ -560,10 +517,11 @@ def evaluate_scheme(
 
         # ---- timing ------------------------------------------------------------
         timing = kernel.run_timing(
-            core_ids=stream.core.astype(np.int64),
-            gaps=stream.gap,
-            latencies=lat,
-            cpis=workload.cpis,
+            core_ids=stream.core,
+            gap_sums=misses.gap_sums(self.machine.cores),
+            miss_at=misses.at,
+            miss_latencies=lat,
+            cpis=self.workload.cpis,
             stall_cycles=stall,
         )
         static_nj = kernel.static_energy_nj(
@@ -571,8 +529,9 @@ def evaluate_scheme(
         )
 
         # ---- per-level accounting under this scheme ---------------------------
+        n = stream.num_accesses
         level_lookups = {1: n}
-        level_hits = {1: n - l1_misses}
+        level_hits = {1: n - len(misses)}
         for level, (n_reach, n_hits) in level_tallies.items():
             level_lookups[level] = n_reach
             level_hits[level] = n_hits
@@ -583,15 +542,15 @@ def evaluate_scheme(
 
         return SchemeResult(
             scheme=scheme.name,
-            workload=workload.name,
-            machine=machine.name,
+            workload=self.workload.name,
+            machine=self.machine.name,
             timing=timing,
             ledger=ledger,
             static_nj=static_nj,
             hit_rates=hit_rates,
             level_lookups=level_lookups,
             level_hits=level_hits,
-            l1_misses=l1_misses,
+            l1_misses=len(misses),
             skips=skips,
             false_positives=false_positives,
             true_misses=true_misses,
@@ -600,19 +559,42 @@ def evaluate_scheme(
         )
 
 
-def _evaluate_levelpred(
-    stream: OutcomeStream,
-    machine: MachineConfig,
-    scheme: SchemeSpec,
-    workload: Workload,
-    *,
-    fill_energy_weight: float,
-    memory_latency: float,
-    memory_energy_nj: float,
-    mlp: float,
-    dram,
-    checked: "bool | None",
-) -> SchemeResult:
+def _evaluate_presence(run: _Evaluation) -> SchemeResult:
+    """The binary predicted-present flow: base, oracle and every presence
+    predictor.  A miss predicted absent skips every level below L1."""
+    h, scheme = run.h, run.scheme
+    predictor = None
+    stall = 0.0
+    consulted = np.zeros(len(h), dtype=bool)
+    if scheme.kind == "predictor":
+        predictor, (predicted, consulted, stall) = run.replay(
+            _replay_binary, _replay_predictor_scalar)
+        run.refuse_false_negatives(~predicted & (h >= 2))
+    elif scheme.kind == "oracle":
+        predicted = h != 0
+    else:
+        predicted = np.ones(len(h), dtype=bool)
+
+    absent = h == 0
+    skips = int(np.count_nonzero(~predicted & absent))
+    false_positives = (int(np.count_nonzero(predicted & absent))
+                       if scheme.skips_on_predicted_miss else 0)
+
+    with run.accounting():
+        # Gated predictors answer some misses without a table consult;
+        # only real consults pay the lookup delay and energy.
+        lat = run.charge_start(consulted if scheme.consults_table else None)
+        level_tallies: dict[int, tuple[int, int]] = {}
+        for level in range(2, run.stream.num_levels + 1):
+            reach = absent | (h >= level)
+            if scheme.skips_on_predicted_miss:
+                reach &= predicted
+            level_tallies[level] = run.charge_level(lat, level, reach)
+        return run.finish(lat, level_tallies, predictor, stall, skips,
+                          false_positives)
+
+
+def _evaluate_levelpred(run: _Evaluation) -> SchemeResult:
     """Level prediction (``levelpred``) and its oracle (``oracle_level``).
 
     Access flow per L1 miss: a confident presence miss skips every level
@@ -621,175 +603,60 @@ def _evaluate_levelpred(
     recovery walk from L2; no confident prediction walks serially.  The
     oracle variant probes exactly the true hit level with no table.
     """
-    kernel = ChargingKernel.for_scheme(machine, scheme)
-    ledger = EnergyLedger()
-    h = stream.hit_level
-    n = stream.num_accesses
-    num_levels = stream.num_levels
-    miss_mask = h != 1
-    l1_misses = int(miss_mask.sum())
-    true_misses = int((h == 0).sum())
-    if checked is None:
-        checked = checking.enabled(None)
-
+    h, scheme = run.h, run.scheme
     predictor = None
     stall = 0.0
     if scheme.kind == "levelpred":
-        predictor = scheme.build_predictor(machine)
-        pcs = _per_access_pcs(stream, workload)
-        with telemetry.span(
-            "replay", scheme=scheme.name, workload=workload.name
-        ) as replay_span:
-            vector = _replay_path(replay_span, predictor)
-            telemetry.count("replay.levelpred")
-            pred_level, confident, stall = replay_level_predictor(
-                stream, predictor, pcs
-            )
-            if vector and checked:
-                with telemetry.span("replay_equivalence_check"):
-                    _assert_replay_equivalent(
-                        stream, scheme, machine, predictor,
-                        (pred_level, confident, stall),
-                        partial(_replay_level_predictor_scalar, pcs=pcs),
-                    )
-        skip_mask = miss_mask & confident & (pred_level == 0)
-        fn = int((skip_mask & (h >= 2)).sum())
-        if fn:
-            raise ReproError(
-                f"scheme {scheme.name!r} produced {fn} false negatives — "
-                "it would serve stale data in hardware"
-            )
-        single_mask = miss_mask & confident & (pred_level >= 2)
-        unconfident_mask = miss_mask & ~confident
-        false_positives = int((miss_mask & ~skip_mask & (h == 0)).sum())
+        pcs = _miss_pcs(run.stream, run.workload)
+        predictor, (pred_level, confident, stall) = run.replay(
+            lambda stream, p: replay_level_predictor(stream, p, pcs),
+            partial(_replay_level_predictor_scalar, pcs=pcs),
+            counter="replay.levelpred",
+        )
+        skip = confident & (pred_level == 0)
+        run.refuse_false_negatives(skip & (h >= 2))
+        single = confident & (pred_level >= 2)
+        unconfident = ~confident
+        false_positives = int(np.count_nonzero(~skip & (h == 0)))
     else:  # oracle_level: perfect level knowledge, no hardware
         pred_level = h.astype(np.int64)
-        skip_mask = miss_mask & (h == 0)
-        single_mask = miss_mask & (h >= 2)
-        unconfident_mask = np.zeros(n, dtype=bool)
+        skip = h == 0
+        single = h >= 2
+        unconfident = np.zeros(len(h), dtype=bool)
         false_positives = 0
 
-    mispredict_mask = single_mask & (h != pred_level)
-    correct_mask = single_mask & ~mispredict_mask
-    walk_mask = unconfident_mask | mispredict_mask
-    skips = int(skip_mask.sum())
+    mispredict = single & (h != pred_level)
+    walk = unconfident | mispredict
+    if run.checked and predictor is not None:
+        checking.check_levelpred_conservation(
+            ctx=run.context(),
+            l1_misses=len(h),
+            skips=int(np.count_nonzero(skip)),
+            correct_singles=int(np.count_nonzero(single & ~mispredict)),
+            mispredicts=int(np.count_nonzero(mispredict)),
+            unconfident=int(np.count_nonzero(unconfident)),
+            walks=int(np.count_nonzero(walk)),
+            walk_reach_l2=int(np.count_nonzero(walk & ((h == 0) | (h >= 2)))),
+        )
 
-    with telemetry.span("energy_accounting", scheme=scheme.name,
-                        workload=workload.name):
-        lat = kernel.charge_l1_bulk(ledger, n)
-        if scheme.consults_table:
-            kernel.charge_lookup_bulk(ledger, lat, miss_mask)
-
+    with run.accounting():
+        all_misses = np.ones(len(h), dtype=bool)
+        lat = run.charge_start(all_misses if scheme.consults_table else None)
         # Two charge passes per level: the serial-walk probes (unconfident
         # walks + mispredict recovery walks) and the single predicted-level
         # probes.  A mispredicting access can legitimately probe the same
         # level twice — once as its confident single, once again inside
         # its recovery walk — which is why the passes stay separate.
         level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, num_levels + 1):
-            walk_reach = walk_mask & ((h == 0) | (h >= level))
-            walk_hits = walk_reach & (h == level)
-            walk_misses = walk_reach & (h != level)
-            singles_here = single_mask & (pred_level == level)
-            single_hits = singles_here & correct_mask
-            single_misses = singles_here & mispredict_mask
-            n_walk = int(walk_reach.sum())
-            n_walk_hits = int(walk_hits.sum())
-            n_singles = int(singles_here.sum())
-            n_single_hits = int(single_hits.sum())
-            kernel.charge_level_bulk(
-                ledger, lat, level, walk_hits, walk_misses, n_walk,
-                n_walk_hits, hit_rank=stream.hit_rank,
-            )
-            kernel.charge_level_bulk(
-                ledger, lat, level, single_hits, single_misses, n_singles,
-                n_single_hits, hit_rank=stream.hit_rank,
-            )
-            level_tallies[level] = (n_walk + n_singles,
-                                    n_walk_hits + n_single_hits)
-
-        kernel.charge_memory_bulk(
-            ledger, lat, h == 0, stream.block, true_misses,
-            memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
-            dram=dram,
-        )
-        kernel.charge_fills_bulk(ledger, h, true_misses, fill_energy_weight)
-        lat = kernel.mlp_adjust(lat, mlp)
-
-        predictor_stats: dict = {}
-        if predictor is not None:
-            kernel.charge_predictor_maintenance(
-                ledger, getattr(predictor, "table_updates", 0),
-                predictor.maintenance_energy_nj(),
-            )
-            predictor_stats = predictor.stats()
-
-        timing = kernel.run_timing(
-            core_ids=stream.core.astype(np.int64),
-            gaps=stream.gap,
-            latencies=lat,
-            cpis=workload.cpis,
-            stall_cycles=stall,
-        )
-        static_nj = kernel.static_energy_nj(
-            timing.exec_cycles, include_pt=scheme.consults_table
-        )
-
-        level_lookups = {1: n}
-        level_hits = {1: n - l1_misses}
-        for level, (n_reach, n_hits) in level_tallies.items():
-            level_lookups[level] = n_reach
-            level_hits[level] = n_hits
-        hit_rates = {
-            lvl: (level_hits[lvl] / level_lookups[lvl] if level_lookups[lvl] else 0.0)
-            for lvl in level_lookups
-        }
-
-    if checked and scheme.kind == "levelpred":
-        checking.check_levelpred_conservation(
-            ctx=checking.evaluation_context(machine.name, workload.name,
-                                            scheme.name),
-            l1_misses=l1_misses,
-            skips=skips,
-            correct_singles=int(correct_mask.sum()),
-            mispredicts=int(mispredict_mask.sum()),
-            unconfident=int(unconfident_mask.sum()),
-            walks=int(walk_mask.sum()),
-            walk_reach_l2=int((walk_mask & ((h == 0) | (h >= 2))).sum()),
-        )
-
-    return SchemeResult(
-        scheme=scheme.name,
-        workload=workload.name,
-        machine=machine.name,
-        timing=timing,
-        ledger=ledger,
-        static_nj=static_nj,
-        hit_rates=hit_rates,
-        level_lookups=level_lookups,
-        level_hits=level_hits,
-        l1_misses=l1_misses,
-        skips=skips,
-        false_positives=false_positives,
-        true_misses=true_misses,
-        recal_stall_cycles=stall,
-        predictor_stats=predictor_stats,
-    )
+        for level in range(2, run.stream.num_levels + 1):
+            walks = run.charge_level(lat, level, walk & ((h == 0) | (h >= level)))
+            singles = run.charge_level(lat, level, single & (pred_level == level))
+            level_tallies[level] = (walks[0] + singles[0], walks[1] + singles[1])
+        return run.finish(lat, level_tallies, predictor, stall,
+                          int(np.count_nonzero(skip)), false_positives)
 
 
-def _evaluate_ehc(
-    stream: OutcomeStream,
-    machine: MachineConfig,
-    scheme: SchemeSpec,
-    workload: Workload,
-    *,
-    fill_energy_weight: float,
-    memory_latency: float,
-    memory_energy_nj: float,
-    mlp: float,
-    dram,
-    checked: "bool | None",
-) -> SchemeResult:
+def _evaluate_ehc(run: _Evaluation) -> SchemeResult:
     """Expected-hit-count evaluation: full walk, but LLC probes for
     predicted-dead blocks degrade to phased (tag-then-data) mode.
 
@@ -797,122 +664,24 @@ def _evaluate_ehc(
     there is no false-negative hazard — the prediction only chooses how
     the LLC probe is issued.
     """
-    kernel = ChargingKernel.for_scheme(machine, scheme)
-    ledger = EnergyLedger()
-    h = stream.hit_level
-    n = stream.num_accesses
-    num_levels = stream.num_levels
-    miss_mask = h != 1
-    l1_misses = int(miss_mask.sum())
-    true_misses = int((h == 0).sum())
-    if checked is None:
-        checked = checking.enabled(None)
+    h = run.h
+    num_levels = run.stream.num_levels
+    predictor, (dead, stall) = run.replay(replay_ehc, _replay_ehc_scalar,
+                                          counter="replay.ehc")
+    if run.checked:
+        checking.check_ehc_counters(predictor, run.context())
 
-    predictor = scheme.build_predictor(machine)
-    with telemetry.span(
-        "replay", scheme=scheme.name, workload=workload.name
-    ) as replay_span:
-        vector = _replay_path(replay_span, predictor)
-        telemetry.count("replay.ehc")
-        dead, stall = replay_ehc(stream, predictor)
-        if vector and checked:
-            with telemetry.span("replay_equivalence_check"):
-                _assert_replay_equivalent(
-                    stream, scheme, machine, predictor, (dead, stall),
-                    _replay_ehc_scalar,
-                )
-
-    with telemetry.span("energy_accounting", scheme=scheme.name,
-                        workload=workload.name):
-        lat = kernel.charge_l1_bulk(ledger, n)
-        kernel.charge_lookup_bulk(ledger, lat, miss_mask)
-
+    with run.accounting():
+        lat = run.charge_start(np.ones(len(h), dtype=bool))
         level_tallies: dict[int, tuple[int, int]] = {}
         for level in range(2, num_levels + 1):
             reach = (h == 0) | (h >= level)
-            hits = reach & (h == level)
-            misses = reach & (h != level)
-            n_reach = int(reach.sum())
-            n_hits = int(hits.sum())
-            level_tallies[level] = (n_reach, n_hits)
-            if level == num_levels:
-                # Predicted-dead blocks fire the LLC in phased mode; the
-                # rest keep the plan's discipline.  Two charge passes,
-                # disjoint masks.
-                live = reach & ~dead
-                gated = reach & dead
-                kernel.charge_level_bulk(
-                    ledger, lat, level, hits & ~dead, misses & ~dead,
-                    int(live.sum()), int((hits & ~dead).sum()),
-                    hit_rank=stream.hit_rank,
-                )
-                kernel.charge_level_bulk(
-                    ledger, lat, level, hits & dead, misses & dead,
-                    int(gated.sum()), int((hits & dead).sum()),
-                    hit_rank=stream.hit_rank, mode=PROBE_PHASED,
-                )
-            else:
-                kernel.charge_level_bulk(
-                    ledger, lat, level, hits, misses, n_reach, n_hits,
-                    hit_rank=stream.hit_rank,
-                )
-
-        kernel.charge_memory_bulk(
-            ledger, lat, h == 0, stream.block, true_misses,
-            memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
-            dram=dram,
-        )
-        kernel.charge_fills_bulk(ledger, h, true_misses, fill_energy_weight)
-        lat = kernel.mlp_adjust(lat, mlp)
-
-        kernel.charge_predictor_maintenance(
-            ledger, getattr(predictor, "table_updates", 0),
-            predictor.maintenance_energy_nj(),
-        )
-        predictor_stats = predictor.stats()
-
-        timing = kernel.run_timing(
-            core_ids=stream.core.astype(np.int64),
-            gaps=stream.gap,
-            latencies=lat,
-            cpis=workload.cpis,
-            stall_cycles=stall,
-        )
-        static_nj = kernel.static_energy_nj(
-            timing.exec_cycles, include_pt=scheme.consults_table
-        )
-
-        level_lookups = {1: n}
-        level_hits = {1: n - l1_misses}
-        for level, (n_reach, n_hits) in level_tallies.items():
-            level_lookups[level] = n_reach
-            level_hits[level] = n_hits
-        hit_rates = {
-            lvl: (level_hits[lvl] / level_lookups[lvl] if level_lookups[lvl] else 0.0)
-            for lvl in level_lookups
-        }
-
-    if checked:
-        checking.check_ehc_counters(
-            predictor,
-            checking.evaluation_context(machine.name, workload.name,
-                                        scheme.name),
-        )
-
-    return SchemeResult(
-        scheme=scheme.name,
-        workload=workload.name,
-        machine=machine.name,
-        timing=timing,
-        ledger=ledger,
-        static_nj=static_nj,
-        hit_rates=hit_rates,
-        level_lookups=level_lookups,
-        level_hits=level_hits,
-        l1_misses=l1_misses,
-        skips=0,
-        false_positives=0,
-        true_misses=true_misses,
-        recal_stall_cycles=stall,
-        predictor_stats=predictor_stats,
-    )
+            if level < num_levels:
+                level_tallies[level] = run.charge_level(lat, level, reach)
+                continue
+            # Predicted-dead blocks fire the LLC in phased mode; the rest
+            # keep the plan's discipline.  Two charge passes, disjoint masks.
+            live = run.charge_level(lat, level, reach & ~dead)
+            gated = run.charge_level(lat, level, reach & dead, mode=PROBE_PHASED)
+            level_tallies[level] = (live[0] + gated[0], live[1] + gated[1])
+        return run.finish(lat, level_tallies, predictor, stall)

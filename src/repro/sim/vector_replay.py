@@ -50,8 +50,11 @@ The counting-Bloom-filter competitor needs no schedule at all:
   into a running sum, and one ``searchsorted`` on ``(entry, when)`` finds
   the state each miss reads.
 
-Each kernel mutates its predictor to the exact end-of-run state the
-scalar loop would leave (tables, mirror or filter counts, telemetry
+Every kernel, like its scalar oracle, reads the stream's L1 misses
+(``stream.l1_misses``, an :class:`~repro.hierarchy.events.L1MissView`)
+and returns one answer per miss, in access order; L1 hits never reach a
+predictor.  Each kernel mutates its predictor to the exact end-of-run
+state the scalar loop would leave (tables, mirror or filter counts, telemetry
 counters, sweep/stall totals), so ``predictor.stats()`` and every derived
 :class:`SchemeResult` field are bit-identical.  Predictors whose
 per-event updates do not decompose this way — MissMap (page-granular
@@ -208,8 +211,7 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _replay_presence(stream: OutcomeStream, predictor, miss_mask: np.ndarray,
-                     miss_at: np.ndarray) -> tuple[np.ndarray, float]:
+def _replay_presence(stream: OutcomeStream, predictor) -> tuple[np.ndarray, float]:
     """The ReDHiP epoch loop over a controller's presence bitmap.
 
     Returns the per-miss presence answers and the stall cycles, and
@@ -217,9 +219,11 @@ def _replay_presence(stream: OutcomeStream, predictor, miss_mask: np.ndarray,
     ``predicted_miss`` / ``table_updates`` (one per fill) counters where
     the scalar loop would.
     """
+    misses = stream.l1_misses
+    miss_at = misses.at
     n_miss = len(miss_at)
     index = partial(_index_array, predictor.hash_kind, predictor.table.p)
-    miss_entry = index(stream.block[miss_mask])
+    miss_entry = index(misses.block)
     when = stream.llc_when
     ev_fill = stream.llc_op == EVENT_FILL
     ev_entry = index(stream.llc_block)
@@ -268,19 +272,16 @@ def replay_redhip_vectorized(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Epoch-batched equivalent of :func:`repro.sim.evaluate.replay_predictor`.
 
-    Same contract: returns ``(predicted, consulted, stall)`` over all
-    accesses, and leaves ``predictor`` in the end-of-run state (final
-    table bits, mirror counts, lookup/sweep telemetry) the sequential
-    replay would produce.  Event ordering matches hardware: events caused
-    by access *i* are applied after access *i*'s lookup.
+    Same contract: returns ``(predicted, consulted, stall)`` per L1 miss
+    (``stream.l1_misses`` order), and leaves ``predictor`` in the
+    end-of-run state (final table bits, mirror counts, lookup/sweep
+    telemetry) the sequential replay would produce.  Event ordering
+    matches hardware: events caused by access *i* are applied after
+    access *i*'s lookup.
     """
     _require(predictor, ReDHiPController)
-    miss_mask = stream.hit_level != 1
-    out, stall = _replay_presence(stream, predictor, miss_mask,
-                                  np.flatnonzero(miss_mask))
-    predicted = np.ones(len(miss_mask), dtype=bool)
-    predicted[miss_mask] = out
-    return predicted, miss_mask, stall           # plain ReDHiP always consults
+    predicted, stall = _replay_presence(stream, predictor)
+    return predicted, np.ones(len(predicted), dtype=bool), stall  # always consults
 
 
 # ------------------------------------------------------------ LevelPred
@@ -387,41 +388,33 @@ def replay_levelpred_vectorized(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Batched equivalent of :func:`repro.sim.evaluate.replay_level_predictor`.
 
-    Same contract: returns ``(pred_level, confident, stall)`` over all
-    accesses and leaves ``predictor`` — presence bitmap, mirror, engine,
-    level table, ``_last`` and every telemetry counter — in the state the
-    scalar loop would.
+    Same contract: ``pcs`` and the returned ``(pred_level, confident,
+    stall)`` are per L1 miss, and ``predictor`` — presence bitmap, mirror,
+    engine, level table, ``_last`` and every telemetry counter — ends in
+    the state the scalar loop would leave.
     """
     _require(predictor, LevelPredController)
-    h = stream.hit_level
-    n = len(h)
-    miss_mask = h != 1
-    miss_at = np.flatnonzero(miss_mask)
-    present, stall = _replay_presence(stream, predictor, miss_mask, miss_at)
+    misses = stream.l1_misses
+    present, stall = _replay_presence(stream, predictor)
 
-    full = (pcs[miss_mask].astype(np.uint64) >> np.uint64(2)) ^ stream.block[miss_mask]
+    full = (pcs.astype(np.uint64) >> np.uint64(2)) ^ misses.block
     slot = (full & np.uint64(predictor._level_mask)).astype(np.intp)
     tag = ((full >> np.uint64(predictor._level_bits)) & np.uint64(0xFF)).astype(np.uint8)
-    hit = h[miss_mask].astype(np.uint8)
+    hit = misses.hit_level.astype(np.uint8)
     matched, pre_level, updates = _train_level_table(predictor, slot, tag, hit)
 
     single = present & matched
-    level = np.where(single, pre_level, 0)
-    confident_m = ~present | matched
+    level = np.where(single, pre_level, 0).astype(np.int64)
+    confident = ~present | matched
     scored = single & (pre_level >= 2)
     correct = int(np.count_nonzero(scored & (hit == pre_level)))
     predictor.confident_singles += int(np.count_nonzero(single))
     predictor.correct_singles += correct
     predictor.mispredicts += int(np.count_nonzero(scored)) - correct
     predictor.table_updates += updates
-    if len(miss_at):
-        predictor._last = (int(level[-1]), bool(confident_m[-1]))
-
-    pred_level = np.zeros(n, dtype=np.int64)
-    confident = np.zeros(n, dtype=bool)
-    pred_level[miss_mask] = level
-    confident[miss_mask] = confident_m
-    return pred_level, confident, stall
+    if len(misses):
+        predictor._last = (int(level[-1]), bool(confident[-1]))
+    return level, confident, stall
 
 
 # ------------------------------------------------------------------ EHC
@@ -435,18 +428,17 @@ def replay_ehc_vectorized(
 ) -> tuple[np.ndarray, float]:
     """Batched equivalent of :func:`repro.sim.evaluate.replay_ehc`.
 
-    Same contract: returns ``(dead, stall)`` over all accesses and leaves
+    Same contract: returns ``(dead, stall)`` per L1 miss and leaves
     ``expected``/``cur``, the mirror, the engine and the telemetry
     counters in the state the scalar loop would.
     """
     _require(predictor, EHCController)
-    h = stream.hit_level
-    miss_mask = h != 1
-    miss_at = np.flatnonzero(miss_mask)
+    misses = stream.l1_misses
+    miss_at = misses.at
     n_miss = len(miss_at)
     mask = np.uint64(predictor._mask)
-    miss_entry = (stream.block[miss_mask] & mask).astype(np.intp)
-    observe = h[miss_mask] == stream.num_levels
+    miss_entry = (misses.block & mask).astype(np.intp)
+    observe = misses.hit_level == stream.num_levels
     when = stream.llc_when
     ev_fill = stream.llc_op == EVENT_FILL
     ev_entry = (stream.llc_block & mask).astype(np.intp)
@@ -522,14 +514,14 @@ def replay_ehc_vectorized(
         expected[seg_entry[last_write]] = cur_at[lo:hi][last_write]
 
     plan, sweeps = _epochs(predictor.engine, miss_at, when)
-    dead_m = np.empty(n_miss, dtype=bool)
+    dead = np.empty(n_miss, dtype=bool)
     for pos, pos_end, ev_lo, ev_hi, sweep in plan:
         values = expected[miss_entry[pos:pos_end]]
         last = miss_last[pos:pos_end]
         fresh = last >= ev_lo
         if fresh.any():
             values = np.where(fresh, cur_at[last], values)
-        dead_m[pos:pos_end] = values == 0
+        dead[pos:pos_end] = values == 0
         apply_events(ev_lo, ev_hi)
         if sweep:
             np.maximum(expected, 1, out=expected)
@@ -545,13 +537,10 @@ def replay_ehc_vectorized(
         cur0[run_entry[ends]] = final
 
     predictor.lookups += n_miss
-    predictor.predicted_dead += int(np.count_nonzero(dead_m))
+    predictor.predicted_dead += int(np.count_nonzero(dead))
     predictor.llc_hits_observed += int(np.count_nonzero(observe))
     predictor.table_updates += m
-    stall = _finish_engine(predictor.engine, n_miss, len(plan), sweeps)
-    dead = np.zeros(len(h), dtype=bool)
-    dead[miss_mask] = dead_m
-    return dead, stall
+    return dead, _finish_engine(predictor.engine, n_miss, len(plan), sweeps)
 
 
 # ------------------------------------------------------------------ CBF
@@ -569,21 +558,20 @@ def replay_cbf_vectorized(
     keeps its pre-violation value.  A miss reads the state its entry had
     after the last event strictly before it, found for all misses at once
     with one ``searchsorted`` on ``(entry, when)``.  Returns
-    ``(predicted, consulted, stall)`` and leaves the filter counts,
+    ``(predicted, consulted, stall)`` per L1 miss and leaves the filter counts,
     disabled flags and every telemetry counter where the scalar loop
     would.
     """
     _require(predictor, CBFPredictor)
     cbf = predictor.filter
-    h = stream.hit_level
-    miss_mask = h != 1
-    miss_at = np.flatnonzero(miss_mask)
+    misses = stream.l1_misses
+    miss_at = misses.at
     n_miss = len(miss_at)
     when = stream.llc_when
     m = len(when)
     counters, disabled = cbf._counts, cbf._disabled
     entries = _index_array(cbf.hash_kind, cbf.p,
-                           np.concatenate([stream.block[miss_mask], stream.llc_block]))
+                           np.concatenate([misses.block, stream.llc_block]))
     miss_entry, ev_entry = entries[:n_miss], entries[n_miss:]
 
     # Events grouped by entry; the stable sort keeps time order within one.
@@ -611,7 +599,7 @@ def replay_cbf_vectorized(
     present_after = dead | (value > 0)
 
     # Per miss: its entry's last event strictly earlier in time (-1: none).
-    stride = max(len(h), int(when.max(initial=0)) + 1)
+    stride = max(stream.num_accesses, int(when.max(initial=0)) + 1)
     ev_key = entry.astype(np.int64) * stride + when[order]
     prev = np.searchsorted(ev_key, miss_entry.astype(np.int64) * stride + miss_at) - 1
     seen = prev >= 0
@@ -639,6 +627,4 @@ def replay_cbf_vectorized(
     predictor.table_updates += m
     predictor.lookups += n_miss
     predictor.predicted_miss += int(n_miss - np.count_nonzero(out))
-    predicted = np.ones(len(h), dtype=bool)
-    predicted[miss_mask] = out
-    return predicted, miss_mask, 0.0              # CBF always consults
+    return out, np.ones(n_miss, dtype=bool), 0.0  # CBF always consults

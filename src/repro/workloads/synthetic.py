@@ -136,11 +136,12 @@ def component_addresses(
     if comp.kind == "random":
         picks = rng.integers(0, blocks_in_region, size=count, dtype=np.uint64)
         return np.uint64(base) + picks * np.uint64(BLOCK_SIZE)
-    # chase: walk the permutation cycle through block 0.
+    # chase: walk the permutation cycle through block 0, stopping once
+    # ``count`` blocks are in hand (a shorter cycle repeats below).
     perm = rng.permutation(blocks_in_region)
     cycle = [0]
     nxt = int(perm[0])
-    while nxt != 0:
+    while nxt != 0 and len(cycle) < count:
         cycle.append(nxt)
         nxt = int(perm[nxt])
     walk = np.resize(np.asarray(cycle, dtype=np.uint64), count)

@@ -98,6 +98,15 @@ def test_windowed_skip_rate(tiny_config, tiny_workload):
     assert np.all((finite >= 0) & (finite <= 1))
 
 
+def test_windowed_skip_rate_values_pinned(tiny_config, tiny_workload):
+    """Per-L1-miss replay outputs leave the skip rates exactly where the
+    full-length outputs put them (values pinned from that version)."""
+    stream = ContentSimulator(tiny_config).run(tiny_workload)
+    pred = ReDHiPController(MACHINE, recal_period=tiny_config.recal_period)
+    rates = windowed_skip_rate(stream, pred, window=512)
+    assert rates.tolist() == [62 / 63, 22 / 23, 25 / 27]
+
+
 def test_windowed_stats_validation(tiny_config, tiny_workload):
     stream = ContentSimulator(tiny_config).run(tiny_workload)
     with pytest.raises(Exception):

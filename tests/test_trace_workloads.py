@@ -139,6 +139,35 @@ def test_chase_component_is_permutation_cycle():
     assert max(blocks) < region_blocks
 
 
+def _full_cycle_chase(comp, count, machine, rng, base):
+    """Reference chase generator: walk the whole cycle, then resize."""
+    blocks_in_region = max(1, comp.region.resolve(machine) // 64)
+    perm = rng.permutation(blocks_in_region)
+    cycle = [0]
+    nxt = int(perm[0])
+    while nxt != 0:
+        cycle.append(nxt)
+        nxt = int(perm[nxt])
+    walk = np.resize(np.asarray(cycle, dtype=np.uint64), count)
+    return np.uint64(base) + walk * np.uint64(64), len(cycle)
+
+
+def test_chase_stops_early_but_matches_full_cycle_walk():
+    from repro.workloads.synthetic import component_addresses
+    from repro.util.rng import make_rng
+    m = get_machine("tiny")
+    comp = Component("chase", 1.0, Region(1.0, "L1"))
+    _, cycle_len = _full_cycle_chase(comp, 1, m, make_rng(5, "c"), 0)
+    assert cycle_len > 2
+    for count in (1, cycle_len - 1, cycle_len, cycle_len + 1, 3 * cycle_len + 7):
+        ref_rng, rng = make_rng(5, "c"), make_rng(5, "c")
+        want, _ = _full_cycle_chase(comp, count, m, ref_rng, 4096)
+        got = component_addresses(comp, count, m, rng, base=4096)
+        assert got.dtype == want.dtype and np.array_equal(got, want), count
+        # The permutation is still drawn in full: the rng stays in step.
+        assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
+
 def test_write_fractions_respected():
     m = get_machine("tiny")
     t = assemble_mixture(

@@ -3,7 +3,7 @@
 The kernels' contract (see :mod:`repro.sim.vector_replay`): for every
 stream and every fixed-period plain-ReDHiP, LevelPred or EHC
 configuration, and every plain CBF, the batched replay is *bit-identical*
-to the sequential loop — same per-access outputs, same stall cycles, same
+to the sequential loop — same per-L1-miss outputs, same stall cycles, same
 final predictor state, same telemetry — and therefore every derived
 :class:`SchemeResult` field matches.  Predictors that observe per-event
 state (MissMap, gated, adaptive engine) must be declared ineligible and
@@ -25,9 +25,15 @@ from repro.core.redhip import ReDHiPController, redhip_scheme
 from repro.hierarchy.events import EVENT_EVICT, EVENT_FILL, OutcomeStream
 from repro.predictors.cbf_scheme import CBFPredictor, cbf_scheme
 from repro.predictors.ehc import EHCController, ehc_scheme
-from repro.predictors.levelpred import LevelPredController, levelpred_scheme
+from repro.predictors.base import base_scheme, oracle_scheme, phased_scheme
+from repro.predictors.levelpred import (
+    LevelPredController,
+    levelpred_scheme,
+    oracle_levelpred_scheme,
+)
 from repro.predictors.missmap import missmap_scheme
 from repro.sim import evaluate, vector_replay
+from repro.sim.charging import ChargingKernel
 from repro.sim.config import SimConfig
 from repro.sim.evaluate import _replay_predictor_scalar, evaluate_scheme
 from repro.sim.runner import ExperimentRunner
@@ -180,21 +186,27 @@ def test_checked_mode_catches_divergent_kernel(seeded, monkeypatch):
     equivalence assertion, not silently change results."""
     cfg, runner, stream = seeded
     real = vector_replay.replay_redhip_vectorized
+    poisoned_at = []
 
     def poisoned(stream_, predictor_):
         predicted, consulted, stall = real(stream_, predictor_)
-        skips = np.nonzero(~predicted & (stream_.hit_level != 1))[0]
+        skips = np.flatnonzero(~predicted)
         assert len(skips), "stream produced no skips to poison"
         predicted = predicted.copy()
-        predicted[skips[0]] = True  # stays conservative: no false negative
+        predicted[skips[-1]] = True  # stays conservative: no false negative
+        poisoned_at.append((int(skips[-1]), int(stream_.l1_misses.at[skips[-1]])))
         return predicted, consulted, stall
 
     monkeypatch.setattr(vector_replay, "replay_redhip_vectorized", poisoned)
-    with pytest.raises(ReproError, match="vectorized replay diverged"):
+    with pytest.raises(ReproError, match="vectorized replay diverged") as err:
         evaluate_scheme(
             stream, cfg.machine, redhip_scheme(recal_period=cfg.recal_period),
             runner.workload("mcf"), checked=True,
         )
+    # The report names the access index, not the miss ordinal.
+    ((ordinal, access),) = poisoned_at
+    assert ordinal != access
+    assert f"output 0: 1 L1 miss(es) differ (first at access {access})" in str(err.value)
 
 
 def test_runner_two_phase_uses_vector_path(seeded, monkeypatch):
@@ -297,7 +309,7 @@ def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
         runner = ExperimentRunner(cfg)
         runner.add_workload(workload)
         stream = runner.stream(workload.name)
-        pcs = evaluate._per_access_pcs(stream, workload)
+        pcs = evaluate._miss_pcs(stream, workload)
         n_miss = int(np.count_nonzero(stream.hit_level != 1))
         monkeypatch.setattr(vector_replay, "_WAVE_MIN", wave)
         for period in _fuzz_periods(rng, n_miss):
@@ -377,7 +389,7 @@ def test_zoo_directed_streams(tiny_machine, monkeypatch, kind, period):
     for wave in (1, vector_replay._WAVE_MIN):
         monkeypatch.setattr(vector_replay, "_WAVE_MIN", wave)
         for k, stream in enumerate(streams):
-            pcs = rng.integers(0, 1 << 20, size=stream.num_accesses).astype(np.uint64)
+            pcs = rng.integers(0, 1 << 20, size=len(stream.l1_misses)).astype(np.uint64)
             assert _zoo_divergences(kind, stream, make, pcs) == [], (k, wave)
 
 
@@ -483,7 +495,7 @@ def test_checked_mode_catches_divergent_zoo_kernels(zoo_case, monkeypatch):
     """Mutation test: one flipped per-access answer in either zoo kernel
     must trip the checked-mode equivalence oracle."""
     cfg, wl, stream = zoo_case
-    first_miss = int(np.flatnonzero(stream.hit_level != 1)[0])
+    first_miss = 0
     real_lp = vector_replay.replay_levelpred_vectorized
     real_ehc = vector_replay.replay_ehc_vectorized
 
@@ -507,8 +519,8 @@ def test_checked_mode_catches_divergent_zoo_kernels(zoo_case, monkeypatch):
 
 
 def test_per_access_pcs_is_one_gather(tiny_machine):
-    """The single gather equals a per-core masked assignment on a
-    multi-core workload."""
+    """The single gather of the L1 misses' PCs equals a per-core masked
+    assignment on a multi-core workload, restricted to the misses."""
     cfg = SimConfig(machine=tiny_machine, refs_per_core=1500, seed=4)
     runner = ExperimentRunner(cfg)
     workload = build_case_workload("shared", tiny_machine, 1500, 4)
@@ -521,9 +533,108 @@ def test_per_access_pcs_is_one_gather(tiny_machine):
     for core, trace in enumerate(workload.traces):
         sel = merged_core[:n] == core
         want[sel] = trace.pc[merged_idx[:n][sel]]
-    got = evaluate._per_access_pcs(stream, workload)
+    got = evaluate._miss_pcs(stream, workload)
     assert got.dtype == np.uint64
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got, want[stream.hit_level != 1])
+
+
+# ---------------------------------------------------------- L1-miss view
+def test_l1_miss_view_is_a_cached_read_only_gather(zoo_case):
+    _, _, stream = zoo_case
+    view = stream.l1_misses
+    assert stream.l1_misses is view
+    at = np.flatnonzero(stream.hit_level != 1)
+    np.testing.assert_array_equal(view.at, at)
+    for name in ("hit_level", "hit_rank", "block"):
+        got = getattr(view, name)
+        assert got.dtype == getattr(stream, name).dtype
+        np.testing.assert_array_equal(got, getattr(stream, name)[at])
+    for arr in (view.at, view.hit_level, view.hit_rank, view.block,
+                view.core_gap_sums):
+        assert not arr.flags.writeable
+    # Derived state only: the stream cache persists the dataclass fields.
+    assert "l1_misses" not in {f.name for f in dataclasses.fields(stream)}
+
+
+def test_gap_sums_cover_cores_without_accesses(seeded):
+    """A core that issued nothing still gets its (zero) gap sum, and the
+    timing fold still reports every core."""
+    cfg, runner, stream = seeded
+    cores = cfg.machine.cores
+    idle = dataclasses.replace(stream, core=np.zeros_like(stream.core))
+    sums = idle.l1_misses.gap_sums(cores)
+    assert sums.shape == (cores,) and sums[1:].tolist() == [0.0] * (cores - 1)
+    assert sums[0] == float(stream.gap.astype(np.float64).sum())
+    assert _synthetic_stream([], []).l1_misses.gap_sums(cores).tolist() == [0.0] * cores
+    res = evaluate_scheme(idle, cfg.machine, base_scheme(), runner.workload("mcf"))
+    assert res.timing.compute_cycles.shape == (cores,)
+    assert res.timing.memory_cycles[1:].tolist() == [0.0] * (cores - 1)
+
+
+def _every_flow(cfg):
+    return (base_scheme(), oracle_scheme(), phased_scheme(),
+            redhip_scheme(recal_period=cfg.recal_period), cbf_scheme(),
+            gated_redhip_scheme(recal_period=cfg.recal_period, window=256),
+            levelpred_scheme(recal_period=cfg.recal_period),
+            oracle_levelpred_scheme(),
+            ehc_scheme(recal_period=cfg.recal_period))
+
+
+def test_stream_without_l1_misses_through_every_flow(zoo_case, monkeypatch):
+    """All-hit stream: every flow (checked and on the scalar path) charges
+    L1 probes only, and the predictors still drain every LLC event."""
+    cfg, wl, stream = zoo_case
+    hits = dataclasses.replace(stream, hit_level=np.ones_like(stream.hit_level))
+    assert len(hits.l1_misses) == 0
+    d1 = ChargingKernel(cfg.machine).par_d[1]
+    per_core = np.bincount(hits.core, minlength=cfg.machine.cores) * float(d1)
+    for scheme in _every_flow(cfg):
+        fast = evaluate_scheme(hits, cfg.machine, scheme, wl, checked=True)
+        with monkeypatch.context() as env:
+            env.setenv(vector_replay.NO_VECTOR_ENV, "1")
+            slow = evaluate_scheme(hits, cfg.machine, scheme, wl, checked=True)
+        assert _result_facts(fast) == _result_facts(slow), scheme.name
+        assert (fast.l1_misses, fast.skips, fast.true_misses) == (0, 0, 0)
+        assert all(fast.level_lookups[lvl] == 0 for lvl in (2, 3, 4))
+        np.testing.assert_array_equal(fast.timing.memory_cycles, per_core)
+
+
+def _replays(cfg, pcs):
+    """Every batched kernel and scalar oracle, as ``(name, make, replay)``."""
+    machine, period = cfg.machine, cfg.recal_period
+    redhip = partial(ReDHiPController, machine, recal_period=period)
+    cbf = cbf_scheme().build_predictor
+    lp = partial(LevelPredController, machine, recal_period=period)
+    ehc = partial(EHCController, machine, recal_period=period)
+    return (
+        ("redhip-vector", redhip, vector_replay.replay_redhip_vectorized),
+        ("redhip-scalar", redhip, _replay_predictor_scalar),
+        ("cbf-vector", partial(cbf, machine), vector_replay.replay_cbf_vectorized),
+        ("cbf-scalar", partial(cbf, machine), _replay_predictor_scalar),
+        ("gated-scalar", partial(gated_redhip_scheme().build_predictor, machine),
+         _replay_predictor_scalar),
+        ("missmap-scalar", partial(missmap_scheme().build_predictor, machine),
+         _replay_predictor_scalar),
+        ("levelpred-vector", lp,
+         partial(vector_replay.replay_levelpred_vectorized, pcs=pcs)),
+        ("levelpred-scalar", lp,
+         partial(evaluate._replay_level_predictor_scalar, pcs=pcs)),
+        ("ehc-vector", ehc, vector_replay.replay_ehc_vectorized),
+        ("ehc-scalar", ehc, evaluate._replay_ehc_scalar),
+    )
+
+
+def test_every_replay_returns_one_answer_per_l1_miss(zoo_case):
+    cfg, wl, stream = zoo_case
+    no_misses = dataclasses.replace(stream, hit_level=np.ones_like(stream.hit_level))
+    for case in (stream, no_misses):
+        k = len(case.l1_misses)
+        pcs = evaluate._miss_pcs(case, wl)
+        assert pcs.shape == (k,)
+        for name, make, replay in _replays(cfg, pcs):
+            outputs = replay(case, make())
+            arrays = [out for out in outputs if isinstance(out, np.ndarray)]
+            assert arrays and all(out.shape == (k,) for out in arrays), (name, k)
 
 
 # ------------------------------------------------------------ CBF kernel
