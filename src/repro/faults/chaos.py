@@ -13,10 +13,11 @@ holds the faulted run to three standards:
    plan spec, which covers worker crashes whose in-worker records die
    with the worker — must be matched by a ``faults.handled`` recovery
    event at the same site in the run manifest;
-3. **equal evaluation counters**: the replay-path and invariant counter
-   sections of the two manifests must be identical — chaos may cost
-   extra walks and retries, but it may never change *how results are
-   computed*.
+3. **equal evaluation counters**: the replay-path counters and the
+   invariant ``violations``/``result_checks`` of the two manifests must
+   be identical — chaos may cost extra walks and retries, but it may
+   never change *how results are computed*.  ``inclusion_sweeps`` counts
+   one sweep per checked walk, so the faulted run may only have more.
 
 ``repro chaos --plan plan.json`` is the CLI entry point; both manifests
 and artifacts are written under ``--out`` for post-mortems.
@@ -109,6 +110,37 @@ def _experiment_workloads():
     return PAPER_WORKLOADS
 
 
+def _counter_problems(clean: dict, faulted: dict) -> "list[str]":
+    """Compare two manifest summaries' evaluation counters.
+
+    Chaos may add walks and retries, never change evaluation behaviour:
+    the ``replay`` section and every ``invariants`` counter must match,
+    except ``inclusion_sweeps`` — checked mode counts one sweep per
+    content walk, and a faulted run legitimately re-walks (a lost
+    worker, a failed cache save), so that counter may only grow.
+    """
+    problems = []
+    if clean.get("replay") != faulted.get("replay"):
+        problems.append(
+            f"summary['replay'] differs: clean {clean.get('replay')} "
+            f"vs faulted {faulted.get('replay')}"
+        )
+    inv_clean = clean.get("invariants") or {}
+    inv_faulted = faulted.get("invariants") or {}
+    for name in sorted(set(inv_clean) | set(inv_faulted)):
+        a, b = inv_clean.get(name), inv_faulted.get(name)
+        if name == "inclusion_sweeps" and a is not None and b is not None:
+            ok = b >= a
+        else:
+            ok = a == b
+        if not ok:
+            problems.append(
+                f"summary['invariants'][{name!r}] differs: "
+                f"clean {a} vs faulted {b}"
+            )
+    return problems
+
+
 def run_chaos(experiment_id: str, config, plan: FaultPlan, out_dir: "str | Path",
               workloads=None, workers: int = 2) -> ChaosReport:
     """Run ``experiment_id`` clean and faulted; verify they cannot be told
@@ -167,12 +199,7 @@ def run_chaos(experiment_id: str, config, plan: FaultPlan, out_dir: "str | Path"
                 f"(match={spec.match}) left no faults.handled event"
             )
 
-    # Chaos may add walks and retries, never change evaluation behaviour.
-    for section in ("replay", "invariants"):
-        clean = clean_manifest.get("summary", {}).get(section)
-        faulted = faulted_manifest.get("summary", {}).get(section)
-        if clean != faulted:
-            report.problems.append(
-                f"summary[{section!r}] differs: clean {clean} vs faulted {faulted}"
-            )
+    report.problems.extend(_counter_problems(
+        clean_manifest.get("summary", {}), faulted_manifest.get("summary", {})
+    ))
     return report

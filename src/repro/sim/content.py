@@ -136,6 +136,7 @@ class ContentSimulator:
             chunks=stats["chunks"],
             skipped=stats["skipped"],
             demoted=stats["demoted"],
+            hazards=stats["hazards"],
         )
         telemetry.count("content.vector_walks")
         telemetry.count("content.vector_chunks", stats["chunks"])

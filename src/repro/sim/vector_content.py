@@ -17,37 +17,44 @@ set indexing works:
   order yields identical per-set LRU states, identical outcomes and
   identical events.
 
-* **Vectorized intra-set conflict resolution.**  Sort each chunk by
-  partition (stable, so per-partition order survives) and consider an
-  access whose *previous access by the same core in the same partition*
-  touched the same block.  That predecessor left the block at rank 0 of
-  the core's L1 set, the core itself issued nothing in the partition
-  since, and no access *outside* the partition can reach that set — so
-  the access is an L1 MRU hit with exactly one exception: an intervening
-  same-partition access by another core may have evicted the block from
-  the shared LLC, whose inclusion back-invalidation kills the L1 copy.
-  The candidates (the bulk of any workload with locality — spatial runs,
-  hot sets, duplicated-trace round-robin interleaving) are resolved with
-  two vectorized sorts per chunk and never enter the Python loop; a
-  per-``(partition, core)`` carry extends the test across chunk
-  boundaries.
+* **Vectorized intra-set conflict resolution.**  One stable sort of each
+  chunk by ``(partition, core)`` (a radix sort on the narrow group key)
+  keeps every group in access order.  Consider an access whose *previous
+  access by the same core in the same partition* touched the same block.
+  That predecessor left the block at rank 0 of the core's L1 set, the
+  core itself issued nothing in the partition since, and no access
+  *outside* the partition can reach that set — so the access is an L1
+  MRU hit with exactly one exception: an intervening same-partition
+  access by another core may have evicted the block from the shared LLC,
+  whose inclusion back-invalidation kills the L1 copy.  The candidates
+  (the bulk of any workload with locality — spatial runs, hot sets,
+  duplicated-trace round-robin interleaving) are resolved with array ops
+  and never enter the Python loop; a per-``(partition, core)`` carry
+  extends the test across chunk boundaries.
 
-* **Eviction-hazard repair.**  The residual Python replay (an inlined
-  per-set LRU identical in effect to
+* **Residual replay in access order.**  The remaining accesses replay in
+  global access order (it preserves every partition's order) through an
+  inlined per-set LRU — one MRU-first list per set, indexed by set
+  number — identical in effect to
   :meth:`CacheHierarchy._access_inclusive`, minus dirty-bit bookkeeping,
-  which provably never influences the outcome stream) tracks the hot
-  block of every ``(partition, core)`` pair.  When an LLC eviction hits
-  a block that is some pair's hot block, the pair's first still-pending
-  candidate for that block is *demoted*: re-queued (in order) into the
-  residual replay, where it replays as the memory miss it really is —
-  refilling the block and re-validating the candidates behind it.  If
-  the pair has no later access in the chunk, the cross-chunk carry is
-  invalidated instead.  Demotion is rare (a few per thousand accesses)
-  but load-bearing: it is what makes the optimistic skip *exact* rather
-  than approximate.
+  which provably never influences the outcome stream.
 
-LLC events are tagged with the originating global access index and merged
-back into chronological order with one stable sort, so the resulting
+* **Eviction-hazard repair.**  The replay tracks the hot block of every
+  ``(partition, core)`` pair.  When an LLC eviction's back-invalidation
+  sweep removes a pair's hot block from that core's L1 (a *hazard*), the
+  pair's next access in the chunk is looked up by binary search in the
+  group's slice of the sorted order.  If it is still a candidate it is
+  *demoted*: pushed on a heap keyed by its chunk-local index and replayed
+  at its place in access order, as the memory miss it really is, and its
+  candidate flag is cleared so it is demoted at most once.  If the pair
+  has no later access in the chunk, the cross-chunk carry is invalidated
+  instead.  Hazards are rare (a handful per figure run) but load-bearing:
+  they make the optimistic skip *exact* rather than approximate.
+
+The replay records only the LLC evictions.  Every memory miss fills the
+LLC exactly once, at its own access, so the fills are derived from the
+outcomes after the walk and merged with the evictions by one sort on
+``(access index, fill before evict)``.  The resulting
 :class:`OutcomeStream` is *byte-identical* to the sequential walk's —
 ``tests/test_vector_content.py`` fuzzes this over random geometries,
 families and chunk sizes, and checked mode asserts it on every run.
@@ -61,6 +68,7 @@ from __future__ import annotations
 
 import os
 from heapq import heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -127,9 +135,9 @@ def walk_vectorized(
 ) -> "tuple[OutcomeStream, dict]":
     """The batched equivalent of ``ContentSimulator._walk``.
 
-    Returns ``(stream, stats)`` where ``stats`` carries the chunk, skip
-    and demotion counts the telemetry span tags report.  The stream is
-    byte-identical to the sequential walk's for every eligible
+    Returns ``(stream, stats)`` where ``stats`` carries the chunk, skip,
+    demotion and hazard counts the telemetry span tags report.  The
+    stream is byte-identical to the sequential walk's for every eligible
     configuration.
     """
     if not eligible(config):
@@ -163,12 +171,13 @@ def walk_vectorized(
     hit_level = np.empty(n, dtype=np.int8)
     hit_rank = np.empty(n, dtype=np.int8)
 
-    # Per-set LRU state: MRU-first lists in dicts keyed by set index
-    # (sparse — only touched sets materialize).
-    priv: list[list[dict]] = [
-        [dict() for _ in range(ncores)] for _ in range(num_levels - 1)
+    # Per-set LRU state: one MRU-first list per set, indexed by set
+    # number (dense, so the hot loop never tests for a missing set).
+    priv: list[list[list[list[int]]]] = [
+        [[[] for _ in range(masks[lv] + 1)] for _ in range(ncores)]
+        for lv in range(num_levels - 1)
     ]
-    llc_sets: dict = {}
+    llc_sets: list[list[int]] = [[] for _ in range(llc_mask + 1)]
     l1_of_core = priv[0]
     l1_mask = masks[0]
     # Probe chain below L1 for each core: (sets, mask, level) for L2..LLC
@@ -222,21 +231,26 @@ def walk_vectorized(
     # by construction never change it).  -1 = no access yet.
     hot: list[int] = [-1] * ngroups
 
-    # LLC event accumulators (when = global index of the causing access).
+    # LLC evictions (when = global index of the causing access); the
+    # fills are derived from the outcomes after the walk.
     ev_when: list[int] = []
-    ev_op: list[int] = []
     ev_block: list[int] = []
-    ew_app, eo_app, eb_app = ev_when.append, ev_op.append, ev_block.append
+    ew_app, eb_app = ev_when.append, ev_block.append
 
     chunks = 0
     skipped = 0
     demoted_total = 0
+    hazards = 0
     core_parts: list[np.ndarray] = []
     block_parts: list[np.ndarray] = []
     write_parts: list[np.ndarray] = []
     gap_parts: list[np.ndarray] = []
 
     np_pmask = np.uint64(pmask)
+    group_ids = np.arange(ngroups + 1)
+    # Sort the group keys at their narrowest width: for 8- and 16-bit
+    # keys (every registry machine) NumPy's stable sort is a radix sort.
+    sort_dtype = np.min_scalar_type(ngroups - 1)
     for chunk in stream_it:
         chunks += 1
         core_parts.append(chunk.core)
@@ -244,30 +258,21 @@ def walk_vectorized(
         write_parts.append(chunk.write)
         gap_parts.append(chunk.gap)
         m = chunk.num_refs
+        base_idx = chunk.start
 
-        # ---- sort by partition (replay order: per-partition chronology)
-        part = (chunk.block & np_pmask).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        sp = part[order]
-        sc = chunk.core[order]
-        sb = chunk.block[order]
-        sidx = order + chunk.start     # global access index per position
-
-        # ---- candidate detection in (partition, core) grouping
-        key_s = sp * ncores + sc
-        order2 = np.argsort(key_s, kind="stable")
-        k2 = key_s[order2]
-        b2 = sb[order2]
+        # ---- candidate detection in (partition, core) grouping; the
+        # stable sort keeps each group in chronological order
+        cc = chunk.core
+        cb = chunk.block
+        gkey = (cb & np_pmask).astype(np.int64) * ncores + cc
+        order2 = np.argsort(gkey.astype(sort_dtype), kind="stable")
+        k2 = gkey[order2]
+        b2 = cb[order2]
         same_group = np.empty(m, dtype=bool)
         same_group[0] = False
         np.equal(k2[1:], k2[:-1], out=same_group[1:])
         cand2 = np.zeros(m, dtype=bool)
         cand2[1:] = same_group[1:] & (b2[1:] == b2[:-1])
-        # Position (partition order) of each element's predecessor within
-        # its group; -1 when the predecessor lies in an earlier chunk.
-        pred2 = np.full(m, -1, dtype=np.int64)
-        if m > 1:
-            pred2[1:] = np.where(same_group[1:], order2[:-1], -1)
         first2 = ~same_group
         fk = k2[first2]
         cand2[first2] = carry_valid[fk] & (carry_block[fk] == b2[first2])
@@ -279,43 +284,27 @@ def walk_vectorized(
         lk = k2[last2]
         carry_block[lk] = b2[last2]
         carry_valid[lk] = True
-        last_pos = np.full(ngroups, -1, dtype=np.int64)
-        last_pos[lk] = order2[last2]
+        # Group boundaries in order2, for the (rare) hazard lookup.
+        gstart = np.searchsorted(k2, group_ids).tolist()
 
         # ---- pre-write candidate outcomes (L1 MRU hits), vectorized
         cand = np.zeros(m, dtype=bool)
         cand[order2] = cand2
-        sk = sidx[cand]
+        sk = np.nonzero(cand)[0] + base_idx
         hit_level[sk] = 1
         hit_rank[sk] = 0
         skipped += len(sk)
 
-        # ---- per-group candidate tables for eviction-hazard demotion
-        ci2 = np.nonzero(cand2)[0]
-        cand_groups: dict = {}
-        if len(ci2):
-            ck = k2[ci2]
-            cpos = order2[ci2].tolist()
-            cblk = b2[ci2].tolist()
-            cprd = pred2[ci2].tolist()
-            uk, starts = np.unique(ck, return_index=True)
-            bounds = np.append(starts, len(ck)).tolist()
-            uk = uk.tolist()
-            for gi, g in enumerate(uk):
-                s0, s1 = bounds[gi], bounds[gi + 1]
-                cand_groups[g] = [cpos[s0:s1], cblk[s0:s1], cprd[s0:s1], 0]
-
-        # ---- residual replay, merged in order with demoted candidates
+        # ---- residual replay in access order, merged with demoted
+        # candidates (a heap of chunk-local indices)
         res = np.nonzero(~cand)[0]
         r_pos = res.tolist()
-        r_core = sc[res].tolist()
-        r_block = sb[res].tolist()
-        r_idx = sidx[res].tolist()
-        # key_s IS the flat (partition, core) index — reuse it as the hot
-        # slot; precompute the L1 set key and owner bit while vectorized.
-        r_hot = key_s[res].tolist()
-        r_l1k = (sb[res] & np.uint64(l1_mask)).tolist()
-        r_gidx = res.__len__() and sidx[res]
+        r_core = cc[res].tolist()
+        r_block = cb[res].tolist()
+        # gkey IS the flat (partition, core) index — reuse it as the hot
+        # slot; precompute the L1 set key while vectorized.
+        r_hot = gkey[res].tolist()
+        r_l1k = (cb[res] & np.uint64(l1_mask)).tolist()
         hl: list[int] = []
         hr: list[int] = []
         hl_app, hr_app = hl.append, hr.append
@@ -326,25 +315,23 @@ def walk_vectorized(
         while i < num_res or pending:
             if pending and (i >= num_res or pending[0] < r_pos[i]):
                 q = heappop(pending)
-                c = int(sc[q])
-                b = int(sb[q])
-                i0 = int(sidx[q])
-                hot[int(key_s[q])] = b
+                c = int(cc[q])
+                b = int(cb[q])
+                hot[int(gkey[q])] = b
                 l1key = b & l1_mask
-                demote_slot = q
+                from_heap = True
             else:
                 q = r_pos[i]
                 c = r_core[i]
                 b = r_block[i]
-                i0 = r_idx[i]
                 hot[r_hot[i]] = b
                 l1key = r_l1k[i]
                 i += 1
-                demote_slot = -1
+                from_heap = False
 
-            lst = l1_of_core[c].get(l1key)
+            lst = l1_of_core[c][l1key]
             hitlev = -1
-            if lst and b in lst:
+            if b in lst:
                 hitlev = 1
                 if lst[0] == b:
                     rank = 0
@@ -356,8 +343,8 @@ def walk_vectorized(
                 hitlev = 0
                 rank = -1
                 for sets, mask, lvl in deeper[c]:
-                    lst2 = sets.get(b & mask)
-                    if lst2 and b in lst2:
+                    lst2 = sets[b & mask]
+                    if b in lst2:
                         hitlev = lvl
                         if lst2[0] == b:
                             rank = 0
@@ -370,27 +357,21 @@ def walk_vectorized(
                     # Memory miss: LLC fill first, evicting (and back-
                     # invalidating) a victim when the set overflows —
                     # same notification order as CacheHierarchy._fill_llc.
-                    key = b & llc_mask
-                    lst2 = llc_sets.get(key)
-                    if lst2 is None:
-                        lst2 = llc_sets[key] = []
+                    lst2 = llc_sets[b & llc_mask]
                     lst2.insert(0, b)
                     owners[b] = 1 << c   # fresh fill: sole plausible owner
-                    ew_app(i0)
-                    eo_app(EVENT_FILL)
-                    eb_app(b)
                     if len(lst2) > llc_assoc:
                         vb = lst2.pop()
-                        ew_app(i0)
-                        eo_app(EVENT_EVICT)
+                        ew_app(q + base_idx)
                         eb_app(vb)
                         om = owners.pop(vb, allbits)
                         while om:
                             low = om & -om
                             om -= low
-                            for l3, mask in back_all[low.bit_length() - 1]:
-                                l4 = l3.get(vb & mask)
-                                if l4 and vb in l4:
+                            c2 = low.bit_length() - 1
+                            for l3, mask in back_all[c2]:
+                                l4 = l3[vb & mask]
+                                if vb in l4:
                                     l4.remove(vb)
                                 else:
                                     # Private levels are strictly
@@ -399,31 +380,33 @@ def walk_vectorized(
                                     # victims are swept): absent from
                                     # this level => absent above it.
                                     break
-                        # Eviction hazard: any pair whose hot block just
-                        # lost its L1 copy must not skip its next access
-                        # to it — demote that candidate (or kill the
-                        # cross-chunk carry if the pair is done here).
-                        base = (vb & pmask) * ncores
-                        for c2 in range(ncores):
-                            fl = base + c2
-                            if hot[fl] != vb:
-                                continue
-                            g = cand_groups.get(fl)
-                            did_demote = False
-                            if g is not None:
-                                gpos, gblk, gprd, ptr = g
-                                glen = len(gpos)
-                                while ptr < glen and gpos[ptr] <= q:
-                                    ptr += 1
-                                if (ptr < glen and gblk[ptr] == vb
-                                        and gprd[ptr] < q):
-                                    heappush(pending, gpos[ptr])
-                                    demoted_total += 1
-                                    ptr += 1
-                                    did_demote = True
-                                g[3] = ptr
-                            if not did_demote and last_pos[fl] < q:
-                                carry_valid[fl] = False
+                            else:
+                                # Eviction hazard: the sweep just removed
+                                # vb from c2's L1.  If vb is the pair's
+                                # hot block, the pair must not skip its
+                                # next access: demote that access if it
+                                # is a candidate (once), or kill the
+                                # cross-chunk carry if the pair has no
+                                # later access in this chunk.  Since the
+                                # pair's last access, only this sweep can
+                                # remove vb from that L1, so no hazard
+                                # is missed.
+                                fl = (vb & pmask) * ncores + c2
+                                if hot[fl] != vb:
+                                    continue
+                                hazards += 1
+                                gs = gstart[fl]
+                                ge = gstart[fl + 1]
+                                j = gs + int(np.searchsorted(
+                                    order2[gs:ge], q, side="right"))
+                                if j == ge:
+                                    carry_valid[fl] = False
+                                else:
+                                    p = int(order2[j])
+                                    if cand[p]:
+                                        cand[p] = False
+                                        heappush(pending, p)
+                                        demoted_total += 1
                     start = 0
                 else:
                     if hitlev == num_levels:
@@ -434,41 +417,28 @@ def walk_vectorized(
                 # Fill private levels top..1, back-invalidating each
                 # level's victim from the levels above it (this core).
                 for dd, mask, assoc, above in fill_from[c][start]:
-                    key = b & mask
-                    lst2 = dd.get(key)
-                    if lst2 is None:
-                        lst2 = dd[key] = []
+                    lst2 = dd[b & mask]
                     lst2.insert(0, b)
                     if len(lst2) > assoc:
                         vb = lst2.pop()
                         for l3, mask2 in above:
-                            l4 = l3.get(vb & mask2)
-                            if l4 and vb in l4:
+                            l4 = l3[vb & mask2]
+                            if vb in l4:
                                 l4.remove(vb)
                             else:
                                 break  # inclusive: absent => absent above
-            if demote_slot < 0:
+            if from_heap:
+                hit_level[q + base_idx] = hitlev
+                hit_rank[q + base_idx] = rank
+                skipped -= 1
+            else:
                 hl_app(hitlev)
                 hr_app(rank)
-            else:
-                gi0 = sidx[demote_slot]
-                hit_level[gi0] = hitlev
-                hit_rank[gi0] = rank
-                skipped -= 1
 
         if num_res:
+            r_gidx = res + base_idx
             hit_level[r_gidx] = np.asarray(hl, dtype=np.int8)
             hit_rank[r_gidx] = np.asarray(hr, dtype=np.int8)
-
-    # Merge per-partition LLC events back into chronological order.  The
-    # `when` keys are global access indices; one access emits at most one
-    # fill+evict pair, appended adjacently, so a stable sort restores
-    # exactly the sequential recorder's order.
-    when_arr = np.asarray(ev_when, dtype=np.int64)
-    ev_order = np.argsort(when_arr, kind="stable")
-    final_llc: list[int] = []
-    for lst in llc_sets.values():
-        final_llc.extend(lst)
 
     if core_parts:
         core_all = np.concatenate(core_parts)
@@ -481,6 +451,22 @@ def walk_vectorized(
         write_all = np.empty(0, dtype=bool)
         gap_all = np.empty(0, dtype=np.uint32)
 
+    # Every memory miss fills the LLC at its own access, and an eviction
+    # follows the fill that caused it: one sort on the (unique) keys
+    # (when, fill < evict) restores exactly the sequential recorder's
+    # order.
+    fill_when = np.flatnonzero(hit_level == 0)
+    evict_when = np.asarray(ev_when, dtype=np.int64)
+    ev_order = np.argsort(
+        np.concatenate((2 * fill_when, 2 * evict_when + 1)))
+    llc_when = np.concatenate((fill_when, evict_when))[ev_order]
+    llc_op = np.concatenate((
+        np.full(len(fill_when), EVENT_FILL, dtype=np.int8),
+        np.full(len(evict_when), EVENT_EVICT, dtype=np.int8),
+    ))[ev_order]
+    llc_block = np.concatenate((
+        block_all[fill_when], np.asarray(ev_block, dtype=np.uint64)))[ev_order]
+
     stream = OutcomeStream(
         core=core_all.astype(np.uint16),
         block=block_all,
@@ -488,17 +474,19 @@ def walk_vectorized(
         gap=gap_all.astype(np.uint32),
         hit_level=hit_level,
         hit_rank=hit_rank,
-        llc_when=when_arr[ev_order],
-        llc_op=np.asarray(ev_op, dtype=np.int8)[ev_order],
-        llc_block=np.asarray(ev_block, dtype=np.uint64)[ev_order],
+        llc_when=llc_when,
+        llc_op=llc_op,
+        llc_block=llc_block,
         num_levels=num_levels,
-        final_llc_blocks=np.asarray(sorted(final_llc), dtype=np.uint64),
+        final_llc_blocks=np.sort(
+            np.fromiter(chain.from_iterable(llc_sets), dtype=np.uint64)),
     )
     stats = {
         "chunks": chunks,
         "skipped": skipped,
         "residual": n - skipped,
         "demoted": demoted_total,
+        "hazards": hazards,
         "partitions": nparts,
     }
     return stream, stats

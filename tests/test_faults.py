@@ -572,3 +572,27 @@ class TestChaosHarness:
         )
         assert clean["summary"]["content"]["sequential"] == 0
         assert clean["summary"]["content"]["vector"] >= 2
+
+    def test_counters_may_gain_inclusion_sweeps_only(self):
+        """A faulted run may re-walk (more inclusion sweeps), but every
+        other evaluation counter must match the clean run exactly."""
+        from repro.faults.chaos import _counter_problems
+
+        def summary(sweeps, checks=4, violations=0, vector=3):
+            return {
+                "replay": {"vector": vector, "sequential": 0},
+                "invariants": {"inclusion_sweeps": sweeps,
+                               "result_checks": checks,
+                               "violations": violations},
+            }
+
+        assert _counter_problems(summary(2), summary(2)) == []
+        assert _counter_problems(summary(2), summary(4)) == []
+        fewer = _counter_problems(summary(4), summary(2))
+        assert len(fewer) == 1 and "inclusion_sweeps" in fewer[0]
+        assert "violations" in _counter_problems(
+            summary(2), summary(4, violations=1))[0]
+        assert "result_checks" in _counter_problems(
+            summary(2), summary(2, checks=5))[0]
+        assert "replay" in _counter_problems(
+            summary(2), summary(2, vector=4))[0]

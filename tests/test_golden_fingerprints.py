@@ -85,3 +85,29 @@ def test_figure_headlines_pinned(golden, fresh, seed, figure):
                 f"{figure}[{row}][{scheme}] drifted; if intentional, "
                 f"regenerate: {golden['meta']['regen']}"
             )
+
+
+#: Content fingerprints on the geometry the repository benchmark walks:
+#: ``scaled`` (32 partitions x 8 cores x 4 levels), 4000 refs/core, seed 1.
+SCALED_FINGERPRINTS = {
+    "mcf": "36738b52af6ae7d3d41ebf444eff2a23",
+    "mix": "79c49660af9c72ad9bb7fba7cfc96801",
+    "blas": "c8c3818c48b1d9c95104535337c7b1e0",
+}
+
+
+@pytest.mark.parametrize("family", sorted(SCALED_FINGERPRINTS))
+def test_scaled_content_fingerprints_exact(family):
+    """The tiny golden has 8 partitions and 2 cores; this pins the walk
+    where hazards, carries and owner sweeps span 8 cores and 32
+    partitions."""
+    from repro.energy.params import get_machine
+    from repro.sim.config import SimConfig
+    from repro.sim.content import ContentSimulator
+    from repro.workloads import get_workload
+
+    machine = get_machine("scaled")
+    cfg = SimConfig(machine=machine, refs_per_core=4000, seed=1)
+    workload = get_workload(family, machine, 4000, 1)
+    stream = ContentSimulator(cfg).run(workload)
+    assert stream.fingerprint() == SCALED_FINGERPRINTS[family]

@@ -28,6 +28,7 @@ from repro.energy.params import (
     get_machine,
 )
 from repro.faults.plan import FaultPlan, FaultSpec
+from repro.hierarchy.events import EVENT_EVICT
 from repro.sim import vector_content
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
@@ -236,6 +237,64 @@ class TestDemotionRepair:
             # so the hazard must be repaired by demotion, not by the
             # cross-chunk carry invalidation.
             assert stats["demoted"] >= 1
+
+
+def repeated_hazard_workload(machine: MachineConfig) -> Workload:
+    """Block A loses its LLC copy twice before core 0's repeat access.
+
+    Core 0 touches A twice, far apart; its second access is a candidate.
+    Core 1 floods A's LLC set (evicting A: a hazard that demotes core
+    0's candidate), then refills A itself and floods the set again,
+    evicting A a second time while the demoted access is still pending.
+    The second eviction must neither demote anything again nor reach
+    core 0, which no longer holds A.
+    """
+    llc = machine.llc
+    set_stride = np.uint64(llc.num_sets << 6)
+    a = np.uint64(64 * 7)
+    flood = llc.assoc + 2
+    t0 = Trace(
+        name="victim",
+        pc=np.zeros(2, dtype=np.uint64),
+        addr=np.array([a, a], dtype=np.uint64),
+        write=np.zeros(2, dtype=bool),
+        gap=np.array([0, 100000], dtype=np.uint32),
+    )
+    ways = np.arange(1, 2 * flood + 1, dtype=np.uint64)
+    addrs = np.concatenate([
+        a + ways[:flood] * set_stride,
+        [a],
+        a + ways[flood:] * set_stride,
+    ]).astype(np.uint64)
+    t1 = Trace(
+        name="refill-flood",
+        pc=np.zeros(len(addrs), dtype=np.uint64),
+        addr=addrs,
+        write=np.zeros(len(addrs), dtype=bool),
+        gap=np.ones(len(addrs), dtype=np.uint32),
+    )
+    return Workload(name="repeated-hazard", traces=(t0, t1))
+
+
+class TestRepeatedHazard:
+    @pytest.mark.parametrize("chunk,demoted", ((None, 1), (1, 0), (2, 0),
+                                               (5, 0)))
+    def test_second_eviction_of_a_demoted_block(self, chunk, demoted):
+        """Bit-identical at every chunking; the candidate is demoted once
+        when it shares a chunk with the first eviction (otherwise the
+        carry is invalidated), and only the first eviction is a hazard."""
+        machine = get_machine("tiny")
+        cfg = SimConfig(machine=machine, refs_per_core=64, seed=1)
+        workload = repeated_hazard_workload(machine)
+        stats = assert_bit_identical(cfg, workload,
+                                     f"repeated hazard chunk={chunk}",
+                                     chunk_refs=chunk)
+        seq = ContentSimulator(cfg, vectorized=False).run(workload)
+        evicted_a = (seq.llc_op == EVENT_EVICT) & (seq.llc_block == 7)
+        assert int(evicted_a.sum()) == 2
+        assert seq.hit_level[-1] == 0  # core 0's repeat is a memory miss
+        assert stats["demoted"] == demoted
+        assert stats["hazards"] == 1
 
 
 # ============================================== selection and fallbacks
