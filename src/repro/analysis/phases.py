@@ -3,7 +3,9 @@
 The gating mechanism, the recalibration schedule and the paper's
 "accuracy degrades over time" narrative are all statements about how
 behaviour evolves *within* a run.  This module slices a frozen
-:class:`OutcomeStream` into fixed-size windows and reports, per window:
+:class:`OutcomeStream` into fixed-size windows of accesses (counting the
+record's L1 misses and LLC events by access index) and reports, per
+window:
 
 * L1 miss rate and memory (full-miss) rate,
 * LLC fill/eviction rates (the staleness pressure on ReDHiP's bitmap),
@@ -50,32 +52,28 @@ class PhaseStats:
         }
 
 
-def _window_sums(values: np.ndarray, window: int) -> np.ndarray:
-    """Sum ``values`` in consecutive windows (last partial window dropped)."""
-    w = len(values) // window
-    if w == 0:
-        return np.zeros(0, dtype=np.float64)
-    return values[: w * window].reshape(w, window).sum(axis=1).astype(np.float64)
+def _window_counts(positions: np.ndarray, n: int, window: int) -> np.ndarray:
+    """How many of the access indices ``positions`` fall in each full
+    window of ``window`` accesses out of ``n`` (last partial window
+    dropped)."""
+    w = n // window
+    counts = np.bincount(positions // window, minlength=w + 1)
+    return counts[:w].astype(np.float64)
 
 
 def windowed_stats(stream: OutcomeStream, window: int = 4096) -> PhaseStats:
     """Slice the run into windows of ``window`` accesses."""
     check_positive("window", window)
-    h = stream.hit_level
-    miss = (h != 1).astype(np.int64)
-    mem = (h == 0).astype(np.int64)
-    fills = np.zeros(stream.num_accesses, dtype=np.int64)
-    evicts = np.zeros(stream.num_accesses, dtype=np.int64)
-    fill_mask = stream.llc_op == EVENT_FILL
+    n = stream.num_accesses
+    fill = stream.llc_op == EVENT_FILL
     when = stream.llc_when
-    np.add.at(fills, np.minimum(when[fill_mask], stream.num_accesses - 1), 1)
-    np.add.at(evicts, np.minimum(when[~fill_mask], stream.num_accesses - 1), 1)
+    memory = stream.at[stream.hit_level == 0]
     return PhaseStats(
         window=window,
-        l1_miss_rate=_window_sums(miss, window) / window,
-        memory_rate=_window_sums(mem, window) / window,
-        llc_fill_rate=_window_sums(fills, window) / window,
-        llc_evict_rate=_window_sums(evicts, window) / window,
+        l1_miss_rate=_window_counts(stream.at, n, window) / window,
+        memory_rate=_window_counts(memory, n, window) / window,
+        llc_fill_rate=_window_counts(when[fill], n, window) / window,
+        llc_evict_rate=_window_counts(when[~fill], n, window) / window,
     )
 
 
@@ -89,11 +87,9 @@ def windowed_skip_rate(
     """
     check_positive("window", window)
     predicted, _consulted, _stall = replay_predictor(stream, predictor)
-    misses = stream.l1_misses
-    absent = (stream.hit_level == 0).astype(np.int64)
-    skipped = np.zeros(stream.num_accesses, dtype=np.int64)
-    skipped[misses.at] = (misses.hit_level == 0) & ~predicted
-    a = _window_sums(absent, window)
-    s = _window_sums(skipped, window)
+    n = stream.num_accesses
+    absent = stream.hit_level == 0
+    a = _window_counts(stream.at[absent], n, window)
+    s = _window_counts(stream.at[absent & ~predicted], n, window)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(a > 0, s / a, np.nan)

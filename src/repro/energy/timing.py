@@ -4,8 +4,9 @@ The paper (§IV) deliberately uses a simple model: non-memory instructions
 advance time by the application's average CPI, memory references add the
 latency of however deep into the hierarchy they had to go, and main memory
 is a zero-latency data store.  Execution time of the 8-core run is the
-slowest core.  We implement exactly that, vectorized: the evaluator supplies
-a per-access latency array and this module folds in the compute gaps.
+slowest core.  We implement exactly that, vectorized: :meth:`TimingModel.run`
+folds per-access latencies and compute gaps; the evaluator hands
+:meth:`TimingModel.fold` per-core sums it folded from the L1 misses.
 """
 
 from __future__ import annotations
@@ -72,36 +73,35 @@ class TimingModel:
             Global stall (recalibration sweeps block the PT and the LLC
             tag array, so they are charged against the whole run).
         """
-        if len(core_ids) != len(gaps):
+        if len(core_ids) != len(gaps) or len(core_ids) != len(latencies):
             raise ConfigError("core_ids/gaps/latencies length mismatch")
+        cores = self.machine.cores
         # bincount over core ids gives per-core sums without a Python loop.
         gap_sums = np.bincount(core_ids, weights=gaps.astype(np.float64),
-                               minlength=self.machine.cores)
-        return self.fold(core_ids, gap_sums[: self.machine.cores], latencies,
-                         cpis, stall_cycles)
+                               minlength=cores)
+        lat_sums = np.bincount(core_ids, minlength=cores,
+                               weights=np.asarray(latencies, dtype=np.float64))
+        return self.fold(gap_sums[:cores], lat_sums[:cores], cpis, stall_cycles)
 
     def fold(
         self,
-        core_ids: np.ndarray,
         gap_sums: np.ndarray,
-        latencies: np.ndarray,
+        latency_sums: np.ndarray,
         cpis: np.ndarray,
         stall_cycles: float = 0.0,
     ) -> TimingResult:
-        """:meth:`run` with the per-core compute gaps already summed
-        (``gap_sums``: float64[cores]); they do not depend on the scheme,
-        so the evaluator sums them once per stream."""
+        """:meth:`run` with the per-core compute gaps and memory
+        latencies already summed (float64[cores] each); the evaluator
+        folds them per core from the L1-miss record."""
         cores = self.machine.cores
-        if cpis.shape != (cores,) or gap_sums.shape != (cores,):
-            raise ConfigError(f"cpis and gap_sums must have shape ({cores},)")
-        if len(core_ids) != len(latencies):
-            raise ConfigError("core_ids/gaps/latencies length mismatch")
+        shapes = {cpis.shape, gap_sums.shape, latency_sums.shape}
+        if shapes != {(cores,)}:
+            raise ConfigError(
+                f"cpis, gap_sums and latency_sums must have shape ({cores},)")
         check_positive("stall_cycles + 1", stall_cycles + 1)
 
-        lat_sums = np.bincount(core_ids, minlength=cores,
-                               weights=np.asarray(latencies, dtype=np.float64))
         compute = gap_sums * cpis
-        memory = lat_sums[:cores]
+        memory = latency_sums
         total = compute + memory
         return TimingResult(
             core_cycles=total,

@@ -91,9 +91,10 @@ class ExperimentSpec:
     #: Grid protocol (both or neither): ``cells(cfg, **kwargs)`` compiles
     #: the experiment to canonical :class:`~repro.sweep.spec.CellSpec`
     #: instances; ``render(cfg, rows, **kwargs)`` turns the resulting
-    #: fingerprint-keyed store rows into the artifact.  When present and
-    #: the config is :func:`griddable`, :func:`run_spec` executes through
-    #: the sweep scheduler + results store instead of ``build``.
+    #: store rows, keyed by canonical cell, into the artifact.  When
+    #: present and the config is :func:`griddable`, :func:`run_spec`
+    #: executes through the sweep scheduler + results store instead of
+    #: ``build``.
     cells: "Callable[..., list] | None" = field(default=None, compare=False)
     render: "Callable[..., ExperimentResult] | None" = field(
         default=None, compare=False)
@@ -208,10 +209,16 @@ def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
     from repro.sweep.scheduler import run_cells
 
     # Figures may list the same canonical cell twice (e.g. two sweep
-    # points that collapse to the same period); run each once.
+    # points that collapse to the same period); run each once.  Each
+    # expanded cell is fingerprinted exactly once, here: ``render`` looks
+    # its rows up by cell.
+    fingerprint_of: dict = {}
     by_fingerprint: dict = {}
     for cell in spec.cells(cfg, **kwargs):
-        by_fingerprint.setdefault(cell.fingerprint(), cell)
+        cell = cell.canonical()
+        if cell not in fingerprint_of:
+            fingerprint_of[cell] = cell.fingerprint()
+        by_fingerprint.setdefault(fingerprint_of[cell], cell)
     cells, fingerprints = list(by_fingerprint.values()), list(by_fingerprint)
     workers = default_workers() if os.environ.get("REPRO_PARALLEL") else 1
     with _grid_store(store, spec.experiment_id) as store_path:
@@ -231,7 +238,10 @@ def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
                 f"cell(s) failed after retry: {failed}"
             )
         with ResultsStore(store_path) as results:
-            rows = {row["fingerprint"]: row for row in results.rows()}
+            by_row = {row["fingerprint"]: row for row in results.rows()}
+    rows = {cell: by_row[fingerprint]
+            for cell, fingerprint in fingerprint_of.items()
+            if fingerprint in by_row}
     return spec.render(cfg, rows, **kwargs)
 
 

@@ -9,7 +9,7 @@ experiment into two pure halves:
   sharded, journalled, fault-aware) against a :class:`~repro.results.store.
   ResultsStore`.
 * ``render(cfg, rows, **kwargs)`` — a pure function from canonical store
-  rows (keyed by fingerprint) back to the exact
+  rows (keyed by canonical cell) back to the exact
   :class:`~repro.sim.report.ExperimentResult` the imperative ``build``
   produced.  Byte-identity against ``tests/golden/artifacts/`` is the
   acceptance bar, so every renderer recomputes the figures' arithmetic
@@ -172,13 +172,13 @@ class RowResult:
 
 
 def row_result(rows: dict, cell: CellSpec) -> RowResult:
-    """The store row for one cell, or a precise error naming what is
-    missing (a failed cell, or a store from a different grid)."""
-    fingerprint = cell.fingerprint()
+    """The store row for one (canonical) cell — ``rows`` maps each
+    expanded cell to its row — or a precise error naming what is missing
+    (a failed cell, or a store from a different grid)."""
     try:
-        return RowResult(rows[fingerprint])
+        return RowResult(rows[cell])
     except KeyError:
         raise ReproError(
             f"results store has no row for cell {cell.label()} "
-            f"({fingerprint}) — the sweep did not complete it"
+            f"({cell.fingerprint()}) — the sweep did not complete it"
         ) from None

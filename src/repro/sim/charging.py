@@ -312,8 +312,8 @@ class ChargingKernel:
 
     # --------------------------------------------------------------- bulk
     # The bulk methods below ``charge_l1_bulk`` take per-L1-miss arrays
-    # (a stream's :class:`~repro.hierarchy.events.L1MissView` order): an
-    # L1 hit is charged its L1 probe and nothing else under every scheme.
+    # (an :class:`~repro.hierarchy.events.OutcomeStream`'s order): an L1
+    # hit is charged its L1 probe and nothing else under every scheme.
     def charge_l1_bulk(self, ledger: EnergyLedger, n: int,
                        n_misses: int) -> np.ndarray:
         """Bulk form of :meth:`charge_l1` for ``n`` accesses: the initial
@@ -423,24 +423,54 @@ class ChargingKernel:
             ledger.charge(COMPONENT_PT, CAT_RECAL, recal_nj, 1)
 
     # ------------------------------------------------------ timing/static
-    def run_timing(self, core_ids, gap_sums, miss_at, miss_latencies, cpis,
+    def run_timing(self, stream, miss_latencies: np.ndarray,
                    stall_cycles: float) -> TimingResult:
-        """Fold latencies into per-core cycles.  The miss latencies land
-        in a per-access vector in one scatter; every other access is an
-        L1 hit at the L1 delay.  ``gap_sums`` are the per-core compute
-        gaps (:meth:`~repro.hierarchy.events.L1MissView.gap_sums`)."""
-        latencies = np.full(len(core_ids), float(self.par_d[1]), dtype=np.float64)
-        latencies[miss_at] = miss_latencies
+        """Fold a stream's latencies into per-core cycles.
+
+        ``miss_latencies`` are per L1 miss (``stream`` order); every
+        other access is an L1 hit at the L1 delay.  When every latency is
+        integral and every sum stays below 2**52 (inside float64's exact
+        integer range), each per-core total is exact in any summation
+        order, so it folds as ``hits x d1`` plus
+        a bincount of the miss latencies.  Otherwise (MLP != 1, a
+        fractional lookup delay) it keeps the ordered fold: each core's
+        latencies summed in that core's access order, rebuilt from the
+        misses' core-local indices — bit-identical to the per-access
+        fold either way."""
+        cores = self.machine.cores
+        d1 = float(self.par_d[1])
+        lat = np.asarray(miss_latencies, dtype=np.float64)
+        accesses = stream.core_accesses
+        if _exact_in_any_order(lat, d1, stream.num_accesses):
+            hits = accesses - np.bincount(stream.core, minlength=cores)
+            latency_sums = hits * d1 + np.bincount(
+                stream.core, weights=lat, minlength=cores)
+        else:
+            starts = np.cumsum(accesses) - accesses
+            sequence = np.full(int(accesses.sum()), d1)
+            sequence[starts[stream.core] + stream.local] = lat
+            owner = np.repeat(np.arange(cores), accesses)
+            latency_sums = np.bincount(owner, weights=sequence, minlength=cores)
         return TimingModel(self.machine).fold(
-            core_ids=core_ids, gap_sums=gap_sums, latencies=latencies,
-            cpis=cpis, stall_cycles=stall_cycles,
-        )
+            stream.core_gap_sums, latency_sums, stream.cpis, stall_cycles)
 
     def static_energy_nj(self, exec_cycles: float, include_pt: bool) -> float:
         """Leakage over the run; the PT leaks only for table schemes."""
         return StaticEnergyModel(self.machine).static_energy_nj(
             exec_cycles, include_pt=include_pt
         )
+
+
+def _exact_in_any_order(lat: np.ndarray, d1: float, accesses: int) -> bool:
+    """Is every partial sum of ``accesses`` latencies — the misses' plus
+    ``d1`` per hit — an exactly representable integer?  Then float
+    addition is associative over them and any fold order is exact."""
+    if not d1.is_integer():
+        return False
+    if not np.array_equal(lat, np.trunc(lat)):
+        return False
+    bound = accesses * abs(d1) + float(np.abs(lat).sum())
+    return bound < 2.0 ** 52
 
 
 def recal_stall_cycles(sweeps: int, cost) -> float:

@@ -15,7 +15,7 @@ create a circular dependency; the paper's own trace-driven methodology has
 the same property ("the relative order of memory references is precise
 enough to simulate realistic cache behaviors").
 
-Two walk implementations produce the stream:
+Two walk implementations produce the per-access record:
 
 * the **vectorized** set-bucketed walk (:mod:`repro.sim.vector_content`),
   taken by default whenever the configuration is eligible (inclusive +
@@ -29,13 +29,22 @@ Two walk implementations produce the stream:
 
 ``REPRO_NO_VECTOR_WALK=1`` (or ``ContentSimulator(cfg,
 vectorized=False)``) forces the sequential path; checked mode runs both
-and asserts byte-identical streams before returning.
+and asserts byte-identical per-access records before returning.
+
+Both walks produce the full per-access :class:`AccessRecord`; one
+reduction step (:meth:`ContentSimulator.run`) fingerprints it, attaches
+each L1 miss's program counter from the workload's merge order, and
+returns the :class:`OutcomeStream` of L1 misses every evaluator reads.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
+import numpy as np
+
 from repro import checking, faults, telemetry
-from repro.hierarchy.events import OutcomeRecorder, OutcomeStream
+from repro.hierarchy.events import AccessRecord, OutcomeRecorder, OutcomeStream
 from repro.hierarchy.hierarchy import CacheHierarchy
 from repro.sim import vector_content
 from repro.sim.config import SimConfig
@@ -51,7 +60,7 @@ __all__ = ["ContentSimulator", "NOMINAL_ACCESS_CYCLES", "merge_order"]
 
 
 class ContentSimulator:
-    """Runs the content walk and freezes the outcome stream.
+    """Runs the content walk and reduces it to the L1-miss record.
 
     ``vectorized`` selects the walk implementation: ``None`` (default)
     auto-selects — the set-bucketed walk when the configuration is
@@ -73,7 +82,7 @@ class ContentSimulator:
         )
 
     def run(self, workload: Workload, max_accesses: int | None = None) -> OutcomeStream:
-        """Walk ``workload`` through the hierarchy; freeze the streams.
+        """Walk ``workload`` through the hierarchy; return its L1-miss record.
 
         ``max_accesses`` truncates the merged multi-core order — the
         replay path (:func:`repro.checking.replay`) uses it to re-run only
@@ -81,6 +90,12 @@ class ContentSimulator:
         prefix of the full one (the merge order is deterministic), but its
         fingerprint naturally differs from the full stream's.
         """
+        record = self.walk(workload, max_accesses)
+        return record.reduce(workload.cpis, partial(_miss_origin, workload))
+
+    def walk(self, workload: Workload,
+             max_accesses: int | None = None) -> AccessRecord:
+        """The full per-access record of one walk (see :meth:`run`)."""
         checked = checking.enabled(self.config)
         use_vector = self._use_vector()
         with telemetry.span(
@@ -91,29 +106,29 @@ class ContentSimulator:
             checked=checked,
             path="vector" if use_vector else "sequential",
         ) as span:
-            stream = None
+            record = None
             if use_vector:
-                stream = self._walk_vector(workload, max_accesses, span)
-            if stream is None or checked or not use_vector:
+                record = self._walk_vector(workload, max_accesses, span)
+            if record is None or checked or not use_vector:
                 sequential = self._walk(workload, max_accesses)
-                if stream is None:
+                if record is None:
                     telemetry.count("content.sequential_walks")
-                    stream = sequential
+                    record = sequential
                 else:
                     # Checked mode: the sequential walk doubles as the
                     # oracle — any divergence writes a replay bundle and
-                    # raises before the stream escapes.
+                    # raises before the record escapes.
                     vector_content.assert_streams_equal(
-                        stream, sequential, self.config, workload.name
+                        record, sequential, self.config, workload.name
                     )
                     telemetry.count("content.dual_walks")
         telemetry.count("content.walks")
-        telemetry.count("content.accesses", stream.num_accesses)
-        return stream
+        telemetry.count("content.accesses", record.num_accesses)
+        return record
 
     def _walk_vector(
         self, workload: Workload, max_accesses: int | None, span
-    ) -> "OutcomeStream | None":
+    ) -> "AccessRecord | None":
         """One vectorized walk; ``None`` when an injected fault forces the
         sequential fallback (the ``content.vector_walk`` chaos site)."""
         try:
@@ -122,7 +137,7 @@ class ContentSimulator:
                 raise faults.InjectedFault(
                     5, f"injected vector-walk failure for {workload.name!r}"
                 )
-            stream, stats = vector_content.walk_vectorized(
+            record, stats = vector_content.walk_vectorized(
                 self.config, workload, max_accesses=max_accesses
             )
         except faults.InjectedFault as exc:
@@ -141,9 +156,9 @@ class ContentSimulator:
         telemetry.count("content.vector_walks")
         telemetry.count("content.vector_chunks", stats["chunks"])
         telemetry.count("content.vector_skipped", stats["skipped"])
-        return stream
+        return record
 
-    def _walk(self, workload: Workload, max_accesses: int | None) -> OutcomeStream:
+    def _walk(self, workload: Workload, max_accesses: int | None) -> AccessRecord:
         cfg = self.config
         if workload.cores != cfg.machine.cores:
             raise ConfigError(
@@ -217,6 +232,24 @@ class ContentSimulator:
                 after_access(ref)
             checker.final(ref)
 
-        stream = recorder.freeze(hier.llc_resident_blocks())
+        record = recorder.freeze(hier.llc_resident_blocks())
         self._last_hierarchy = hier  # kept for tests/inspection
-        return stream
+        return record
+
+
+def _miss_origin(workload: Workload, at: np.ndarray) -> tuple:
+    """Program counter and core-local index of each access in ``at``.
+
+    The walk itself is PC-blind; the level predictor's PC^block index
+    needs the PCs of the L1 misses, gathered once here through the same
+    memoized merge order the walk consumed.  Each core's accesses appear
+    in that order in trace order, so an access's index within its trace
+    is its index among its core's accesses.
+    """
+    merged_core, merged_idx = merge_order(workload)
+    core, local = merged_core[at], merged_idx[at]
+    pc = np.empty(len(at), dtype=np.uint64)
+    for c, trace in enumerate(workload.traces):
+        mine = core == c
+        pc[mine] = trace.pc[local[mine]]
+    return pc, local

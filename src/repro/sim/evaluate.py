@@ -17,7 +17,6 @@ stale data in real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -107,7 +106,7 @@ def replay_predictor(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Replay L1-miss lookups against the LLC event stream.
 
-    Returns, per L1 miss (in :attr:`OutcomeStream.l1_misses` order), the
+    Returns, per L1 miss (in :class:`OutcomeStream` order), the
     presence prediction and whether the lookup *consulted* the table
     (False where a gated predictor answered without touching it), plus
     the total recalibration stall cycles.  Event ordering matches
@@ -129,7 +128,6 @@ def _scalar_misses(stream: OutcomeStream, predictor):
     hit_level)`` per L1 miss after applying to ``predictor`` the LLC
     events of every earlier access, then drains the remaining events so
     predictor telemetry covers the full run."""
-    misses = stream.l1_misses
     when = stream.llc_when.tolist()
     ops = stream.llc_op.tolist()
     eblocks = stream.llc_block.tolist()
@@ -138,8 +136,8 @@ def _scalar_misses(stream: OutcomeStream, predictor):
     evict = predictor.on_llc_evict
 
     ei = 0
-    for i, block, level in zip(misses.at.tolist(), misses.block.tolist(),
-                               misses.hit_level.tolist()):
+    for i, block, level in zip(stream.at.tolist(), stream.block.tolist(),
+                               stream.hit_level.tolist()):
         while ei < m and when[ei] < i:
             if ops[ei] == EVENT_FILL:
                 fill(eblocks[ei])
@@ -172,44 +170,26 @@ def _replay_predictor_scalar(
     return np.array(out, dtype=bool), np.array(consults, dtype=bool), stall
 
 
-def _miss_pcs(stream: OutcomeStream, workload: Workload) -> np.ndarray:
-    """Program counter of each L1 miss, in the merged multi-core order.
-
-    The outcome stream deliberately carries no PCs (the content walk is
-    PC-blind); the level predictor's PC^block index reconstructs them
-    from the workload traces through the same memoized merge order both
-    simulation paths share.
-    """
-    from repro.sim.content import merge_order
-
-    merged_core, merged_idx = merge_order(workload)
-    at = stream.l1_misses.at
-    traces = workload.traces
-    offsets = np.cumsum([0] + [len(trace.pc) for trace in traces[:-1]])
-    pcs = np.concatenate([trace.pc for trace in traces]).astype(np.uint64, copy=False)
-    return pcs[offsets[merged_core[at]] + merged_idx[at]]
-
-
 def replay_level_predictor(
-    stream: OutcomeStream, predictor, pcs: np.ndarray
+    stream: OutcomeStream, predictor
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Replay level-prediction lookups over the event stream.
 
-    ``pcs`` holds each L1 miss's program counter (:func:`_miss_pcs`).
-    Returns per-L1-miss predicted levels (0 = memory/no prediction) and
-    confidence flags, and the total recalibration stall cycles.  Runs the
-    batched kernel
+    The predictor indexes by each L1 miss's program counter
+    (:attr:`OutcomeStream.pc`) XOR its block.  Returns per-L1-miss
+    predicted levels (0 = memory/no prediction) and confidence flags,
+    and the total recalibration stall cycles.  Runs the batched kernel
     (:func:`~repro.sim.vector_replay.replay_levelpred_vectorized`) unless
     the predictor is ineligible or ``REPRO_NO_VECTOR_REPLAY`` is set;
     the scalar loop is the reference both paths must agree with.
     """
     if vector_replay.use_vector(predictor):
-        return vector_replay.replay_levelpred_vectorized(stream, predictor, pcs)
-    return _replay_level_predictor_scalar(stream, predictor, pcs)
+        return vector_replay.replay_levelpred_vectorized(stream, predictor)
+    return _replay_level_predictor_scalar(stream, predictor)
 
 
 def _replay_level_predictor_scalar(
-    stream: OutcomeStream, predictor, pcs: np.ndarray
+    stream: OutcomeStream, predictor
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Sequential level-prediction replay (the checked-mode oracle).
 
@@ -226,7 +206,8 @@ def _replay_level_predictor_scalar(
     levels_out = []
     conf_out = []
     # The walk goes first in the zip so its trailing drain still runs.
-    for (block, level), pc in zip(_scalar_misses(stream, predictor), pcs.tolist()):
+    for (block, level), pc in zip(_scalar_misses(stream, predictor),
+                                  stream.pc.tolist()):
         predicted, conf = predict(pc, block)
         levels_out.append(predicted)
         conf_out.append(conf)
@@ -322,7 +303,7 @@ def _assert_replay_equivalent(
                 bad = np.flatnonzero(got != want)
                 problems.append(
                     f"output {k}: {len(bad)} L1 miss(es) differ (first at "
-                    f"access {int(stream.l1_misses.at[bad[0]])})"
+                    f"access {int(stream.at[bad[0]])})"
                 )
         elif got != want:
             problems.append(f"stall {got} != sequential {want}")
@@ -357,7 +338,7 @@ def evaluate_scheme(
     stream: OutcomeStream,
     machine: MachineConfig,
     scheme: SchemeSpec,
-    workload: Workload,
+    workload: "str | Workload",
     fill_energy_weight: float = 0.0,
     memory_latency: float = 0.0,
     memory_energy_nj: float = 0.0,
@@ -374,8 +355,10 @@ def evaluate_scheme(
     — the sensitivity the ``ext-memory`` experiment studies.
 
     Every scheme acts only at L1 misses, so the replay and every charge
-    run over the stream's :class:`~repro.hierarchy.events.L1MissView`;
-    L1 hits pay the L1 probe and nothing else.  Plain ReDHiP, CBF,
+    run over the stream's misses; L1 hits pay the L1 probe and nothing
+    else.  The stream carries everything the evaluation reads (PCs,
+    per-core CPIs and totals), so ``workload`` only names the run — a
+    name or the :class:`Workload` itself.  Plain ReDHiP, CBF,
     LevelPred and EHC predictors replay through the batched NumPy kernels
     (:mod:`repro.sim.vector_replay`) unless ``REPRO_NO_VECTOR_REPLAY`` is
     set; ``checked`` (default: the ``REPRO_CHECKED`` environment) replays
@@ -384,7 +367,8 @@ def evaluate_scheme(
     """
     if checked is None:
         checked = checking.enabled(None)
-    run = _Evaluation(stream, machine, scheme, workload, checked,
+    workload_name = workload if isinstance(workload, str) else workload.name
+    run = _Evaluation(stream, machine, scheme, workload_name, checked,
                       fill_energy_weight, memory_latency, memory_energy_nj,
                       mlp, dram)
     # The zoo schemes walk (or skip) levels in patterns the binary
@@ -402,13 +386,13 @@ class _Evaluation:
     replay wrapper, the per-miss charging steps and the charging tail."""
 
     def __init__(self, stream: OutcomeStream, machine: MachineConfig,
-                 scheme: SchemeSpec, workload: Workload, checked: bool,
+                 scheme: SchemeSpec, workload_name: str, checked: bool,
                  fill_energy_weight: float, memory_latency: float,
                  memory_energy_nj: float, mlp: float, dram) -> None:
         self.stream = stream
         self.machine = machine
         self.scheme = scheme
-        self.workload = workload
+        self.workload_name = workload_name
         self.checked = checked
         self.fill_energy_weight = fill_energy_weight
         self.memory_latency = memory_latency
@@ -417,11 +401,10 @@ class _Evaluation:
         self.dram = dram
         self.kernel = ChargingKernel.for_scheme(machine, scheme)
         self.ledger = EnergyLedger()
-        self.misses = stream.l1_misses
-        self.h = self.misses.hit_level
+        self.h = stream.hit_level
 
     def context(self) -> dict:
-        return checking.evaluation_context(self.machine.name, self.workload.name,
+        return checking.evaluation_context(self.machine.name, self.workload_name,
                                            self.scheme.name)
 
     def replay(self, replay, sequential, counter: "str | None" = None):
@@ -433,7 +416,7 @@ class _Evaluation:
         scheme = self.scheme
         predictor = scheme.build_predictor(self.machine)
         with telemetry.span(
-            "replay", scheme=scheme.name, workload=self.workload.name
+            "replay", scheme=scheme.name, workload=self.workload_name
         ) as replay_span:
             vector = vector_replay.use_vector(predictor)
             path = "vector" if vector else "sequential"
@@ -461,13 +444,13 @@ class _Evaluation:
         # The accounting stages are pure NumPy over frozen arrays; the
         # span makes their share of the wall time visible in `repro stats`.
         return telemetry.span("energy_accounting", scheme=self.scheme.name,
-                              workload=self.workload.name)
+                              workload=self.workload_name)
 
     def charge_start(self, consulted: "np.ndarray | None") -> np.ndarray:
         """L1 probes for every access, table lookups for the ``consulted``
         misses (None: no lookup charge); returns the per-miss latencies."""
         lat = self.kernel.charge_l1_bulk(self.ledger, self.stream.num_accesses,
-                                         len(self.misses))
+                                         self.stream.num_misses)
         if consulted is not None:
             self.kernel.charge_lookup_bulk(self.ledger, lat, consulted)
         return lat
@@ -480,7 +463,7 @@ class _Evaluation:
         n_hits = int(np.count_nonzero(hits))
         self.kernel.charge_level_bulk(
             self.ledger, lat, level, hits, reach & (self.h != level), n_reach,
-            n_hits, hit_rank=self.misses.hit_rank, mode=mode,
+            n_hits, hit_rank=self.stream.hit_rank, mode=mode,
         )
         return n_reach, n_hits
 
@@ -489,14 +472,14 @@ class _Evaluation:
                false_positives: int = 0) -> SchemeResult:
         """The shared tail: memory, fills, MLP, predictor maintenance,
         timing, static energy and the per-level hit rates."""
-        kernel, ledger, misses = self.kernel, self.ledger, self.misses
+        kernel, ledger = self.kernel, self.ledger
         stream, scheme = self.stream, self.scheme
         memory = self.h == 0
         true_misses = int(np.count_nonzero(memory))
 
         # ---- main memory (the paper's free data store unless configured) -----
         kernel.charge_memory_bulk(
-            ledger, lat, memory, misses.block, true_misses,
+            ledger, lat, memory, stream.block, true_misses,
             memory_latency=self.memory_latency,
             memory_energy_nj=self.memory_energy_nj, dram=self.dram,
         )
@@ -516,14 +499,7 @@ class _Evaluation:
             predictor_stats = predictor.stats()
 
         # ---- timing ------------------------------------------------------------
-        timing = kernel.run_timing(
-            core_ids=stream.core,
-            gap_sums=misses.gap_sums(self.machine.cores),
-            miss_at=misses.at,
-            miss_latencies=lat,
-            cpis=self.workload.cpis,
-            stall_cycles=stall,
-        )
+        timing = kernel.run_timing(stream, lat, stall)
         static_nj = kernel.static_energy_nj(
             timing.exec_cycles, include_pt=scheme.consults_table
         )
@@ -531,7 +507,7 @@ class _Evaluation:
         # ---- per-level accounting under this scheme ---------------------------
         n = stream.num_accesses
         level_lookups = {1: n}
-        level_hits = {1: n - len(misses)}
+        level_hits = {1: n - stream.num_misses}
         for level, (n_reach, n_hits) in level_tallies.items():
             level_lookups[level] = n_reach
             level_hits[level] = n_hits
@@ -542,7 +518,7 @@ class _Evaluation:
 
         return SchemeResult(
             scheme=scheme.name,
-            workload=self.workload.name,
+            workload=self.workload_name,
             machine=self.machine.name,
             timing=timing,
             ledger=ledger,
@@ -550,7 +526,7 @@ class _Evaluation:
             hit_rates=hit_rates,
             level_lookups=level_lookups,
             level_hits=level_hits,
-            l1_misses=len(misses),
+            l1_misses=stream.num_misses,
             skips=skips,
             false_positives=false_positives,
             true_misses=true_misses,
@@ -607,10 +583,8 @@ def _evaluate_levelpred(run: _Evaluation) -> SchemeResult:
     predictor = None
     stall = 0.0
     if scheme.kind == "levelpred":
-        pcs = _miss_pcs(run.stream, run.workload)
         predictor, (pred_level, confident, stall) = run.replay(
-            lambda stream, p: replay_level_predictor(stream, p, pcs),
-            partial(_replay_level_predictor_scalar, pcs=pcs),
+            replay_level_predictor, _replay_level_predictor_scalar,
             counter="replay.levelpred",
         )
         skip = confident & (pred_level == 0)

@@ -8,7 +8,8 @@ scheme against it in milliseconds — so regenerating Figure 6 costs one walk
 per workload, not one per (workload, scheme).
 
 Workloads themselves are also cached: the same trace arrays serve every
-policy and every scheme, exactly as the paper's Pin trace files did.
+policy's walk and the integrated runs, exactly as the paper's Pin trace
+files did.  Two-phase evaluation never needs them once a stream exists.
 """
 
 from __future__ import annotations
@@ -111,13 +112,15 @@ class ExperimentRunner:
 
         Predictor schemes require an LLC-superset policy; exclusive
         hierarchies must use :meth:`run_integrated` /
-        :meth:`run_exclusive_redhip`.
+        :meth:`run_exclusive_redhip`.  The stream carries everything the
+        evaluation reads, so a stream served from a cache builds no
+        workload.
         """
         workload_name = self._resolve(workload_name)
         cfg = self.config if policy is None else self.config.with_policy(policy)
         self._check_policy(scheme, cfg)
         stream = self.stream(workload_name, policy=cfg.policy)
-        return self._evaluate(stream, self.workload(workload_name), scheme, cfg)
+        return self._evaluate(stream, workload_name, scheme, cfg)
 
     @staticmethod
     def _check_policy(scheme: SchemeSpec, cfg: SimConfig) -> None:
@@ -128,13 +131,13 @@ class ExperimentRunner:
             )
 
     @staticmethod
-    def _evaluate(stream: OutcomeStream, workload: Workload,
+    def _evaluate(stream: OutcomeStream, workload_name: str,
                   scheme: SchemeSpec, cfg: SimConfig) -> SchemeResult:
         return evaluate_scheme(
             stream,
             cfg.machine,
             scheme,
-            workload,
+            workload_name,
             fill_energy_weight=cfg.fill_energy_weight,
             memory_latency=cfg.memory_latency,
             memory_energy_nj=cfg.memory_energy_nj,
@@ -151,8 +154,7 @@ class ExperimentRunner:
 
         Each workload's content walk is resolved exactly once and the
         frozen outcome stream is shared across all schemes in the matrix —
-        the stream and workload lookups don't repeat per (workload,
-        scheme) pair.
+        the stream lookup doesn't repeat per (workload, scheme) pair.
         """
         cfg = self.config if policy is None else self.config.with_policy(policy)
         for scheme in schemes:
@@ -161,9 +163,8 @@ class ExperimentRunner:
         for wname in workload_names:
             wname = self._resolve(wname)
             stream = self.stream(wname, policy=cfg.policy)
-            workload = self.workload(wname)
             out[wname] = {
-                scheme.name: self._evaluate(stream, workload, scheme, cfg)
+                scheme.name: self._evaluate(stream, wname, scheme, cfg)
                 for scheme in schemes
             }
         return out

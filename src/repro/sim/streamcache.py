@@ -1,16 +1,24 @@
 """Persistent outcome-stream cache: memoize content walks to disk.
 
 The content walk is the wall-clock bulk of every figure regeneration, and
-its result — the frozen :class:`~repro.hierarchy.events.OutcomeStream` —
-is a pure function of ``(workload, machine, policy, refs, seed,
-replacement, coherent)``: exactly the identity :meth:`SimConfig.cache_key
-<repro.sim.config.SimConfig.cache_key>` already pins for the in-process
-runner cache.  This module extends that cache across processes: streams
-are stored as compressed ``.npz`` files under a cache directory (default
-``.repro-cache/``), keyed by ``(workload, *cache_key(), SCHEMA_VERSION)``,
-with the stream's :meth:`fingerprint()
-<repro.hierarchy.events.OutcomeStream.fingerprint>` embedded at save time
-and **re-verified on load** — a corrupt, truncated or tampered entry is
+its result — the :class:`~repro.hierarchy.events.OutcomeStream`, the
+walk's L1-miss record — is a pure function of ``(workload, machine,
+policy, refs, seed, replacement, coherent)``: exactly the identity
+:meth:`SimConfig.cache_key <repro.sim.config.SimConfig.cache_key>`
+already pins for the in-process runner cache.  This module extends that
+cache across processes: records are stored as ``.npz`` files under a
+cache directory (default ``.repro-cache/``), keyed by ``(workload,
+*cache_key(), SCHEMA_VERSION)``.
+
+Only the record is persisted (:data:`~repro.hierarchy.events.RECORD_FIELDS`:
+the misses with their PCs, per-core totals and CPIs, the LLC events and
+final LLC contents) — never the per-access arrays, so a warm run needs
+neither them nor the workload.  Two digests travel in each entry's
+metadata: the walk's content **fingerprint** (computed over the full
+per-access arrays at walk time; what goldens and checked mode pin), and
+the **record digest** over every persisted array
+(:meth:`~repro.hierarchy.events.OutcomeStream.record_digest`), which is
+**re-verified on load** — a corrupt, truncated or tampered entry is
 discarded with a warning and the walk re-runs; a cached stream is never
 trusted on faith.
 
@@ -23,7 +31,7 @@ Opt-in wiring (never on by default):
     ``.repro-cache/``; any other non-empty value *is* the directory;
     ``0``/``false``/``off``/``no``/empty disables.
 
-``repro cache {ls,clear,verify}`` inspects, empties and re-fingerprints
+``repro cache {ls,clear,verify}`` inspects, empties and re-digests
 the cache from the command line.  Bumping :data:`SCHEMA_VERSION` after any
 change to the stream layout or the content walk's semantics invalidates
 every existing entry (the version is part of the key, so old files simply
@@ -43,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults, telemetry
-from repro.hierarchy.events import OutcomeStream
+from repro.hierarchy.events import RECORD_FIELDS, OutcomeStream
 
 __all__ = [
     "CACHE_ENV",
@@ -57,7 +65,7 @@ __all__ = [
 
 #: Bump when the OutcomeStream layout or content-walk semantics change:
 #: the version is part of every key, so old entries become unreachable.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Environment switch (see module docstring for the value grammar).
 CACHE_ENV = "REPRO_STREAM_CACHE"
@@ -66,21 +74,6 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 _FALSY = frozenset({"", "0", "false", "off", "no"})
-
-#: Array fields persisted per stream, with the dtypes pinned for the
-#: fingerprint (same table as OutcomeStream.fingerprint).
-_ARRAY_FIELDS = (
-    ("core", "<u2"),
-    ("block", "<u8"),
-    ("write", "u1"),
-    ("gap", "<u4"),
-    ("hit_level", "i1"),
-    ("hit_rank", "i1"),
-    ("llc_when", "<i8"),
-    ("llc_op", "i1"),
-    ("llc_block", "<u8"),
-    ("final_llc_blocks", "<u8"),
-)
 
 
 def stream_key(workload_name: str, config) -> tuple:
@@ -121,7 +114,7 @@ class CacheEntry:
 
 
 class StreamCache:
-    """Compressed, fingerprint-verified on-disk stream store."""
+    """Digest-verified on-disk store of L1-miss records."""
 
     def __init__(self, directory: "str | Path") -> None:
         self.directory = Path(directory)
@@ -161,13 +154,15 @@ class StreamCache:
             {
                 "key": list(key),
                 "fingerprint": stream.fingerprint(),
+                "record_digest": stream.record_digest(),
                 "num_levels": stream.num_levels,
+                "num_accesses": stream.num_accesses,
                 "schema_version": SCHEMA_VERSION,
             }
         )
         arrays = {
             name: np.ascontiguousarray(getattr(stream, name), dtype=dtype)
-            for name, dtype in _ARRAY_FIELDS
+            for name, dtype in RECORD_FIELDS
         }
         policy = faults.retry_policy()
         try:
@@ -215,11 +210,10 @@ class StreamCache:
                     28, f"injected ENOSPC writing {tmp.name}"  # errno.ENOSPC
                 )
             with open(tmp, "wb") as fh:
-                # Uncompressed on purpose: outcome streams are mostly
-                # high-entropy block addresses (deflate saves little) and
-                # the compressed write dominated cold-run wall time.
-                # ``np.load`` reads both formats, so old compressed
-                # entries stay valid without a schema bump.
+                # Uncompressed on purpose: the records are mostly
+                # high-entropy block addresses and PCs (deflate saves
+                # little) and the compressed write dominated cold-run
+                # wall time.
                 np.savez(
                     fh, meta=np.frombuffer(meta.encode(), dtype=np.uint8), **arrays
                 )
@@ -251,9 +245,9 @@ class StreamCache:
 
         Returns ``None`` (after discarding the file with a warning) when
         the entry is missing, unreadable, stored under a different key
-        (digest collision or tampering), or fails fingerprint
+        (digest collision or tampering), or fails record-digest
         re-verification.  A returned stream is therefore bit-identical to
-        the walk that produced it.
+        the one the walk produced.
         """
         path = self.path_for(key)
         if not path.exists():
@@ -286,8 +280,8 @@ class StreamCache:
         if tuple(meta.get("key", ())) != key:
             self._discard(path, "stored under a different key")
             return None
-        if stream.fingerprint() != meta.get("fingerprint"):
-            self._discard(path, "fingerprint mismatch (stale or corrupt)")
+        if stream.record_digest() != meta.get("record_digest"):
+            self._discard(path, "record digest mismatch (stale or corrupt)")
             return None
         telemetry.count("stream_cache.hit")
         return stream
@@ -312,20 +306,14 @@ class StreamCache:
     def _read(self, path: Path) -> tuple[OutcomeStream, dict]:
         with np.load(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
-            arrays = {name: data[name] for name, _ in _ARRAY_FIELDS}
+            arrays = {name: data[name] for name, _ in RECORD_FIELDS}
+        for arr in arrays.values():
+            arr.flags.writeable = False
         return (
             OutcomeStream(
-                core=arrays["core"].astype(np.uint16),
-                block=arrays["block"].astype(np.uint64),
-                write=arrays["write"].astype(bool),
-                gap=arrays["gap"].astype(np.uint32),
-                hit_level=arrays["hit_level"].astype(np.int8),
-                hit_rank=arrays["hit_rank"].astype(np.int8),
-                llc_when=arrays["llc_when"].astype(np.int64),
-                llc_op=arrays["llc_op"].astype(np.int8),
-                llc_block=arrays["llc_block"].astype(np.uint64),
+                **arrays,
                 num_levels=int(meta["num_levels"]),
-                final_llc_blocks=arrays["final_llc_blocks"].astype(np.uint64),
+                content_fingerprint=str(meta["fingerprint"]),
             ),
             meta,
         )
@@ -369,15 +357,16 @@ class StreamCache:
             except OSError:
                 continue  # deleted between glob and stat
             try:
+                # Only the metadata member is read: ``ls`` over a large
+                # cache never touches an array.
                 with np.load(path) as data:
                     meta = json.loads(bytes(data["meta"]).decode())
-                    n = int(len(data["block"]))
                 out.append(
                     CacheEntry(
                         path=path,
                         key=tuple(meta.get("key", ())) or None,
                         fingerprint=meta.get("fingerprint"),
-                        num_accesses=n,
+                        num_accesses=int(meta["num_accesses"]),
                         size_bytes=size,
                     )
                 )
@@ -389,10 +378,10 @@ class StreamCache:
         return out
 
     def verify(self) -> tuple[list[Path], list[Path]]:
-        """Re-fingerprint every entry; returns ``(ok, bad)`` path lists.
+        """Re-digest every entry; returns ``(ok, bad)`` path lists.
 
         Bad entries (unreadable, or whose arrays no longer hash to the
-        stored fingerprint) are **not** deleted here — ``verify`` is a
+        stored record digest) are **not** deleted here — ``verify`` is a
         read-only audit; ``load`` and ``clear`` do the discarding.
         """
         ok, bad = [], []
@@ -407,7 +396,7 @@ class StreamCache:
             except Exception:
                 bad.append(entry.path)
                 continue
-            if stream.fingerprint() == meta.get("fingerprint"):
+            if stream.record_digest() == meta.get("record_digest"):
                 ok.append(entry.path)
             else:
                 bad.append(entry.path)

@@ -55,7 +55,7 @@ The replay records only the LLC evictions.  Every memory miss fills the
 LLC exactly once, at its own access, so the fills are derived from the
 outcomes after the walk and merged with the evictions by one sort on
 ``(access index, fill before evict)``.  The resulting
-:class:`OutcomeStream` is *byte-identical* to the sequential walk's —
+:class:`AccessRecord` is *byte-identical* to the sequential walk's —
 ``tests/test_vector_content.py`` fuzzes this over random geometries,
 families and chunk sizes, and checked mode asserts it on every run.
 
@@ -73,7 +73,7 @@ from itertools import chain
 import numpy as np
 
 from repro import checking
-from repro.hierarchy.events import EVENT_EVICT, EVENT_FILL, OutcomeStream
+from repro.hierarchy.events import EVENT_EVICT, EVENT_FILL, AccessRecord
 from repro.hierarchy.inclusion import InclusionPolicy
 from repro.sim.config import SimConfig
 from repro.util.validation import ConfigError
@@ -92,7 +92,7 @@ NO_VECTOR_WALK_ENV = "REPRO_NO_VECTOR_WALK"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
-#: Stream fields compared by the dual-path equivalence assertion, in the
+#: Record fields compared by the dual-path equivalence assertion, in the
 #: order divergences are reported (per-access fields first).
 _STREAM_FIELDS = (
     "core", "block", "write", "gap", "hit_level", "hit_rank",
@@ -132,12 +132,12 @@ def walk_vectorized(
     workload: Workload,
     max_accesses: "int | None" = None,
     chunk_refs: "int | None" = None,
-) -> "tuple[OutcomeStream, dict]":
+) -> "tuple[AccessRecord, dict]":
     """The batched equivalent of ``ContentSimulator._walk``.
 
-    Returns ``(stream, stats)`` where ``stats`` carries the chunk, skip,
+    Returns ``(record, stats)`` where ``stats`` carries the chunk, skip,
     demotion and hazard counts the telemetry span tags report.  The
-    stream is byte-identical to the sequential walk's for every eligible
+    record is byte-identical to the sequential walk's for every eligible
     configuration.
     """
     if not eligible(config):
@@ -467,7 +467,7 @@ def walk_vectorized(
     llc_block = np.concatenate((
         block_all[fill_when], np.asarray(ev_block, dtype=np.uint64)))[ev_order]
 
-    stream = OutcomeStream(
+    record = AccessRecord(
         core=core_all.astype(np.uint16),
         block=block_all,
         write=write_all,
@@ -489,7 +489,7 @@ def walk_vectorized(
         "hazards": hazards,
         "partitions": nparts,
     }
-    return stream, stats
+    return record, stats
 
 
 def _first_divergence(a: np.ndarray, b: np.ndarray) -> int:
@@ -499,8 +499,8 @@ def _first_divergence(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def assert_streams_equal(
-    vector: OutcomeStream,
-    sequential: OutcomeStream,
+    vector: AccessRecord,
+    sequential: AccessRecord,
     config: SimConfig,
     workload_name: str,
 ) -> None:

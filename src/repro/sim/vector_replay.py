@@ -50,8 +50,8 @@ The counting-Bloom-filter competitor needs no schedule at all:
   into a running sum, and one ``searchsorted`` on ``(entry, when)`` finds
   the state each miss reads.
 
-Every kernel, like its scalar oracle, reads the stream's L1 misses
-(``stream.l1_misses``, an :class:`~repro.hierarchy.events.L1MissView`)
+Every kernel, like its scalar oracle, reads the stream's L1 misses (an
+:class:`~repro.hierarchy.events.OutcomeStream` is the L1-miss record)
 and returns one answer per miss, in access order; L1 hits never reach a
 predictor.  Each kernel mutates its predictor to the exact end-of-run
 state the scalar loop would leave (tables, mirror or filter counts, telemetry
@@ -219,11 +219,10 @@ def _replay_presence(stream: OutcomeStream, predictor) -> tuple[np.ndarray, floa
     ``predicted_miss`` / ``table_updates`` (one per fill) counters where
     the scalar loop would.
     """
-    misses = stream.l1_misses
-    miss_at = misses.at
+    miss_at = stream.at
     n_miss = len(miss_at)
     index = partial(_index_array, predictor.hash_kind, predictor.table.p)
-    miss_entry = index(misses.block)
+    miss_entry = index(stream.block)
     when = stream.llc_when
     ev_fill = stream.llc_op == EVENT_FILL
     ev_entry = index(stream.llc_block)
@@ -273,7 +272,7 @@ def replay_redhip_vectorized(
     """Epoch-batched equivalent of :func:`repro.sim.evaluate.replay_predictor`.
 
     Same contract: returns ``(predicted, consulted, stall)`` per L1 miss
-    (``stream.l1_misses`` order), and leaves ``predictor`` in the
+    (``stream`` order), and leaves ``predictor`` in the
     end-of-run state (final table bits, mirror counts, lookup/sweep
     telemetry) the sequential replay would produce.  Event ordering
     matches hardware: events caused by access *i* are applied after
@@ -384,23 +383,22 @@ def _train_tail(predictor: LevelPredController, slot, tag, hit, tail,
 
 
 def replay_levelpred_vectorized(
-    stream: OutcomeStream, predictor: LevelPredController, pcs: np.ndarray
+    stream: OutcomeStream, predictor: LevelPredController
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Batched equivalent of :func:`repro.sim.evaluate.replay_level_predictor`.
 
-    Same contract: ``pcs`` and the returned ``(pred_level, confident,
-    stall)`` are per L1 miss, and ``predictor`` — presence bitmap, mirror,
+    Same contract: the returned ``(pred_level, confident, stall)`` are
+    per L1 miss, and ``predictor`` — presence bitmap, mirror,
     engine, level table, ``_last`` and every telemetry counter — ends in
     the state the scalar loop would leave.
     """
     _require(predictor, LevelPredController)
-    misses = stream.l1_misses
     present, stall = _replay_presence(stream, predictor)
 
-    full = (pcs.astype(np.uint64) >> np.uint64(2)) ^ misses.block
+    full = (stream.pc >> np.uint64(2)) ^ stream.block
     slot = (full & np.uint64(predictor._level_mask)).astype(np.intp)
     tag = ((full >> np.uint64(predictor._level_bits)) & np.uint64(0xFF)).astype(np.uint8)
-    hit = misses.hit_level.astype(np.uint8)
+    hit = stream.hit_level.astype(np.uint8)
     matched, pre_level, updates = _train_level_table(predictor, slot, tag, hit)
 
     single = present & matched
@@ -412,7 +410,7 @@ def replay_levelpred_vectorized(
     predictor.correct_singles += correct
     predictor.mispredicts += int(np.count_nonzero(scored)) - correct
     predictor.table_updates += updates
-    if len(misses):
+    if stream.num_misses:
         predictor._last = (int(level[-1]), bool(confident[-1]))
     return level, confident, stall
 
@@ -433,12 +431,11 @@ def replay_ehc_vectorized(
     counters in the state the scalar loop would.
     """
     _require(predictor, EHCController)
-    misses = stream.l1_misses
-    miss_at = misses.at
+    miss_at = stream.at
     n_miss = len(miss_at)
     mask = np.uint64(predictor._mask)
-    miss_entry = (misses.block & mask).astype(np.intp)
-    observe = misses.hit_level == stream.num_levels
+    miss_entry = (stream.block & mask).astype(np.intp)
+    observe = stream.hit_level == stream.num_levels
     when = stream.llc_when
     ev_fill = stream.llc_op == EVENT_FILL
     ev_entry = (stream.llc_block & mask).astype(np.intp)
@@ -564,14 +561,13 @@ def replay_cbf_vectorized(
     """
     _require(predictor, CBFPredictor)
     cbf = predictor.filter
-    misses = stream.l1_misses
-    miss_at = misses.at
+    miss_at = stream.at
     n_miss = len(miss_at)
     when = stream.llc_when
     m = len(when)
     counters, disabled = cbf._counts, cbf._disabled
     entries = _index_array(cbf.hash_kind, cbf.p,
-                           np.concatenate([misses.block, stream.llc_block]))
+                           np.concatenate([stream.block, stream.llc_block]))
     miss_entry, ev_entry = entries[:n_miss], entries[n_miss:]
 
     # Events grouped by entry; the stable sort keeps time order within one.

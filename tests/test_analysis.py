@@ -68,9 +68,9 @@ def test_analytic_l1_bounds_simulated(tiny_config):
     trace = make_trace(machine=MACHINE, refs=4000)
     profile = profile_trace(trace)
     wl = single_core_workload(MACHINE, trace.blocks.tolist())
-    stream = ContentSimulator(tiny_config).run(wl)
+    record = ContentSimulator(tiny_config).walk(wl)
     # Restrict to core 0 (the real trace).
-    h0 = stream.hit_level[stream.core == 0]
+    h0 = record.hit_level[record.core == 0]
     simulated_l1 = float((h0 == 1).mean())
     capacity = MACHINE.level(1).size // 64
     analytic = profile.hit_rate(capacity)

@@ -43,11 +43,18 @@ def test_merge_order_is_deterministic_and_complete(tiny_machine, tiny_workload):
 
 
 def test_content_outcomes_hand_checked(simple_stream):
-    _, _, stream = simple_stream
-    core0 = stream.hit_level[stream.core == 0]
+    cfg, wl, stream = simple_stream
+    record = ContentSimulator(cfg).walk(wl)
+    core0 = record.hit_level[record.core == 0]
     assert list(core0) == [0, 1, 0, 1]
-    core1 = stream.hit_level[stream.core == 1]
+    core1 = record.hit_level[record.core == 1]
     assert list(core1) == [0]
+    # The L1-miss record keeps exactly the misses, with their core and
+    # place in that core's access order.
+    assert stream.at.tolist() == np.flatnonzero(record.hit_level != 1).tolist()
+    assert stream.core.tolist() == [0, 1, 0]
+    assert stream.local.tolist() == [0, 0, 2]
+    assert stream.core_accesses.tolist() == [4, 1]
 
 
 def test_llc_event_stream_consistency(tiny_config, tiny_workload):

@@ -94,9 +94,9 @@ def test_hit_rank_recorded_in_stream():
     cfg = SimConfig(machine=MACHINE, refs_per_core=4)
     # [0, 8, 0]: second touch of 0 hits L1 at rank 1 (8 became MRU).
     wl = single_core_workload(MACHINE, [0, 8, 0, 0])
-    stream = ContentSimulator(cfg).run(wl)
-    core0 = stream.core == 0
-    assert stream.hit_rank[core0].tolist() == [-1, -1, 1, 0]
+    record = ContentSimulator(cfg).walk(wl)
+    core0 = record.core == 0
+    assert record.hit_rank[core0].tolist() == [-1, -1, 1, 0]
 
 
 def test_waypred_energy_between_base_and_phased(tiny_config, tiny_workload):

@@ -71,15 +71,18 @@ def test_stream_self_consistency(seed):
     from repro.workloads import get_workload
     wl = get_workload("soplex", MACHINE, 1200, seed=seed)
     cfg = SimConfig(machine=MACHINE, refs_per_core=1200, seed=seed)
+    record = ContentSimulator(cfg).walk(wl)
     stream = ContentSimulator(cfg).run(wl)
-    h = stream.hit_level
+    h = record.hit_level
     # Every access accounted for exactly once.
     counted = sum(stream.level_hits(l) for l in range(1, 5)) + int((h == 0).sum())
-    assert counted == stream.num_accesses
+    assert counted == stream.num_accesses == record.num_accesses
     # Hit ranks are defined exactly for hits.
-    assert ((stream.hit_rank >= 0) == (h > 0)).all()
+    assert ((record.hit_rank >= 0) == (h > 0)).all()
     # Fills at the LLC equal memory-served accesses.
     from repro.hierarchy.events import EVENT_FILL
     assert int((stream.llc_op == EVENT_FILL).sum()) == int((h == 0).sum())
-    # Miss mask consistency.
-    assert (stream.l1_miss_mask == (h != 1)).all()
+    # The miss record holds exactly the L1 misses, in access order.
+    assert (stream.at == np.flatnonzero(h != 1)).all()
+    assert (stream.hit_level == h[h != 1]).all()
+    assert stream.fingerprint() == record.fingerprint()

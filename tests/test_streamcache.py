@@ -18,6 +18,7 @@ import pytest
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
 from repro.sim.parallel import prewarm_streams
+from repro.sim import runner as runner_module
 from repro.sim.runner import ExperimentRunner
 from repro.sim.streamcache import (
     CACHE_ENV,
@@ -68,6 +69,39 @@ def test_warm_runner_skips_walk(cached_config, monkeypatch):
     assert loaded.num_accesses == cached_config.total_refs
 
 
+def test_warm_cells_build_no_workload(cached_config, monkeypatch):
+    """With a filled cache, every sweep scheme evaluates from the L1-miss
+    record alone — no workload is built — and matches the cold run.  The
+    exclusive-hierarchy path still simulates the workload itself."""
+    from repro.sweep.spec import SWEEP_SCHEMES, CellSpec, build_scheme
+
+    def schemes(machine):
+        return [build_scheme(CellSpec(machine="tiny", workload="mcf",
+                                      scheme=key), machine)
+                for key in SWEEP_SCHEMES]
+
+    cold_runner = ExperimentRunner(cached_config)
+    cold = [cold_runner.run("mcf", scheme)
+            for scheme in schemes(cached_config.machine)]
+    builds = []
+    real = runner_module.get_workload
+    monkeypatch.setattr(runner_module, "get_workload",
+                        lambda *a, **k: builds.append(a[0]) or real(*a, **k))
+    warm_runner = ExperimentRunner(cached_config)
+    warm = [warm_runner.run("mcf", scheme)
+            for scheme in schemes(cached_config.machine)]
+    assert builds == []
+    for a, b in zip(cold, warm):
+        assert a.scheme == b.scheme
+        assert a.timing.core_cycles.tobytes() == b.timing.core_cycles.tobytes()
+        assert a.__dict__.keys() == b.__dict__.keys()
+        for name, value in a.__dict__.items():
+            if name != "timing":
+                assert value == getattr(b, name), (a.scheme, name)
+    warm_runner.run_exclusive_redhip("mcf")
+    assert builds == ["mcf"]
+
+
 def test_missing_entry_returns_none(cached_config):
     cache = StreamCache(cached_config.stream_cache)
     assert cache.load(stream_key("never-walked", cached_config)) is None
@@ -101,9 +135,82 @@ def test_tampered_arrays_fail_fingerprint(cached_config):
     arrays["hit_level"][0] ^= 1  # flip one outcome
     with open(path, "wb") as fh:
         np.savez_compressed(fh, **arrays)
-    with pytest.warns(RuntimeWarning, match="fingerprint mismatch"):
+    with pytest.warns(RuntimeWarning, match="record digest mismatch"):
         assert cache.load(key) is None
     assert not path.exists()
+
+
+def _rewrite(path: Path, **changes) -> None:
+    """Rewrite a cache entry with some arrays replaced (a valid zip)."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays.update(changes)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+@pytest.mark.parametrize("field", ["pc", "cpis", "at"])
+def test_tampered_record_array_discarded_and_rewalked(cached_config, field,
+                                                      monkeypatch):
+    """Every persisted array is under the record digest — including the
+    PCs and CPIs the content fingerprint never covered."""
+    stream = _walk(cached_config)
+    cache = resolve_cache(cached_config)
+    path = cache.path_for(stream_key("mcf", cached_config))
+    with np.load(path) as data:
+        tampered = data[field].copy()
+    tampered[-1] = tampered[-1] + 1
+    _rewrite(path, **{field: tampered})
+    walks = []
+    real_run = ContentSimulator.run
+    monkeypatch.setattr(ContentSimulator, "run",
+                        lambda self, *a, **k: walks.append(1) or real_run(self, *a, **k))
+    with pytest.warns(RuntimeWarning, match="record digest mismatch"):
+        again = ExperimentRunner(cached_config).stream("mcf")
+    assert walks == [1]  # discarded, then re-walked
+    assert again.record_digest() == stream.record_digest()
+    assert cache.load(stream_key("mcf", cached_config)) is not None
+
+
+def test_schema_v1_entry_not_addressed(cached_config, monkeypatch):
+    """Bumping the schema version leaves old entries unreachable: an
+    entry saved under version 1 is never loaded for the current key."""
+    from repro.sim import streamcache
+
+    assert streamcache.SCHEMA_VERSION == 2
+    stream = _walk(cached_config)
+    cache = resolve_cache(cached_config)
+    key = stream_key("mcf", cached_config)
+    old_key = key[:-1] + (1,)
+    cache.path_for(key).rename(cache.path_for(old_key))
+    assert cache.path_for(old_key) != cache.path_for(key)
+    assert cache.load(key) is None
+    walks = []
+    real_run = ContentSimulator.run
+    monkeypatch.setattr(ContentSimulator, "run",
+                        lambda self, *a, **k: walks.append(1) or real_run(self, *a, **k))
+    assert ExperimentRunner(cached_config).stream("mcf").fingerprint() == \
+        stream.fingerprint()
+    assert walks == [1]
+
+
+def test_entries_read_only_the_metadata(cached_config, monkeypatch):
+    """``repro cache ls`` takes ``num_accesses`` and the size from the
+    entry's metadata and file size, never from an array."""
+    _walk(cached_config)
+    cache = resolve_cache(cached_config)
+    read = []
+    real_getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def spy(self, name):
+        read.append(name)
+        return real_getitem(self, name)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+    [entry] = cache.entries()
+    assert read == ["meta"]
+    assert entry.num_accesses == cached_config.total_refs
+    assert entry.size_bytes == entry.path.stat().st_size
 
 
 def test_wrong_key_inside_file_rejected(cached_config):
@@ -211,9 +318,15 @@ def test_cache_cli_ls_verify_clear(cached_config, capsys):
     assert "1 entries" in capsys.readouterr().out
     assert main(["cache", "verify", "--dir", cache_dir]) == 0
     assert "1 ok, 0 corrupt" in capsys.readouterr().out
-    (Path(cache_dir) / "junk.npz").write_bytes(b"garbage")
+    entry = next(Path(cache_dir).glob("*.npz"))
+    with np.load(entry) as data:
+        pcs = data["pc"] ^ np.uint64(4)
+    _rewrite(entry, pc=pcs)  # a valid zip, but not the record it claims
     assert main(["cache", "verify", "--dir", cache_dir]) == 1
     assert "1 corrupt" in capsys.readouterr().out
+    (Path(cache_dir) / "junk.npz").write_bytes(b"garbage")
+    assert main(["cache", "verify", "--dir", cache_dir]) == 1
+    assert "2 corrupt" in capsys.readouterr().out
     assert main(["cache", "clear", "--dir", cache_dir]) == 0
     assert "removed 2" in capsys.readouterr().out
     assert main(["cache", "ls", "--dir", cache_dir]) == 0

@@ -3,7 +3,7 @@
 The contract (see :mod:`repro.sim.vector_content`): for every eligible
 configuration — any machine geometry with power-of-two set counts, any
 workload family, any chunk size — the set-bucketed walk produces an
-:class:`OutcomeStream` *byte-identical* to the sequential reference walk:
+:class:`AccessRecord` *byte-identical* to the sequential reference walk:
 same arrays in every field, same fingerprint, same final LLC contents.
 
 The fuzz loop drives 200+ randomized (machine geometry x workload family
@@ -101,7 +101,7 @@ def assert_bit_identical(cfg: SimConfig, workload: Workload, label: str,
     """Run both walks, demand byte identity; returns the vector stats."""
     vec, stats = vector_content.walk_vectorized(
         cfg, workload, max_accesses=max_accesses, chunk_refs=chunk_refs)
-    seq = ContentSimulator(cfg, vectorized=False).run(
+    seq = ContentSimulator(cfg, vectorized=False).walk(
         workload, max_accesses=max_accesses)
     same = (
         vec.num_levels == seq.num_levels
@@ -289,7 +289,7 @@ class TestRepeatedHazard:
         stats = assert_bit_identical(cfg, workload,
                                      f"repeated hazard chunk={chunk}",
                                      chunk_refs=chunk)
-        seq = ContentSimulator(cfg, vectorized=False).run(workload)
+        seq = ContentSimulator(cfg, vectorized=False).walk(workload)
         evicted_a = (seq.llc_op == EVENT_EVICT) & (seq.llc_block == 7)
         assert int(evicted_a.sum()) == 2
         assert seq.hit_level[-1] == 0  # core 0's repeat is a memory miss

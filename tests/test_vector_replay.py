@@ -22,7 +22,13 @@ import pytest
 from repro import checking, telemetry
 from repro.core.gating import gated_redhip_scheme
 from repro.core.redhip import ReDHiPController, redhip_scheme
-from repro.hierarchy.events import EVENT_EVICT, EVENT_FILL, OutcomeStream
+from repro.hierarchy.events import (
+    EVENT_EVICT,
+    EVENT_FILL,
+    RECORD_FIELDS,
+    AccessRecord,
+    OutcomeStream,
+)
 from repro.predictors.cbf_scheme import CBFPredictor, cbf_scheme
 from repro.predictors.ehc import EHCController, ehc_scheme
 from repro.predictors.base import base_scheme, oracle_scheme, phased_scheme
@@ -35,6 +41,7 @@ from repro.predictors.missmap import missmap_scheme
 from repro.sim import evaluate, vector_replay
 from repro.sim.charging import ChargingKernel
 from repro.sim.config import SimConfig
+from repro.sim.content import ContentSimulator
 from repro.sim.evaluate import _replay_predictor_scalar, evaluate_scheme
 from repro.sim.runner import ExperimentRunner
 from repro.util.proptest import cases
@@ -194,7 +201,7 @@ def test_checked_mode_catches_divergent_kernel(seeded, monkeypatch):
         assert len(skips), "stream produced no skips to poison"
         predicted = predicted.copy()
         predicted[skips[-1]] = True  # stays conservative: no false negative
-        poisoned_at.append((int(skips[-1]), int(stream_.l1_misses.at[skips[-1]])))
+        poisoned_at.append((int(skips[-1]), int(stream_.at[skips[-1]])))
         return predicted, consulted, stall
 
     monkeypatch.setattr(vector_replay, "replay_redhip_vectorized", poisoned)
@@ -229,11 +236,11 @@ def test_runner_two_phase_uses_vector_path(seeded, monkeypatch):
 ZOO_CONTROLLERS = {"levelpred": LevelPredController, "ehc": EHCController}
 
 
-def _zoo_replay(kind, stream, predictor, pcs, vector):
+def _zoo_replay(kind, stream, predictor, vector):
     if kind == "levelpred":
         if vector:
-            return vector_replay.replay_levelpred_vectorized(stream, predictor, pcs)
-        return evaluate._replay_level_predictor_scalar(stream, predictor, pcs)
+            return vector_replay.replay_levelpred_vectorized(stream, predictor)
+        return evaluate._replay_level_predictor_scalar(stream, predictor)
     if vector:
         return vector_replay.replay_ehc_vectorized(stream, predictor)
     return evaluate._replay_ehc_scalar(stream, predictor)
@@ -264,11 +271,11 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _zoo_divergences(kind, stream, make, pcs=None) -> list:
+def _zoo_divergences(kind, stream, make) -> list:
     """Replay two fresh controllers down both paths; name what differs."""
     scalar, batched = make(), make()
-    want = _zoo_replay(kind, stream, scalar, pcs, vector=False)
-    got = _zoo_replay(kind, stream, batched, pcs, vector=True)
+    want = _zoo_replay(kind, stream, scalar, vector=False)
+    got = _zoo_replay(kind, stream, batched, vector=True)
     diffs = [f"output {k}" for k, (a, b) in enumerate(zip(got, want))
              if not _same(a, b)]
     want_state, got_state = _zoo_state(kind, scalar), _zoo_state(kind, batched)
@@ -309,13 +316,12 @@ def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
         runner = ExperimentRunner(cfg)
         runner.add_workload(workload)
         stream = runner.stream(workload.name)
-        pcs = evaluate._miss_pcs(stream, workload)
-        n_miss = int(np.count_nonzero(stream.hit_level != 1))
+        n_miss = stream.num_misses
         monkeypatch.setattr(vector_replay, "_WAVE_MIN", wave)
         for period in _fuzz_periods(rng, n_miss):
             for kind, controller in ZOO_CONTROLLERS.items():
                 make = partial(controller, machine, budget, recal_period=period)
-                diffs = _zoo_divergences(kind, stream, make, pcs)
+                diffs = _zoo_divergences(kind, stream, make)
                 if not diffs:
                     continue
                 bundle = {
@@ -332,11 +338,13 @@ def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
                             f"(bundle: {path})")
 
 
-def _synthetic_stream(hit_level, block, events=(), num_levels=4) -> OutcomeStream:
-    """A hand-built outcome stream; ``events`` are ``(when, op, block)``."""
+def _synthetic_stream(hit_level, block, events=(), num_levels=4,
+                      cores=1) -> OutcomeStream:
+    """A hand-built single-core walk, reduced to its L1-miss record;
+    ``events`` are ``(when, op, block)``.  Every PC is 0."""
     n = len(hit_level)
     when, op, ev_block = (list(col) for col in zip(*events)) if events else ([], [], [])
-    return OutcomeStream(
+    record = AccessRecord(
         core=np.zeros(n, dtype=np.uint16),
         block=np.asarray(block, dtype=np.uint64),
         write=np.zeros(n, dtype=bool),
@@ -349,6 +357,21 @@ def _synthetic_stream(hit_level, block, events=(), num_levels=4) -> OutcomeStrea
         num_levels=num_levels,
         final_llc_blocks=np.zeros(0, dtype=np.uint64),
     )
+    return record.reduce(np.ones(cores), _core0_origin)
+
+
+def _core0_origin(at):
+    """PC 0 for every access; all on core 0, so each access's index among
+    its core's accesses is its access index."""
+    return np.zeros(len(at), dtype=np.uint64), at
+
+
+def _all_hits(stream: OutcomeStream) -> OutcomeStream:
+    """``stream`` with every access an L1 hit: no misses, same totals and
+    LLC events."""
+    per_miss = ("at", "hit_level", "hit_rank", "block", "pc", "core", "local")
+    return dataclasses.replace(
+        stream, **{name: getattr(stream, name)[:0] for name in per_miss})
 
 
 def _random_valid_stream(rng, n: int, pool: int,
@@ -389,8 +412,9 @@ def test_zoo_directed_streams(tiny_machine, monkeypatch, kind, period):
     for wave in (1, vector_replay._WAVE_MIN):
         monkeypatch.setattr(vector_replay, "_WAVE_MIN", wave)
         for k, stream in enumerate(streams):
-            pcs = rng.integers(0, 1 << 20, size=len(stream.l1_misses)).astype(np.uint64)
-            assert _zoo_divergences(kind, stream, make, pcs) == [], (k, wave)
+            pcs = rng.integers(0, 1 << 20, size=stream.num_misses).astype(np.uint64)
+            stream = dataclasses.replace(stream, pc=pcs)
+            assert _zoo_divergences(kind, stream, make) == [], (k, wave)
 
 
 @pytest.mark.parametrize("wave", [1, 10**9])
@@ -407,11 +431,12 @@ def test_levelpred_every_miss_in_one_slot(tiny_machine, monkeypatch, wave):
     pcs = (full ^ block) << np.uint64(2)
     hit_level = rng.choice([0, 2, 3, 4], size=n, p=[0.1, 0.3, 0.3, 0.3])
     events = [(i, EVENT_FILL, int(block[i])) for i in range(0, n, 3)]
-    stream = _synthetic_stream(hit_level, block, events)
+    stream = dataclasses.replace(_synthetic_stream(hit_level, block, events),
+                                 pc=pcs)
     slots = {ctl._level_slot(int(p), int(b))[0] for p, b in zip(pcs, block)}
     assert slots == {7}
     make = partial(LevelPredController, tiny_machine, recal_period=32)
-    assert _zoo_divergences("levelpred", stream, make, pcs) == []
+    assert _zoo_divergences("levelpred", stream, make) == []
 
 
 @pytest.mark.parametrize("kind", ["redhip", "levelpred", "ehc"])
@@ -420,14 +445,13 @@ def test_phantom_eviction_raises_on_both_paths(tiny_machine, kind):
     the batched kernel and the scalar loop refuse it."""
     stream = _synthetic_stream([0, 2, 0], [4, 5, 6],
                                [(0, EVENT_FILL, 4), (1, EVENT_EVICT, 77)])
-    pcs = np.zeros(3, dtype=np.uint64)
     if kind == "redhip":
         make = partial(ReDHiPController, tiny_machine)
         paths = (partial(_replay_predictor_scalar, stream),
                  partial(vector_replay.replay_redhip_vectorized, stream))
     else:
         make = partial(ZOO_CONTROLLERS[kind], tiny_machine)
-        paths = tuple(partial(_zoo_replay, kind, stream, pcs=pcs, vector=v)
+        paths = tuple(partial(_zoo_replay, kind, stream, vector=v)
                       for v in (False, True))
     for replay in paths:
         with pytest.raises(ConfigError):
@@ -499,8 +523,8 @@ def test_checked_mode_catches_divergent_zoo_kernels(zoo_case, monkeypatch):
     real_lp = vector_replay.replay_levelpred_vectorized
     real_ehc = vector_replay.replay_ehc_vectorized
 
-    def poisoned_lp(stream_, predictor_, pcs_):
-        level, confident, stall = real_lp(stream_, predictor_, pcs_)
+    def poisoned_lp(stream_, predictor_):
+        level, confident, stall = real_lp(stream_, predictor_)
         confident = confident.copy()
         confident[first_miss] = not confident[first_miss]
         return level, confident, stall
@@ -519,13 +543,15 @@ def test_checked_mode_catches_divergent_zoo_kernels(zoo_case, monkeypatch):
 
 
 def test_per_access_pcs_is_one_gather(tiny_machine):
-    """The single gather of the L1 misses' PCs equals a per-core masked
-    assignment on a multi-core workload, restricted to the misses."""
+    """The single gather of the L1 misses' PCs at walk time equals a
+    per-core masked assignment on a multi-core workload, restricted to
+    the misses."""
     cfg = SimConfig(machine=tiny_machine, refs_per_core=1500, seed=4)
     runner = ExperimentRunner(cfg)
     workload = build_case_workload("shared", tiny_machine, 1500, 4)
     runner.add_workload(workload)
     stream = runner.stream(workload.name)
+    record = ContentSimulator(cfg).walk(workload)
     assert len(workload.traces) > 1
     merged_core, merged_idx = merge_order(workload)
     n = stream.num_accesses
@@ -533,27 +559,35 @@ def test_per_access_pcs_is_one_gather(tiny_machine):
     for core, trace in enumerate(workload.traces):
         sel = merged_core[:n] == core
         want[sel] = trace.pc[merged_idx[:n][sel]]
-    got = evaluate._miss_pcs(stream, workload)
-    assert got.dtype == np.uint64
-    np.testing.assert_array_equal(got, want[stream.hit_level != 1])
+    assert stream.pc.dtype == np.uint64
+    np.testing.assert_array_equal(stream.pc, want[record.hit_level != 1])
 
 
-# ---------------------------------------------------------- L1-miss view
-def test_l1_miss_view_is_a_cached_read_only_gather(zoo_case):
-    _, _, stream = zoo_case
-    view = stream.l1_misses
-    assert stream.l1_misses is view
-    at = np.flatnonzero(stream.hit_level != 1)
-    np.testing.assert_array_equal(view.at, at)
-    for name in ("hit_level", "hit_rank", "block"):
-        got = getattr(view, name)
-        assert got.dtype == getattr(stream, name).dtype
-        np.testing.assert_array_equal(got, getattr(stream, name)[at])
-    for arr in (view.at, view.hit_level, view.hit_rank, view.block,
-                view.core_gap_sums):
-        assert not arr.flags.writeable
-    # Derived state only: the stream cache persists the dataclass fields.
-    assert "l1_misses" not in {f.name for f in dataclasses.fields(stream)}
+# ------------------------------------------------------- L1-miss record
+def test_miss_record_is_a_read_only_gather_of_the_walk(zoo_case):
+    """The stream is the walk's misses plus per-core totals, frozen; and
+    it is exactly what the stream cache persists."""
+    cfg, wl, stream = zoo_case
+    record = ContentSimulator(cfg).walk(wl)
+    at = np.flatnonzero(record.hit_level != 1)
+    np.testing.assert_array_equal(stream.at, at)
+    for name in ("hit_level", "hit_rank", "block", "core"):
+        got = getattr(stream, name)
+        assert got.dtype == getattr(record, name).dtype
+        np.testing.assert_array_equal(got, getattr(record, name)[at])
+    for core in range(wl.cores):
+        mine = record.core == core
+        assert stream.core_accesses[core] == np.count_nonzero(mine)
+        np.testing.assert_array_equal(
+            stream.local[stream.core == core],
+            np.flatnonzero(record.hit_level[mine] != 1))
+    assert stream.fingerprint() == record.fingerprint()
+    for name in ("at", "hit_level", "hit_rank", "block", "pc", "core",
+                 "local", "core_accesses", "core_gap_sums", "cpis"):
+        assert not getattr(stream, name).flags.writeable, name
+    arrays = {f.name for f in dataclasses.fields(stream)} - {
+        "num_levels", "content_fingerprint"}
+    assert arrays == {name for name, _ in RECORD_FIELDS}
 
 
 def test_gap_sums_cover_cores_without_accesses(seeded):
@@ -561,12 +595,17 @@ def test_gap_sums_cover_cores_without_accesses(seeded):
     timing fold still reports every core."""
     cfg, runner, stream = seeded
     cores = cfg.machine.cores
-    idle = dataclasses.replace(stream, core=np.zeros_like(stream.core))
-    sums = idle.l1_misses.gap_sums(cores)
+    wl = runner.workload("mcf")
+    record = ContentSimulator(cfg).walk(wl)
+    idle = dataclasses.replace(record, core=np.zeros_like(record.core)).reduce(
+        wl.cpis, _core0_origin)
+    sums = idle.core_gap_sums
     assert sums.shape == (cores,) and sums[1:].tolist() == [0.0] * (cores - 1)
-    assert sums[0] == float(stream.gap.astype(np.float64).sum())
-    assert _synthetic_stream([], []).l1_misses.gap_sums(cores).tolist() == [0.0] * cores
-    res = evaluate_scheme(idle, cfg.machine, base_scheme(), runner.workload("mcf"))
+    assert sums[0] == float(record.gap.astype(np.float64).sum())
+    assert idle.core_accesses.tolist() == [record.num_accesses] + [0] * (cores - 1)
+    empty = _synthetic_stream([], [], cores=cores)
+    assert empty.core_gap_sums.tolist() == [0.0] * cores
+    res = evaluate_scheme(idle, cfg.machine, base_scheme(), wl)
     assert res.timing.compute_cycles.shape == (cores,)
     assert res.timing.memory_cycles[1:].tolist() == [0.0] * (cores - 1)
 
@@ -584,10 +623,10 @@ def test_stream_without_l1_misses_through_every_flow(zoo_case, monkeypatch):
     """All-hit stream: every flow (checked and on the scalar path) charges
     L1 probes only, and the predictors still drain every LLC event."""
     cfg, wl, stream = zoo_case
-    hits = dataclasses.replace(stream, hit_level=np.ones_like(stream.hit_level))
-    assert len(hits.l1_misses) == 0
+    hits = _all_hits(stream)
+    assert hits.num_misses == 0
     d1 = ChargingKernel(cfg.machine).par_d[1]
-    per_core = np.bincount(hits.core, minlength=cfg.machine.cores) * float(d1)
+    per_core = hits.core_accesses * float(d1)
     for scheme in _every_flow(cfg):
         fast = evaluate_scheme(hits, cfg.machine, scheme, wl, checked=True)
         with monkeypatch.context() as env:
@@ -599,7 +638,7 @@ def test_stream_without_l1_misses_through_every_flow(zoo_case, monkeypatch):
         np.testing.assert_array_equal(fast.timing.memory_cycles, per_core)
 
 
-def _replays(cfg, pcs):
+def _replays(cfg):
     """Every batched kernel and scalar oracle, as ``(name, make, replay)``."""
     machine, period = cfg.machine, cfg.recal_period
     redhip = partial(ReDHiPController, machine, recal_period=period)
@@ -615,10 +654,8 @@ def _replays(cfg, pcs):
          _replay_predictor_scalar),
         ("missmap-scalar", partial(missmap_scheme().build_predictor, machine),
          _replay_predictor_scalar),
-        ("levelpred-vector", lp,
-         partial(vector_replay.replay_levelpred_vectorized, pcs=pcs)),
-        ("levelpred-scalar", lp,
-         partial(evaluate._replay_level_predictor_scalar, pcs=pcs)),
+        ("levelpred-vector", lp, vector_replay.replay_levelpred_vectorized),
+        ("levelpred-scalar", lp, evaluate._replay_level_predictor_scalar),
         ("ehc-vector", ehc, vector_replay.replay_ehc_vectorized),
         ("ehc-scalar", ehc, evaluate._replay_ehc_scalar),
     )
@@ -626,12 +663,10 @@ def _replays(cfg, pcs):
 
 def test_every_replay_returns_one_answer_per_l1_miss(zoo_case):
     cfg, wl, stream = zoo_case
-    no_misses = dataclasses.replace(stream, hit_level=np.ones_like(stream.hit_level))
-    for case in (stream, no_misses):
-        k = len(case.l1_misses)
-        pcs = evaluate._miss_pcs(case, wl)
-        assert pcs.shape == (k,)
-        for name, make, replay in _replays(cfg, pcs):
+    for case in (stream, _all_hits(stream)):
+        k = case.num_misses
+        assert case.pc.shape == (k,)
+        for name, make, replay in _replays(cfg):
             outputs = replay(case, make())
             arrays = [out for out in outputs if isinstance(out, np.ndarray)]
             assert arrays and all(out.shape == (k,) for out in arrays), (name, k)
