@@ -93,8 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("experiment", help="artifact id (see `repro list`)")
     run.add_argument("--store", type=Path, default=None,
                      help="persist the experiment's results store at this "
-                          "path (grid experiments only): an interrupted "
-                          "run resumes from it instead of recomputing")
+                          "path: an interrupted run resumes from it instead "
+                          "of recomputing. Grid experiments only; any other "
+                          "experiment exits with an error")
     add_run_options(run)
 
     run_all = sub.add_parser("run-all", help="regenerate every artifact")

@@ -2,7 +2,7 @@
 describe them, and the registry that maps every paper artifact id to a
 runnable regeneration."""
 
-from repro.experiments.context import clear_cache, default_config, get_runner, paper_schemes
+from repro.experiments.context import clear_cache, default_config, get_runner
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -21,7 +21,6 @@ __all__ = [
     "experiment_ids",
     "get_runner",
     "get_spec",
-    "paper_schemes",
     "run_experiment",
     "run_spec",
 ]

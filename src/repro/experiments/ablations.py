@@ -31,13 +31,7 @@ make the arguments quantitative:
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.recalibration import RecalibrationCost
-from repro.core.redhip import redhip_scheme
-from repro.predictors.base import base_scheme
-from repro.predictors.cbf_scheme import cbf_scheme
-from repro.experiments.context import get_runner
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table
@@ -98,8 +92,7 @@ def render_hash_ablation(cfg, rows, workloads=ABLATION_WORKLOADS) -> ExperimentR
 
 def cells_entry_width_ablation(cfg, workloads=ABLATION_WORKLOADS):
     # ``cbf_counting`` with no pt_kb resolves to the machine's default
-    # prediction-table budget — the same equal-area comparison ``build``
-    # makes explicit.
+    # prediction-table budget: 4-bit counters at the same area as ReDHiP.
     return [grid_cell(cfg, w, s)
             for w in workloads
             for s in ("base", "redhip", "cbf_counting")]
@@ -203,73 +196,6 @@ def render_fill_accounting_ablation(cfg, rows, workloads=ABLATION_WORKLOADS) -> 
     )
 
 
-def build_hash_ablation(ctx, workloads=ABLATION_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
-    machine = cfg.machine
-    series: dict[str, dict[str, float]] = {}
-    for wname in workloads:
-        base = runner.run(wname, base_scheme())
-        row: dict[str, float] = {}
-        for kind in ("bits", "xor"):
-            res = runner.run(
-                wname,
-                redhip_scheme(
-                    recal_period=cfg.recal_period, hash_kind=kind,
-                    name=f"ReDHiP-{kind}",
-                ),
-            )
-            row[f"{kind} dynE"] = res.dynamic_ratio(base)
-            row[f"{kind} stall_kcyc"] = res.recal_stall_cycles / 1e3
-        series[wname] = row
-    series = add_average(series)
-    cost_bits = RecalibrationCost.for_machine(machine, "bits")
-    cost_xor = RecalibrationCost.for_machine(machine, "xor")
-    cols = ["bits dynE", "xor dynE", "bits stall_kcyc", "xor stall_kcyc"]
-    table = format_table(series, cols, value_format="{:.3g}")
-    return ExperimentResult(
-        experiment_id="ablation-hash",
-        title="bits-hash vs xor-hash: accuracy vs recalibration cost",
-        series=series,
-        table=table,
-        notes=(
-            f"Per-sweep cost: bits {cost_bits.cycles} cycles / "
-            f"{cost_bits.energy_nj:.0f} nJ; xor {cost_xor.cycles} cycles / "
-            f"{cost_xor.energy_nj:.0f} nJ — the paper's 'several million "
-            "cycles' serial process (scaled with the machine)."
-        ),
-    )
-
-
-def build_entry_width_ablation(ctx, workloads=ABLATION_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
-    budget = cfg.machine.prediction_table.size
-    series: dict[str, dict[str, float]] = {}
-    for wname in workloads:
-        base = runner.run(wname, base_scheme())
-        one_bit = runner.run(wname, redhip_scheme(recal_period=cfg.recal_period))
-        counting = runner.run(
-            wname, cbf_scheme(budget_bytes=budget, counter_bits=4, hash_kind="bits")
-        )
-        series[wname] = {
-            "1-bit+recal dynE": one_bit.dynamic_ratio(base),
-            "4-bit counters dynE": counting.dynamic_ratio(base),
-            "1-bit coverage": one_bit.skip_coverage,
-            "4-bit coverage": counting.skip_coverage,
-        }
-    series = add_average(series)
-    cols = ["1-bit+recal dynE", "4-bit counters dynE", "1-bit coverage", "4-bit coverage"]
-    table = format_table(series, cols, value_format="{:.3f}")
-    return ExperimentResult(
-        experiment_id="ablation-entry-width",
-        title="1-bit entries + recalibration vs counting entries at equal area",
-        series=series,
-        table=table,
-        notes="The paper's core claim: simpler entries are more accurate per bit.",
-    )
-
-
 def build_banking_ablation(ctx) -> ExperimentResult:
     machine = ctx.config.machine
     series: dict[str, dict[str, float]] = {}
@@ -290,60 +216,12 @@ def build_banking_ablation(ctx) -> ExperimentResult:
     )
 
 
-def build_replacement_ablation(ctx, workloads=ABLATION_WORKLOADS) -> ExperimentResult:
-    cfg = ctx.config
-    series: dict[str, dict[str, float]] = {}
-    for policy in ("lru", "random", "plru"):
-        pol_cfg = replace(cfg, replacement=policy)
-        runner = get_runner(pol_cfg)
-        for wname in workloads:
-            base = runner.run(wname, base_scheme())
-            red = runner.run(wname, redhip_scheme(recal_period=cfg.recal_period))
-            series.setdefault(wname, {})[policy] = 1.0 - red.dynamic_ratio(base)
-    series = add_average(series)
-    table = format_table(series, ["lru", "random", "plru"], value_format="{:.1%}")
-    return ExperimentResult(
-        experiment_id="ablation-replacement",
-        title="ReDHiP dynamic-energy savings under different replacement policies",
-        series=series,
-        table=table,
-        notes="Savings should be robust: ReDHiP predicts presence, not reuse.",
-    )
-
-
-def build_fill_accounting_ablation(ctx, workloads=ABLATION_WORKLOADS) -> ExperimentResult:
-    cfg = ctx.config
-    series: dict[str, dict[str, float]] = {}
-    for weight in (0.0, 0.5, 1.0):
-        w_cfg = replace(cfg, fill_energy_weight=weight)
-        runner = get_runner(w_cfg)
-        for wname in workloads:
-            base = runner.run(wname, base_scheme())
-            red = runner.run(wname, redhip_scheme(recal_period=cfg.recal_period))
-            series.setdefault(wname, {})[f"w={weight}"] = red.dynamic_ratio(base)
-    series = add_average(series)
-    cols = ["w=0.0", "w=0.5", "w=1.0"]
-    table = format_table(series, cols, value_format="{:.1%}")
-    return ExperimentResult(
-        experiment_id="ablation-fill-accounting",
-        title="Sensitivity of normalized ReDHiP energy to fill-energy charging",
-        series=series,
-        table=table,
-        notes=(
-            "Fills are identical across schemes, so charging them dilutes the "
-            "normalized savings; w=0 reproduces the paper's probe-dominated "
-            "accounting."
-        ),
-    )
-
-
 _SMOKE = {"workloads": ("mcf", "bwaves")}
 
 SPECS = (
     ExperimentSpec(
         experiment_id="ablation-hash",
         title="bits-hash vs xor-hash: accuracy vs recalibration cost",
-        build=build_hash_ablation,
         kind="ablation",
         workloads=ABLATION_WORKLOADS,
         schemes=("Base", "ReDHiP-bits", "ReDHiP-xor"),
@@ -355,7 +233,6 @@ SPECS = (
     ExperimentSpec(
         experiment_id="ablation-entry-width",
         title="1-bit entries + recalibration vs counting entries at equal area",
-        build=build_entry_width_ablation,
         kind="ablation",
         workloads=ABLATION_WORKLOADS,
         schemes=("Base", "ReDHiP", "CBF"),
@@ -370,12 +247,10 @@ SPECS = (
         build=build_banking_ablation,
         kind="ablation",
         sweep=("banks",),
-        uses_runner=False,
     ),
     ExperimentSpec(
         experiment_id="ablation-replacement",
         title="ReDHiP dynamic-energy savings under different replacement policies",
-        build=build_replacement_ablation,
         kind="ablation",
         workloads=ABLATION_WORKLOADS,
         schemes=("Base", "ReDHiP"),
@@ -387,7 +262,6 @@ SPECS = (
     ExperimentSpec(
         experiment_id="ablation-fill-accounting",
         title="Sensitivity of normalized ReDHiP energy to fill-energy charging",
-        build=build_fill_accounting_ablation,
         kind="ablation",
         workloads=ABLATION_WORKLOADS,
         schemes=("Base", "ReDHiP"),

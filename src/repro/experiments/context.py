@@ -1,21 +1,18 @@
-"""Shared experiment context: default config, runner memoization, schemes.
+"""Shared experiment context: default config and runner memoization.
 
 Experiments regenerate different figures from the *same* content streams
 (that is the whole point of the two-phase design), so the runner — which
-caches workloads and streams — is memoized per config.  A pytest-benchmark
-session that regenerates Figures 6-10 therefore pays for each content walk
-exactly once.
+caches workloads and streams — is memoized per config: ``build`` specs
+that run back-to-back on one config pay for each content walk once.  (Grid
+specs share walks through the sweep's stream cache instead.)
 """
 
 from __future__ import annotations
 
-from repro.core.redhip import redhip_scheme
-from repro.predictors.base import SchemeSpec, base_scheme, oracle_scheme, phased_scheme
-from repro.predictors.cbf_scheme import cbf_scheme
 from repro.sim.config import SimConfig, bench_config
 from repro.sim.runner import ExperimentRunner
 
-__all__ = ["get_runner", "default_config", "paper_schemes", "clear_cache"]
+__all__ = ["get_runner", "default_config", "clear_cache"]
 
 _RUNNERS: dict[tuple, ExperimentRunner] = {}
 
@@ -46,13 +43,3 @@ def clear_cache() -> None:
     """Drop memoized runners (frees stream memory between suites)."""
     _RUNNERS.clear()
 
-
-def paper_schemes(config: SimConfig, include_oracle: bool = True) -> list[SchemeSpec]:
-    """The §V scheme line-up: Base, Oracle, CBF, Phased, ReDHiP."""
-    schemes = [base_scheme()]
-    if include_oracle:
-        schemes.append(oracle_scheme())
-    schemes.append(cbf_scheme())
-    schemes.append(phased_scheme())
-    schemes.append(redhip_scheme(recal_period=config.recal_period))
-    return schemes

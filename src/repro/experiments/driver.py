@@ -1,23 +1,25 @@
 """Declarative experiment driver: one place that runs any spec.
 
 Every paper artifact is described by an :class:`ExperimentSpec` — id,
-title, figure, sweep axes, scheme line-up, workloads — plus a ``build``
+title, figure, sweep axes, scheme line-up, workloads — plus exactly one
+implementation: either the ``cells``/``render`` grid pair, or a ``build``
 callable that turns an :class:`ExperimentContext` into an
 :class:`~repro.sim.report.ExperimentResult`.  :func:`run_spec` is the one
 path every spec runs through, so the cross-cutting wiring happens exactly
 once:
 
-**One execution substrate** (DESIGN.md): a spec that also declares the
-``cells``/``render`` pair *compiles to* a sweep — :func:`run_spec` expands
-the grid, executes it through :func:`repro.sweep.scheduler.run_cells`
-against a :class:`~repro.results.store.ResultsStore` (resumable, sharded,
+**One execution substrate** (DESIGN.md): a grid spec *compiles to* a
+sweep — :func:`run_spec` expands the grid, executes it through
+:func:`repro.sweep.scheduler.run_cells` against a
+:class:`~repro.results.store.ResultsStore` (resumable, sharded,
 journalled, fault-aware), and renders the artifact as a pure function of
-the canonical store rows.  ``build`` remains the fallback for configs the
-grid vocabulary cannot express (non-registry machines, coherent or
-timing-model variants) and for genuinely non-grid artifacts.  Pass
+the canonical store rows.  A config the cell vocabulary cannot express
+(non-registry machines, coherent or timing-model variants, ``checked``
+set on the config) is refused with a :class:`ConfigError`.  Pass
 ``store=<path>`` to keep the results store (a second run resumes from it);
 by default each run uses a private temporary store, recomputing cells but
-sharing content walks through a process-wide stream cache.
+sharing content walks through a process-wide stream cache.  ``build``
+specs have no store, and refuse ``store=``.
 
 * **telemetry** — each run is wrapped in an ``experiment`` span and bumps
   the ``experiments.runs`` counter;
@@ -53,28 +55,28 @@ from repro.energy.params import get_machine
 from repro.experiments.context import default_config, get_runner
 from repro.sim.config import SimConfig
 from repro.sim.report import ExperimentResult
-from repro.util.validation import ReproError
+from repro.util.validation import ConfigError, ReproError
 
-__all__ = ["ExperimentContext", "ExperimentSpec", "griddable", "run_spec"]
+__all__ = ["ExperimentContext", "ExperimentSpec", "run_spec"]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one reproducible artifact.
 
-    ``build(ctx, **kwargs)`` does the experiment-specific work; everything
-    else is metadata the driver and the CLI (``repro experiments ls``)
-    read without running anything.
+    A spec has exactly one implementation: ``build(ctx, **kwargs)``, or
+    the ``cells``/``render`` grid pair.  Everything else is metadata the
+    driver and the CLI (``repro experiments ls``) read without running
+    anything.
 
     ``smoke_kwargs`` are the overrides a cheap registry-wide smoke pass
-    uses (typically a two-workload subset); ``uses_runner`` is False for
-    static artifacts (Figure 1's historical dataset, Table I's parameter
-    cross-check) that never touch content streams.
+    uses (typically a two-workload subset).
     """
 
     experiment_id: str
     title: str
-    build: Callable[..., ExperimentResult] = field(compare=False)
+    build: "Callable[..., ExperimentResult] | None" = field(
+        default=None, compare=False)
     #: Paper anchor ("Figure 6", "Table I") or "—" for extensions/ablations.
     figure: str = "—"
     #: "paper" | "extension" | "ablation".
@@ -85,19 +87,26 @@ class ExperimentSpec:
     schemes: tuple[str, ...] = ()
     #: Swept axes, if the experiment is a parameter sweep.
     sweep: tuple[str, ...] = ()
-    uses_runner: bool = True
     smoke_kwargs: Mapping[str, Any] = field(default_factory=dict, compare=False)
     notes: str = ""
     #: Grid protocol (both or neither): ``cells(cfg, **kwargs)`` compiles
     #: the experiment to canonical :class:`~repro.sweep.spec.CellSpec`
     #: instances; ``render(cfg, rows, **kwargs)`` turns the resulting
-    #: store rows, keyed by canonical cell, into the artifact.  When
-    #: present and the config is :func:`griddable`, :func:`run_spec`
-    #: executes through the sweep scheduler + results store instead of
-    #: ``build``.
+    #: store rows, keyed by canonical cell, into the artifact.
+    #: :func:`run_spec` executes it through the sweep scheduler + results
+    #: store.
     cells: "Callable[..., list] | None" = field(default=None, compare=False)
     render: "Callable[..., ExperimentResult] | None" = field(
         default=None, compare=False)
+
+    def __post_init__(self) -> None:
+        if (self.cells is None) != (self.render is None):
+            raise ConfigError(
+                f"spec {self.experiment_id}: declare cells and render together")
+        if (self.build is None) == (self.cells is None):
+            raise ConfigError(
+                f"spec {self.experiment_id}: declare exactly one "
+                f"implementation, build or the cells/render pair")
 
 
 class ExperimentContext:
@@ -142,32 +151,6 @@ def _maybe_prewarm(ctx: ExperimentContext, workloads) -> None:
         prewarm_streams(ctx.runner, names)
 
 
-def griddable(cfg: SimConfig) -> bool:
-    """Can the cell vocabulary express this config exactly?
-
-    A :class:`~repro.sweep.spec.CellSpec` pins a *registry* machine by
-    name plus the paper's timing model; a config that modifies the machine
-    (``with_cores``/``deep_machine``), turns on coherence, or relaxes the
-    §IV memory model has no cell encoding and stays on the imperative
-    ``build`` path.  ``checked=True`` set on the config object (rather
-    than via ``REPRO_CHECKED``, which workers inherit) is likewise not
-    representable.
-    """
-    try:
-        registry = get_machine(cfg.machine.name)
-    except Exception:
-        return False
-    return (
-        registry == cfg.machine
-        and not cfg.coherent
-        and cfg.memory_latency == 0.0
-        and cfg.memory_energy_nj == 0.0
-        and cfg.mlp == 1.0
-        and cfg.dram is None
-        and not cfg.checked
-    )
-
-
 #: Process-shared stream-cache directory for grid runs without an explicit
 #: cache: private temporary stores come and go per figure, but the content
 #: trajectories they replay are shared — ``repro run-all`` walks each one
@@ -175,7 +158,7 @@ def griddable(cfg: SimConfig) -> bool:
 _SHARED_STREAM_CACHE: "tempfile.TemporaryDirectory | None" = None
 
 
-def _grid_stream_cache(cfg: SimConfig, store_path: Path) -> "str | None":
+def _grid_stream_cache(cfg: SimConfig) -> "str | None":
     from repro.sim.streamcache import CACHE_ENV
 
     if cfg.stream_cache:
@@ -201,13 +184,48 @@ def _grid_store(store: "str | Path | None", experiment_id: str):
         yield Path(tmp) / f"{experiment_id}.sqlite"
 
 
+def _off_grid(cfg: SimConfig) -> list[str]:
+    """What a :class:`~repro.sweep.spec.CellSpec` cannot express about
+    ``cfg`` — empty when the config is on the grid.
+
+    A cell pins a *registry* machine by name plus the paper's timing
+    model; a modified machine (``with_cores``/``deep_machine``),
+    coherence, a relaxed §IV memory model, or ``checked=True`` set on the
+    config object (rather than via ``REPRO_CHECKED``, which workers
+    inherit) has no cell encoding.
+    """
+    try:
+        registry = get_machine(cfg.machine.name) == cfg.machine
+    except ConfigError:
+        registry = False
+    reasons = [
+        (not registry, f"machine {cfg.machine.name!r} is not the registry "
+                       f"machine of that name"),
+        (cfg.coherent, "coherence"),
+        (cfg.memory_latency != 0.0 or cfg.memory_energy_nj != 0.0,
+         "memory latency/energy"),
+        (cfg.mlp != 1.0, f"mlp={cfg.mlp}"),
+        (cfg.dram is not None, "a DRAM model"),
+        (cfg.checked, "checked=True on the config (set REPRO_CHECKED=1 "
+                      "instead: grid workers honour it)"),
+    ]
+    return [reason for off, reason in reasons if off]
+
+
 def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
               store: "str | Path | None", kwargs: dict) -> ExperimentResult:
-    """Execute a grid-declaring spec through the sweep substrate."""
+    """Execute a grid spec through the sweep substrate."""
     from repro.results.store import ResultsStore
     from repro.sim.parallel import default_workers
     from repro.sweep.scheduler import run_cells
 
+    off_grid = _off_grid(cfg)
+    if off_grid:
+        raise ConfigError(
+            f"experiment {spec.experiment_id} runs on the sweep grid, which "
+            f"cannot express this off-grid config: {'; '.join(off_grid)}. "
+            f"Use a registry machine with the paper timing model."
+        )
     # Figures may list the same canonical cell twice (e.g. two sweep
     # points that collapse to the same period); run each once.  Each
     # expanded cell is fingerprinted exactly once, here: ``render`` looks
@@ -222,7 +240,7 @@ def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
     cells, fingerprints = list(by_fingerprint.values()), list(by_fingerprint)
     workers = default_workers() if os.environ.get("REPRO_PARALLEL") else 1
     with _grid_store(store, spec.experiment_id) as store_path:
-        stream_cache = _grid_stream_cache(cfg, store_path)
+        stream_cache = _grid_stream_cache(cfg)
         run = partial(run_cells, cells, spec.experiment_id, store_path,
                       workers=workers, faults_plan=cfg.faults,
                       stream_cache=stream_cache, fingerprints=fingerprints)
@@ -254,18 +272,23 @@ def run_spec(
     ``smoke=True`` merges :attr:`ExperimentSpec.smoke_kwargs` under the
     caller's kwargs (explicit arguments win), which is how the CLI's
     ``repro experiments smoke`` and CI keep a registry-wide pass cheap.
-    ``store`` (grid specs only) persists the results store at that path so
-    an interrupted figure resumes instead of recomputing.
+    ``store`` persists the results store at that path so an interrupted
+    figure resumes instead of recomputing; a ``build`` spec has no store
+    and raises :class:`ConfigError` for it.
     """
+    if store is not None and spec.build is not None:
+        raise ConfigError(
+            f"experiment {spec.experiment_id} is not a grid experiment and "
+            f"keeps no results store; drop store=/--store"
+        )
     cfg = config if config is not None else default_config()
     if smoke:
         kwargs = {**dict(spec.smoke_kwargs), **kwargs}
     with telemetry.span("experiment", experiment=spec.experiment_id):
         telemetry.count("experiments.runs", experiment=spec.experiment_id)
         faults.ensure(cfg)
-        if spec.cells is not None and spec.render is not None and griddable(cfg):
+        if spec.build is None:
             return _run_grid(spec, cfg, store, kwargs)
         ctx = ExperimentContext(spec, cfg)
-        if spec.uses_runner:
-            _maybe_prewarm(ctx, kwargs.get("workloads", spec.workloads))
+        _maybe_prewarm(ctx, kwargs.get("workloads", spec.workloads))
         return spec.build(ctx, **kwargs)

@@ -387,6 +387,14 @@ def cells_related_work(cfg, workloads=RELWORK_WORKLOADS):
 
 
 def render_related_work(cfg, rows, workloads=RELWORK_WORKLOADS) -> ExperimentResult:
+    """The §II design space side by side: serialize, way-predict, or skip.
+
+    Phased Cache serializes tag->data; way prediction [12] reads one
+    speculative data way; ReDHiP skips the whole level stack on predicted
+    LLC misses.  All three reduce data-array energy; only ReDHiP also
+    removes lookups entirely, which is why it wins on both axes for
+    miss-dominated traffic.
+    """
     from repro.experiments.grids import SCHEME_NAMES, grid_cell, row_result
     from repro.sim.report import scheme_comparison_table
 
@@ -409,56 +417,6 @@ def render_related_work(cfg, rows, workloads=RELWORK_WORKLOADS) -> ExperimentRes
                 rows, grid_cell(cfg, wname, "oracle"))
     series = add_average(series)
     cols = [f"{n} spd" for n in names] + [f"{n} dynE" for n in names]
-    table = format_table(series, cols, value_format="{:+.1%}")
-    category_table = scheme_comparison_table(by_scheme)
-    return ExperimentResult(
-        experiment_id="ext-relwork",
-        title="Related-work design space: Phased vs WayPred vs ReDHiP",
-        series=series,
-        table=table,
-        notes="Way prediction and phasing cut data-array energy but keep "
-        "every lookup; ReDHiP removes the lookups — the paper's bet.",
-        extra={"category_table": category_table,
-               "category_workload": workloads[0]},
-    )
-
-
-def build_related_work(ctx, workloads=RELWORK_WORKLOADS) -> ExperimentResult:
-    """The §II design space side by side: serialize, way-predict, or skip.
-
-    Phased Cache serializes tag->data; way prediction [12] reads one
-    speculative data way; ReDHiP skips the whole level stack on predicted
-    LLC misses.  All three reduce data-array energy; only ReDHiP also
-    removes lookups entirely, which is why it wins on both axes for
-    miss-dominated traffic.
-    """
-    from repro.predictors.base import oracle_scheme, phased_scheme, waypred_scheme
-    from repro.sim.report import scheme_comparison_table
-
-    runner = ctx.runner
-    cfg = runner.config
-    schemes = [
-        phased_scheme(),
-        waypred_scheme(),
-        redhip_scheme(recal_period=cfg.recal_period),
-    ]
-    series: dict[str, dict[str, float]] = {}
-    by_scheme: dict[str, object] = {}
-    for wname in workloads:
-        base = runner.run(wname, base_scheme())
-        row: dict[str, float] = {}
-        for scheme in schemes:
-            res = runner.run(wname, scheme)
-            row[f"{scheme.name} spd"] = res.speedup_over(base) - 1.0
-            row[f"{scheme.name} dynE"] = res.dynamic_ratio(base)
-            if wname == workloads[0]:
-                by_scheme[scheme.name] = res
-        series[wname] = row
-        if wname == workloads[0]:
-            by_scheme["Base"] = base
-            by_scheme["Oracle"] = runner.run(wname, oracle_scheme())
-    series = add_average(series)
-    cols = [f"{s.name} spd" for s in schemes] + [f"{s.name} dynE" for s in schemes]
     table = format_table(series, cols, value_format="{:+.1%}")
     # Per-category energy for one workload, every scheme in kernel
     # category terms — WayPred's tag/data split and Oracle's zeroed PT
@@ -633,7 +591,6 @@ SPECS = (
     ExperimentSpec(
         experiment_id="ext-relwork",
         title="Related-work design space: Phased vs WayPred vs ReDHiP",
-        build=build_related_work,
         kind="extension",
         workloads=RELWORK_WORKLOADS,
         schemes=("Base", "Phased", "WayPred", "ReDHiP", "Oracle"),

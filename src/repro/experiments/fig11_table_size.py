@@ -11,14 +11,12 @@ charges excluded).
 
 from __future__ import annotations
 
-from repro.core.redhip import redhip_scheme
-from repro.predictors.base import base_scheme
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "cells", "render", "run", "sweep_sizes"]
+__all__ = ["SPEC", "cells", "render", "run", "sweep_sizes"]
 
 EXPERIMENT_ID = "fig11"
 TITLE = "ReDHiP dynamic energy vs prediction-table size (accuracy only)"
@@ -84,45 +82,9 @@ def render(cfg, rows, workloads=PAPER_WORKLOADS) -> ExperimentResult:
     )
 
 
-def build(ctx, workloads=PAPER_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
-    sizes = sweep_sizes(cfg.machine.llc.size)
-    labels = [f"{s // 1024}KB" if s >= 1024 else f"{s}B" for s in sizes]
-    series: dict[str, dict[str, float]] = {}
-    for wname in workloads:
-        base = runner.run(wname, base_scheme())
-        row: dict[str, float] = {}
-        for size, label in zip(sizes, labels):
-            scheme = redhip_scheme(
-                table_bytes=size,
-                recal_period=cfg.recal_period,
-                name=f"ReDHiP-{label}",
-            )
-            res = runner.run(wname, scheme)
-            row[label] = _accuracy_only_ratio(res, base)
-        series[wname] = row
-    series = add_average(series)
-    table = format_table(series, labels, value_format="{:.1%}")
-    avg = series["average"]
-    knee = labels[RATIO_EXPONENTS.index(-7)]
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        series=series,
-        table=table,
-        notes=(
-            f"Paper: gains marginal beyond the 2^-7 ratio point ({knee} here, "
-            f"= the chosen 0.78% of LLC); smallest table nearly useless. "
-            f"Measured average at {knee}: {avg[knee]:.1%} of base."
-        ),
-    )
-
-
 SPEC = ExperimentSpec(
     experiment_id=EXPERIMENT_ID,
     title=TITLE,
-    build=build,
     figure="Figure 11",
     kind="paper",
     workloads=PAPER_WORKLOADS,

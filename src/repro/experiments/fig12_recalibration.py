@@ -11,14 +11,12 @@ P/64, P/8, P, 8P, 64P, and infinity.
 
 from __future__ import annotations
 
-from repro.core.redhip import redhip_scheme
-from repro.predictors.base import base_scheme
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "cells", "render", "run", "sweep_periods"]
+__all__ = ["SPEC", "cells", "render", "run", "sweep_periods"]
 
 EXPERIMENT_ID = "fig12"
 TITLE = "ReDHiP dynamic energy vs recalibration period (accuracy only)"
@@ -97,40 +95,9 @@ def render(cfg, rows, workloads=PAPER_WORKLOADS) -> ExperimentResult:
     )
 
 
-def build(ctx, workloads=PAPER_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
-    points = sweep_periods(cfg.recal_period)
-    labels = [label for label, _ in points]
-    series: dict[str, dict[str, float]] = {}
-    for wname in workloads:
-        base = runner.run(wname, base_scheme())
-        row: dict[str, float] = {}
-        for label, period in points:
-            scheme = redhip_scheme(recal_period=period, name=f"ReDHiP-recal-{label}")
-            res = runner.run(wname, scheme)
-            row[label] = _accuracy_only_ratio(res, base)
-        series[wname] = row
-    series = add_average(series)
-    table = format_table(series, labels, value_format="{:.1%}")
-    avg = series["average"]
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        series=series,
-        table=table,
-        notes=(
-            "Paper: energy flat from every-miss down to the 1M (=P) knee, "
-            "then collapses toward never-recalibrate. Measured average: "
-            + ", ".join(f"{k}={v:.0%}" for k, v in avg.items())
-        ),
-    )
-
-
 SPEC = ExperimentSpec(
     experiment_id=EXPERIMENT_ID,
     title=TITLE,
-    build=build,
     figure="Figure 12",
     kind="paper",
     workloads=PAPER_WORKLOADS,

@@ -15,15 +15,12 @@ integrated simulator.
 
 from __future__ import annotations
 
-from repro.core.redhip import redhip_scheme
-from repro.hierarchy.inclusion import InclusionPolicy
-from repro.predictors.base import base_scheme
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render", "run"]
 
 EXPERIMENT_ID = "fig13"
 TITLE = "ReDHiP dynamic-energy savings by inclusion policy"
@@ -32,7 +29,7 @@ COLUMNS = ["Inclusive", "Hybrid", "Exclusive"]
 
 #: Cell-axis policy values, in the figure's column order.  The scheduler
 #: dispatches the (redhip, exclusive) cell to the integrated per-level
-#: table stack — the same ``run_exclusive_redhip`` path ``build`` calls.
+#: table stack (``ExperimentRunner.run_exclusive_redhip``).
 _POLICIES = ("inclusive", "hybrid", "exclusive")
 
 
@@ -70,42 +67,9 @@ def render(cfg, rows, workloads=PAPER_WORKLOADS) -> ExperimentResult:
     )
 
 
-def build(ctx, workloads=PAPER_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
-    series: dict[str, dict[str, float]] = {}
-    for wname in workloads:
-        row: dict[str, float] = {}
-        for policy in (InclusionPolicy.INCLUSIVE, InclusionPolicy.HYBRID):
-            base = runner.run(wname, base_scheme(), policy=policy)
-            red = runner.run(
-                wname, redhip_scheme(recal_period=cfg.recal_period), policy=policy
-            )
-            row[policy.value.capitalize()] = 1.0 - red.dynamic_ratio(base)
-        base_ex = runner.run(wname, base_scheme(), policy=InclusionPolicy.EXCLUSIVE)
-        red_ex = runner.run_exclusive_redhip(wname, recal_period=cfg.recal_period)
-        row["Exclusive"] = 1.0 - red_ex.dynamic_ratio(base_ex)
-        series[wname] = row
-    series = add_average(series)
-    table = format_table(series, COLUMNS, value_format="{:.1%}")
-    avg = series["average"]
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        series=series,
-        table=table,
-        notes=(
-            "Paper: hybrid ~= inclusive; exclusive ~15pp lower but still >40% "
-            "savings vs its own base. Measured average savings: "
-            + ", ".join(f"{k}={v:.0%}" for k, v in avg.items())
-        ),
-    )
-
-
 SPEC = ExperimentSpec(
     experiment_id=EXPERIMENT_ID,
     title=TITLE,
-    build=build,
     figure="Figure 13",
     kind="paper",
     workloads=PAPER_WORKLOADS,

@@ -62,7 +62,6 @@ SPEC = ExperimentSpec(
     build=build,
     figure="Figure 1",
     kind="paper",
-    uses_runner=False,
 )
 
 

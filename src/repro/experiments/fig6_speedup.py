@@ -8,8 +8,6 @@ included in ReDHiP.
 
 from __future__ import annotations
 
-from repro.core.redhip import redhip_scheme
-from repro.experiments.context import paper_schemes
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import (
     PAPER_SCHEME_KEYS,
@@ -20,7 +18,7 @@ from repro.experiments.grids import (
 from repro.sim.report import ExperimentResult, add_average, format_table, speedup_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render", "run"]
 
 EXPERIMENT_ID = "fig6"
 TITLE = "Speedup over base: Oracle, CBF, Phased, ReDHiP"
@@ -28,6 +26,8 @@ PAPER_AVERAGES = {"Oracle": 0.13, "CBF": 0.04, "Phased": -0.03, "ReDHiP": 0.08}
 
 
 def _scheme_keys(include_no_overhead: bool) -> tuple:
+    # The paper quotes ReDHiP-without-overhead (+10%) alongside the full
+    # scheme: the table lookup costs no cycles, energy kept.
     return PAPER_SCHEME_KEYS + (("redhip_noov",) if include_no_overhead else ())
 
 
@@ -58,36 +58,9 @@ def render(cfg, rows, workloads=PAPER_WORKLOADS,
     )
 
 
-def build(ctx, workloads=PAPER_WORKLOADS, include_no_overhead: bool = True) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
-    schemes = paper_schemes(cfg)
-    if include_no_overhead:
-        # The paper quotes ReDHiP-without-overhead (+10%) alongside the
-        # full scheme: the table lookup costs no cycles, energy kept.
-        schemes.append(
-            redhip_scheme(
-                recal_period=cfg.recal_period, name="ReDHiP-NoOv", lookup_delay=0
-            )
-        )
-    results = runner.run_matrix(workloads, schemes)
-    series = add_average(speedup_table(results))
-    columns = [s.name for s in schemes if s.name != "Base"]
-    table = format_table(series, columns)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        series=series,
-        table=table,
-        notes=f"Paper averages: {PAPER_AVERAGES}",
-        extra={"results": results},
-    )
-
-
 SPEC = ExperimentSpec(
     experiment_id=EXPERIMENT_ID,
     title=TITLE,
-    build=build,
     figure="Figure 6",
     kind="paper",
     workloads=PAPER_WORKLOADS,

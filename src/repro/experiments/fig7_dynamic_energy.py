@@ -8,7 +8,6 @@ Oracle < ReDHiP < Phased < CBF < Base.
 
 from __future__ import annotations
 
-from repro.experiments.context import paper_schemes
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import (
     PAPER_SCHEME_KEYS,
@@ -24,7 +23,7 @@ from repro.sim.report import (
 )
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render", "run"]
 
 EXPERIMENT_ID = "fig7"
 TITLE = "Dynamic energy normalized to base: Oracle, CBF, Phased, ReDHiP"
@@ -44,32 +43,6 @@ def render(cfg, rows, workloads=PAPER_WORKLOADS) -> ExperimentResult:
     }
     series = add_average(dynamic_energy_table(results))
     columns = [SCHEME_NAMES[s] for s in PAPER_SCHEME_KEYS if s != "base"]
-    table = format_table(series, columns, value_format="{:.1%}")
-    overhead = {}
-    for wname, row in results.items():
-        r = row["ReDHiP"]
-        overhead[wname] = r.ledger.component_nj("PT") / r.dynamic_nj if r.dynamic_nj else 0.0
-    avg_overhead = sum(overhead.values()) / len(overhead)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        series=series,
-        table=table,
-        notes=(
-            f"Paper averages: {PAPER_AVERAGES}. "
-            f"Measured PT (lookup+update+recal) share of ReDHiP dynamic energy: "
-            f"{avg_overhead:.2%} (paper: <1%)."
-        ),
-        extra={"results": results, "pt_overhead_share": overhead},
-    )
-
-
-def build(ctx, workloads=PAPER_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    schemes = paper_schemes(runner.config)
-    results = runner.run_matrix(workloads, schemes)
-    series = add_average(dynamic_energy_table(results))
-    columns = [s.name for s in schemes if s.name != "Base"]
     table = format_table(series, columns, value_format="{:.1%}")
     # The paper also notes prediction+recalibration < 1% of total dynamic.
     overhead = {}
@@ -94,7 +67,6 @@ def build(ctx, workloads=PAPER_WORKLOADS) -> ExperimentResult:
 SPEC = ExperimentSpec(
     experiment_id=EXPERIMENT_ID,
     title=TITLE,
-    build=build,
     figure="Figure 7",
     kind="paper",
     workloads=PAPER_WORKLOADS,

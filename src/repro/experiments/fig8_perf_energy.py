@@ -11,7 +11,6 @@ paper's figure.
 
 from __future__ import annotations
 
-from repro.experiments.context import paper_schemes
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import SCHEME_NAMES, grid_cell, row_result
 from repro.sim.report import (
@@ -22,12 +21,12 @@ from repro.sim.report import (
 )
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render", "run"]
 
 EXPERIMENT_ID = "fig8"
 TITLE = "Performance-energy metric (speedup x total-energy saving)"
 
-#: paper_schemes(include_oracle=False) — the figure excludes the bound.
+#: The §V line-up without Oracle — the figure excludes the bound.
 _SCHEME_KEYS = ("base", "cbf", "phased", "redhip")
 
 
@@ -56,29 +55,9 @@ def render(cfg, rows, workloads=PAPER_WORKLOADS) -> ExperimentResult:
     )
 
 
-def build(ctx, workloads=PAPER_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    schemes = paper_schemes(runner.config, include_oracle=False)
-    results = runner.run_matrix(workloads, schemes)
-    series = add_average(perf_energy_table(results))
-    columns = [s.name for s in schemes if s.name != "Base"]
-    table = format_table(series, columns, value_format="{:.3f}")
-    avg = series["average"]
-    best = max(avg, key=avg.get)
-    return ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title=TITLE,
-        series=series,
-        table=table,
-        notes=f"Best average metric: {best} ({avg[best]:.3f}); paper: ReDHiP wins by far.",
-        extra={"results": results},
-    )
-
-
 SPEC = ExperimentSpec(
     experiment_id=EXPERIMENT_ID,
     title=TITLE,
-    build=build,
     figure="Figure 8",
     kind="paper",
     workloads=PAPER_WORKLOADS,

@@ -9,8 +9,6 @@ longer probe them — the paper reports average improvements of ~14, 12 and
 
 from __future__ import annotations
 
-from repro.core.redhip import redhip_scheme
-from repro.predictors.base import base_scheme
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table, hit_rate_table
@@ -22,7 +20,7 @@ __all__ = ["SPEC_FIG9", "SPEC_FIG10", "SPEC_DELTA",
 PAPER_DELTAS_PP = {"L2": 0.14, "L3": 0.12, "L4": 0.18}
 
 
-# The hit-rate builders always evaluate the full PAPER_WORKLOADS line-up
+# The hit-rate figures always evaluate the full PAPER_WORKLOADS line-up
 # (no ``workloads`` kwarg), so the grids are fixed per config.
 def cells_fig9(cfg):
     return [grid_cell(cfg, w, "base") for w in PAPER_WORKLOADS]
@@ -61,49 +59,10 @@ def render_fig10(cfg, rows) -> ExperimentResult:
 
 
 def render_delta(cfg, rows) -> ExperimentResult:
+    """The paper's quoted deltas: ReDHiP raises L2/L3/L4 hit rates."""
     base = render_fig9(cfg, rows)
     red = render_fig10(cfg, rows)
     return _delta_result(base, red)
-
-
-def _hit_rate_experiment(ctx, experiment_id: str, title: str, scheme_builder):
-    runner = ctx.runner
-    scheme = scheme_builder(runner.config)
-    results = {w: runner.run(w, scheme) for w in PAPER_WORKLOADS}
-    num_levels = runner.config.machine.num_levels
-    series = add_average(hit_rate_table(results, num_levels))
-    columns = [f"L{lvl}" for lvl in range(1, num_levels + 1)]
-    table = format_table(series, columns, value_format="{:.1%}")
-    return ExperimentResult(
-        experiment_id=experiment_id, title=title, series=series, table=table,
-        extra={"results": results},
-    )
-
-
-def build_fig9(ctx) -> ExperimentResult:
-    """Base-case hit rates (Figure 9)."""
-    return _hit_rate_experiment(
-        ctx, "fig9", "Per-level hit rates, base case", lambda cfg: base_scheme()
-    )
-
-
-def build_fig10(ctx) -> ExperimentResult:
-    """Hit rates under ReDHiP (Figure 10)."""
-    return _hit_rate_experiment(
-        ctx,
-        "fig10",
-        "Per-level hit rates under ReDHiP",
-        lambda cfg: redhip_scheme(recal_period=cfg.recal_period),
-    )
-
-
-def build_delta(ctx) -> ExperimentResult:
-    """The paper's quoted deltas: ReDHiP raises L2/L3/L4 hit rates.
-
-    Calls the fig9/fig10 builders directly (not through the driver), so a
-    delta run stays one telemetry span, not three.
-    """
-    return _delta_result(build_fig9(ctx), build_fig10(ctx))
 
 
 def _delta_result(base: ExperimentResult, red: ExperimentResult) -> ExperimentResult:
@@ -131,7 +90,6 @@ def _delta_result(base: ExperimentResult, red: ExperimentResult) -> ExperimentRe
 SPEC_FIG9 = ExperimentSpec(
     experiment_id="fig9",
     title="Per-level hit rates, base case",
-    build=build_fig9,
     figure="Figure 9",
     kind="paper",
     workloads=PAPER_WORKLOADS,
@@ -143,7 +101,6 @@ SPEC_FIG9 = ExperimentSpec(
 SPEC_FIG10 = ExperimentSpec(
     experiment_id="fig10",
     title="Per-level hit rates under ReDHiP",
-    build=build_fig10,
     figure="Figure 10",
     kind="paper",
     workloads=PAPER_WORKLOADS,
@@ -155,7 +112,6 @@ SPEC_FIG10 = ExperimentSpec(
 SPEC_DELTA = ExperimentSpec(
     experiment_id="fig10-delta",
     title="Hit-rate improvement under ReDHiP (percentage points)",
-    build=build_delta,
     figure="Figures 9-10",
     kind="paper",
     workloads=PAPER_WORKLOADS,

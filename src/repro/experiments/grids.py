@@ -9,11 +9,12 @@ experiment into two pure halves:
   sharded, journalled, fault-aware) against a :class:`~repro.results.store.
   ResultsStore`.
 * ``render(cfg, rows, **kwargs)`` — a pure function from canonical store
-  rows (keyed by canonical cell) back to the exact
-  :class:`~repro.sim.report.ExperimentResult` the imperative ``build``
-  produced.  Byte-identity against ``tests/golden/artifacts/`` is the
-  acceptance bar, so every renderer recomputes the figures' arithmetic
-  from the same stored floats in the same order.
+  rows (keyed by canonical cell) back to the figure's
+  :class:`~repro.sim.report.ExperimentResult`.  The rendered bytes are
+  pinned by ``tests/golden/artifacts/``, so every renderer computes the
+  figures' arithmetic from the stored floats with the same formulas, in
+  the same order, as the live :class:`~repro.sim.evaluate.SchemeResult`
+  methods.
 
 This module holds the shared vocabulary: the scheme-key -> display-name
 map, the config -> cell compiler, and :class:`RowResult` — a
@@ -38,8 +39,8 @@ __all__ = [
     "row_result",
 ]
 
-#: Sweep scheme key -> the display name its SchemeSpec carries (column
-#: headers in the rendered tables must match the imperative path exactly).
+#: Sweep scheme key -> the display name its SchemeSpec carries (the
+#: rendered tables' column headers).
 SCHEME_NAMES = {
     "base": "Base",
     "oracle": "Oracle",
@@ -52,7 +53,7 @@ SCHEME_NAMES = {
     "cbf_counting": "CBF-counting",
 }
 
-#: The §V line-up in :func:`repro.experiments.context.paper_schemes` order.
+#: The §V line-up: Base, Oracle, CBF, Phased, ReDHiP.
 PAPER_SCHEME_KEYS = ("base", "oracle", "cbf", "phased", "redhip")
 
 

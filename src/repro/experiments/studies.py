@@ -2,11 +2,9 @@
 
 The ``recal_multiple`` and ``pt_kb`` axes started life as ad-hoc sweep
 configs (``repro sweep``); these two specs promote them to committed,
-golden-pinned experiments.  Unlike the figure modules there is no
-imperative twin to stay byte-identical to — both specs are *grid-native*:
-``cells``/``render`` is the only implementation, and ``build`` (reached
-when a config is not :func:`~repro.experiments.driver.griddable`) raises
-with an explanation instead of silently computing something different.
+golden-pinned experiments.  Like the figure modules, ``cells``/``render``
+is their only implementation; the driver refuses a config the grid
+cannot express instead of silently computing something different.
 
 ``study-recal``
     The recalibration-cadence cross-section of the predictor zoo: every
@@ -32,7 +30,6 @@ from __future__ import annotations
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, format_table
-from repro.util.validation import ConfigError
 
 __all__ = ["SPECS", "run_recal_study", "run_pt_study"]
 
@@ -63,18 +60,6 @@ PT_STUDY_SCHEMES = (
 
 #: LLC-capacity ratio exponents the budget columns sweep.
 PT_STUDY_EXPONENTS = (-9, -7, -5)
-
-
-def _grid_only(experiment_id: str):
-    def build(ctx, **kwargs) -> ExperimentResult:
-        raise ConfigError(
-            f"{experiment_id} is grid-native: it only runs through the sweep "
-            f"substrate, and this config is not grid-expressible (modified "
-            f"machine, coherence, or a relaxed timing model). Use a registry "
-            f"machine with the paper timing model."
-        )
-
-    return build
 
 
 def _avg_ratio(cfg, rows, workloads, scheme, **axes) -> float:
@@ -176,7 +161,6 @@ SPECS = (
     ExperimentSpec(
         experiment_id="study-recal",
         title="Recalibration cadence across the predictor zoo (dynamic energy vs base)",
-        build=_grid_only("study-recal"),
         kind="extension",
         workloads=STUDY_WORKLOADS,
         schemes=("Base", "ReDHiP", "LevelPred", "EHC"),
@@ -188,7 +172,6 @@ SPECS = (
     ExperimentSpec(
         experiment_id="study-pt",
         title="Prediction-table budget across predictors (dynamic energy vs base)",
-        build=_grid_only("study-pt"),
         kind="extension",
         workloads=STUDY_WORKLOADS,
         schemes=("Base", "ReDHiP", "CBF", "EHC"),

@@ -87,7 +87,6 @@ SPEC = ExperimentSpec(
     build=build,
     figure="Table I",
     kind="paper",
-    uses_runner=False,
 )
 
 

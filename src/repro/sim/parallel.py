@@ -18,7 +18,7 @@ Typical use (this is what the benchmark harness does under
 
     runner = ExperimentRunner(cfg)
     prewarm_streams(runner, PAPER_WORKLOADS, workers=4)
-    results = runner.run_matrix(PAPER_WORKLOADS, schemes)   # all cached
+    results = {w: runner.run(w, scheme) for w in PAPER_WORKLOADS}  # all cached
 """
 
 from __future__ import annotations

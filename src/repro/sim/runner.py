@@ -118,21 +118,12 @@ class ExperimentRunner:
         """
         workload_name = self._resolve(workload_name)
         cfg = self.config if policy is None else self.config.with_policy(policy)
-        self._check_policy(scheme, cfg)
-        stream = self.stream(workload_name, policy=cfg.policy)
-        return self._evaluate(stream, workload_name, scheme, cfg)
-
-    @staticmethod
-    def _check_policy(scheme: SchemeSpec, cfg: SimConfig) -> None:
         if scheme.consults_table and not cfg.policy.llc_is_superset:
             raise ConfigError(
                 "two-phase evaluation of predictor schemes needs an "
                 "LLC-superset (inclusive/hybrid) policy"
             )
-
-    @staticmethod
-    def _evaluate(stream: OutcomeStream, workload_name: str,
-                  scheme: SchemeSpec, cfg: SimConfig) -> SchemeResult:
+        stream = self.stream(workload_name, policy=cfg.policy)
         return evaluate_scheme(
             stream,
             cfg.machine,
@@ -145,29 +136,6 @@ class ExperimentRunner:
             dram=cfg.dram,
             checked=checking.enabled(cfg),
         )
-
-    def run_matrix(
-        self, workload_names, schemes: list[SchemeSpec],
-        policy: InclusionPolicy | str | None = None,
-    ) -> dict[str, dict[str, SchemeResult]]:
-        """Evaluate every scheme on every workload: {workload: {scheme: result}}.
-
-        Each workload's content walk is resolved exactly once and the
-        frozen outcome stream is shared across all schemes in the matrix —
-        the stream lookup doesn't repeat per (workload, scheme) pair.
-        """
-        cfg = self.config if policy is None else self.config.with_policy(policy)
-        for scheme in schemes:
-            self._check_policy(scheme, cfg)
-        out: dict[str, dict[str, SchemeResult]] = {}
-        for wname in workload_names:
-            wname = self._resolve(wname)
-            stream = self.stream(wname, policy=cfg.policy)
-            out[wname] = {
-                scheme.name: self._evaluate(stream, wname, scheme, cfg)
-                for scheme in schemes
-            }
-        return out
 
     # ------------------------------------------------------------ one-phase
     def run_integrated(

@@ -3,8 +3,8 @@
 Cells that share a content trajectory — same (machine, policy, seed,
 workload) — are grouped into one *shard*: the shard's worker walks the
 trajectory once (through the shared persistent stream cache) and
-evaluates every scheme cell against it, exactly how
-:meth:`ExperimentRunner.run_matrix` amortizes walks inside one process.
+evaluates every scheme cell against it, exactly how a memoized
+:class:`ExperimentRunner` amortizes walks inside one process.
 Shards fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`
 with the same misbehaviour budget as :func:`repro.sim.parallel.
 prewarm_streams`: a worker that crashes, hangs past the timeout, or

@@ -395,7 +395,7 @@ class SweepSpec:
             if (scheme in PREDICTOR_SCHEMES
                     and not InclusionPolicy.parse(policy).llc_is_superset):
                 # Two-phase predictor evaluation needs an LLC-superset
-                # policy (see ExperimentRunner._check_policy); the combo
+                # policy (see ExperimentRunner.run); the combo
                 # is not a valid grid point, not a failure to record.
                 continue
             cell = CellSpec(

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.energy.params import get_machine
-from repro.experiments import SPECS, clear_cache, get_spec, run_spec
+from repro.experiments import SPECS, ExperimentSpec, clear_cache, get_spec, run_spec
 from repro.sim.config import SimConfig
 from repro.sim.report import scheme_comparison_table
 from repro.util.validation import ConfigError
@@ -24,8 +24,45 @@ def test_every_spec_is_complete():
     for eid, spec in SPECS.items():
         assert spec.experiment_id == eid
         assert spec.title
-        assert callable(spec.build)
         assert spec.kind in ("paper", "extension", "ablation")
+        # Exactly one implementation: build, or the cells/render pair.
+        impl = [callable(spec.build), callable(spec.cells), callable(spec.render)]
+        assert impl in ([True, False, False], [False, True, True]), eid
+
+
+@pytest.mark.parametrize("impl", [
+    {},
+    {"build": lambda ctx: None, "cells": lambda cfg: [],
+     "render": lambda cfg, rows: None},
+    {"cells": lambda cfg: []},
+    {"build": lambda ctx: None, "render": lambda cfg, rows: None},
+], ids=["neither", "both", "cells-without-render", "build-and-render"])
+def test_spec_rejects_zero_or_two_implementations(impl):
+    with pytest.raises(ConfigError, match="spec bad"):
+        ExperimentSpec(experiment_id="bad", title="t", **impl)
+
+
+BUILD_ONLY = sorted(eid for eid, spec in SPECS.items() if spec.build is not None)
+
+
+@pytest.mark.parametrize("eid", BUILD_ONLY)
+def test_store_is_refused_for_build_only_specs(eid, tmp_path):
+    """Regression: ``store=`` was silently dropped for build-only specs,
+    so `repro run ext-gating --store p` wrote no store and said nothing."""
+    store = tmp_path / "s.sqlite"
+    cfg = SimConfig(machine=get_machine("tiny"), refs_per_core=800, seed=7)
+    with pytest.raises(ConfigError, match=f"experiment {eid} "):
+        run_spec(SPECS[eid], cfg, smoke=True, store=store)
+    assert not store.exists()
+
+
+def test_cli_run_store_on_build_only_spec_errors(tmp_path, capsys):
+    store = tmp_path / "s.sqlite"
+    rc = main(["run", "ext-gating", "--machine", "tiny", "--refs", "800",
+               "--store", str(store), "--out", str(tmp_path)])
+    assert rc == 1
+    assert "ext-gating" in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_get_spec_unknown_id():

@@ -1,35 +1,28 @@
-"""Experiments-as-sweeps: the grid path is the build path, resumably.
+"""Experiments-as-sweeps: grid specs run on the sweep substrate, resumably.
 
 The one-execution-substrate contract (DESIGN.md): a spec that declares
-``cells``/``render`` runs through the sweep scheduler + results store and
-must produce the *same bytes* the imperative ``build`` produces.  The
-registry-wide byte pin lives in ``test_golden_artifacts``; this module
-tests the substrate's own properties — routing, build/grid equivalence on
-a live config, resume from a kept store, and the grid-native studies'
-refusal to run off-grid.
+``cells``/``render`` runs through the sweep scheduler + results store, and
+that grid is its only implementation.  The registry-wide byte pin lives
+in ``test_golden_artifacts``; this module tests the substrate's own
+properties — the grid protocol, refusal of configs the grid cannot
+express, and resume from a kept store.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace as spec_replace
+from dataclasses import replace
 
 import pytest
 
+from repro.energy.dram import DramConfig
 from repro.energy.params import get_machine
 from repro.experiments import SPECS, clear_cache, run_spec
-from repro.experiments.driver import ExperimentContext, griddable
 from repro.sim.config import SimConfig
 from repro.sweep import run_cells
 from repro.util.validation import ConfigError
 
-#: Every spec converted to the cells/render protocol.
-CONVERTED = (
-    "fig6", "fig7", "fig8", "fig9", "fig10", "fig10-delta",
-    "fig11", "fig12", "fig13", "ext-relwork",
-    "ablation-hash", "ablation-entry-width",
-    "ablation-replacement", "ablation-fill-accounting",
-    "study-recal", "study-pt",
-)
+#: Every spec implemented by the cells/render protocol.
+CONVERTED = tuple(eid for eid, spec in SPECS.items() if spec.cells is not None)
 
 
 def smoke_config(**overrides):
@@ -44,64 +37,14 @@ def _drop_shared_runner():
 
 
 def test_converted_specs_declare_the_grid_protocol():
+    assert len(CONVERTED) == 16
     for eid in CONVERTED:
         spec = SPECS[eid]
-        assert spec.cells is not None and spec.render is not None, eid
+        assert spec.render is not None and spec.build is None, eid
         cells = spec.cells(smoke_config(), **dict(spec.smoke_kwargs))
         assert cells, eid
         # Cells are canonical: re-canonicalizing is a no-op.
         assert all(c == c.canonical() for c in cells), eid
-
-
-def test_griddable_is_the_routing_predicate():
-    assert griddable(smoke_config())
-    assert not griddable(smoke_config(memory_latency=120.0))
-    assert not griddable(smoke_config(coherent=True))
-    assert not griddable(smoke_config(checked=True))
-    deep = replace_machine_name(smoke_config())
-    assert not griddable(deep)
-
-
-def replace_machine_name(cfg):
-    """A config whose machine is not the registry object (deep_machine,
-    with_cores, ... all produce these)."""
-    from dataclasses import replace
-
-    machine = replace(cfg.machine, name="not-in-registry")
-    return replace(cfg, machine=machine)
-
-
-def test_grid_path_never_calls_build_when_griddable():
-    def boom(ctx, **kwargs):
-        raise AssertionError("build called on a griddable config")
-
-    spec = spec_replace(SPECS["fig8"], build=boom)
-    result = run_spec(spec, smoke_config(), smoke=True)
-    assert result.experiment_id == "fig8"
-
-
-def test_non_griddable_config_falls_back_to_build(monkeypatch):
-    from repro.experiments import driver
-
-    def boom(*a, **k):
-        raise AssertionError("grid path taken for a non-griddable config")
-
-    monkeypatch.setattr(driver, "_run_grid", boom)
-    cfg = smoke_config(memory_latency=120.0, memory_energy_nj=8.0, mlp=4.0)
-    result = run_spec(SPECS["fig8"], cfg, smoke=True)
-    assert result.experiment_id == "fig8"
-
-
-def test_grid_and_build_produce_identical_artifacts():
-    cfg = smoke_config()
-    for eid in ("fig6", "fig13", "ablation-replacement"):
-        spec = SPECS[eid]
-        via_grid = run_spec(spec, cfg, smoke=True)
-        via_build = spec.build(ExperimentContext(spec, cfg),
-                               **dict(spec.smoke_kwargs))
-        assert via_grid.series == via_build.series, eid
-        assert via_grid.table == via_build.table, eid
-        assert via_grid.notes == via_build.notes, eid
 
 
 def test_killed_figure_resumes_from_a_kept_store(tmp_path):
@@ -127,8 +70,34 @@ def test_killed_figure_resumes_from_a_kept_store(tmp_path):
     assert again.resumed == len({c.fingerprint() for c in cells})
 
 
-def test_grid_native_studies_refuse_off_grid_configs():
-    cfg = smoke_config(memory_latency=120.0)
-    for eid in ("study-recal", "study-pt"):
-        with pytest.raises(ConfigError, match="grid-native"):
-            run_spec(SPECS[eid], cfg, smoke=True)
+#: One off-grid field per case — each alone takes a config off the grid —
+#: and the cause the refusal must name.
+OFF_GRID = {
+    "machine": (lambda cfg: replace(
+        cfg, machine=replace(cfg.machine, name="not-in-registry")),
+        "not the registry machine"),
+    "modified-machine": (lambda cfg: replace(
+        cfg, machine=replace(cfg.machine, cores=1)),
+        "not the registry machine"),
+    "coherent": (lambda cfg: replace(cfg, coherent=True), "coherence"),
+    "memory_latency": (lambda cfg: replace(cfg, memory_latency=120.0),
+                       "memory latency"),
+    "memory_energy_nj": (lambda cfg: replace(cfg, memory_energy_nj=8.0),
+                         "memory latency/energy"),
+    "mlp": (lambda cfg: replace(cfg, mlp=4.0), "mlp=4.0"),
+    "dram": (lambda cfg: replace(cfg, dram=DramConfig()), "DRAM model"),
+    "checked": (lambda cfg: replace(cfg, checked=True), "REPRO_CHECKED=1"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OFF_GRID))
+@pytest.mark.parametrize("eid", CONVERTED)
+def test_off_grid_config_is_refused(eid, field, monkeypatch):
+    def boom(*a, **k):
+        raise AssertionError("an off-grid config reached the scheduler")
+
+    monkeypatch.setattr("repro.sweep.scheduler.run_cells", boom)
+    off_grid, cause = OFF_GRID[field]
+    with pytest.raises(ConfigError, match=f"experiment {eid} .*off-grid") as exc:
+        run_spec(SPECS[eid], off_grid(smoke_config()), smoke=True)
+    assert cause in str(exc.value)
