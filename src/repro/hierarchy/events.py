@@ -148,11 +148,11 @@ class AccessRecord:
                 self.core, weights=self.gap.astype(np.float64),
                 minlength=cores)),
             cpis=_frozen(cpis),
-            llc_when=self.llc_when,
-            llc_op=self.llc_op,
-            llc_block=self.llc_block,
+            llc_when=_frozen(self.llc_when),
+            llc_op=_frozen(self.llc_op),
+            llc_block=_frozen(self.llc_block),
             num_levels=self.num_levels,
-            final_llc_blocks=self.final_llc_blocks,
+            final_llc_blocks=_frozen(self.final_llc_blocks),
             content_fingerprint=self.fingerprint(),
         )
 

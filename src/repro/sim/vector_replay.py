@@ -41,6 +41,20 @@ The two predictor-zoo controllers reuse that schedule:
   within an epoch a miss reads either the value at the epoch start or the
   ``cur`` of the latest eviction on its entry in the same epoch.
 
+Each of these kernels is a **plan** plus a cheap **per-cell run**.  The
+plan holds everything derived from the stream alone, which no cadence
+changes: the hashed miss and event entries (presence), the trained level
+table (LevelPred), and the timeline sort's per-eviction ``cur``,
+last/next-eviction links and final ``cur`` (EHC).  The run is the epoch
+loop for one cadence plus writing the predictor's end state.  A plan is
+built at most once per (stream, table geometry) and kept in a per-stream
+memo with weak keys, so every cadence and every scheme that replays one
+stream shares it and it lives exactly as long as the stream.  A plan's
+key names every predictor parameter it reads; a plan that reads
+predictor state (the level table, EHC's ``cur`` and mirror) is stored only
+when that state is the constructor's all-zero one, and is otherwise built
+for the one call.  Plan arrays are read-only; the run copies from them.
+
 The counting-Bloom-filter competitor needs no schedule at all:
 
 * **CBF** (:func:`replay_cbf_vectorized`) — it never recalibrates and its
@@ -70,14 +84,15 @@ checked mode runs both paths and asserts equivalence (see
 from __future__ import annotations
 
 import os
-from functools import partial
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
 from repro.core.recalibration import RecalibrationEngine
 from repro.core.redhip import ReDHiPController
-from repro.hierarchy.events import EVENT_FILL, OutcomeStream
+from repro.hierarchy.events import EVENT_FILL, OutcomeStream, _frozen
 from repro.predictors.bloom import CountingBloomFilter
 from repro.predictors.cbf_scheme import CBFPredictor
 from repro.predictors.ehc import EHC_MAX, EHCController
@@ -102,6 +117,10 @@ _NEVER = np.iinfo(np.int64).max
 #: more in NumPy call overhead than the scalar state machine spends on
 #: it; the kernel finishes the remaining misses in the scalar tail.
 _WAVE_MIN = 48
+
+#: Replay plans per stream, ``{stream: {key: plan}}``.  The weak keys tie
+#: every plan's lifetime to its stream's.
+_PLANS: "weakref.WeakKeyDictionary[OutcomeStream, dict]" = weakref.WeakKeyDictionary()
 
 
 def vector_replay_disabled() -> bool:
@@ -153,14 +172,59 @@ def _index_array(hash_kind: str, p: int, blocks: np.ndarray) -> np.ndarray:
     return idx.astype(np.intp)
 
 
+# ---------------------------------------------------------------- plans
+def _plan(stream: OutcomeStream, key: tuple, build, pristine: bool = True):
+    """The plan ``build()`` derives from ``stream``, built at most once
+    per ``(stream, key)``.
+
+    ``key`` starts with the plan kind and names every predictor parameter
+    ``build`` reads.  A plan that also reads predictor state is shared
+    only if that state is the constructor's (``pristine``); otherwise it
+    is built for this call and not stored.
+    """
+    plans = _PLANS.setdefault(stream, {}) if pristine else {}
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = build()
+        telemetry.count("replay.plans_built", kind=key[0])
+    else:
+        telemetry.count("replay.plans_reused", kind=key[0])
+    return plan
+
+
+@dataclass(frozen=True, eq=False)
+class _Events:
+    """A stream's LLC events split by kind, each in time order.  Events
+    ``lo:hi`` are fills ``fill_cut[lo]:fill_cut[hi]`` and evictions
+    ``lo - fill_cut[lo]:hi - fill_cut[hi]``."""
+
+    fill_entry: np.ndarray      # intp[fills]   table entry of each fill
+    fill_when: np.ndarray       # int64[fills]  access index of each fill
+    evict_entry: np.ndarray     # intp[evicts]
+    fill_cut: np.ndarray        # int64[m + 1]  fills among the first k events
+
+    @classmethod
+    def split(cls, stream: OutcomeStream, entry: np.ndarray) -> "_Events":
+        is_fill = stream.llc_op == EVENT_FILL
+        return cls(fill_entry=_frozen(entry[is_fill]),
+                   fill_when=_frozen(stream.llc_when[is_fill]),
+                   evict_entry=_frozen(entry[~is_fill]),
+                   fill_cut=_frozen(np.r_[0, np.cumsum(is_fill)]))
+
+    @property
+    def fills(self) -> int:
+        return len(self.fill_entry)
+
+
 def _epochs(engine: RecalibrationEngine, miss_at: np.ndarray,
-            when: np.ndarray) -> tuple[list, int]:
-    """The sweep schedule as ``([(pos, pos_end, ev_lo, ev_hi, sweep)], sweeps)``.
+            when: np.ndarray, events: _Events) -> tuple[list, int]:
+    """The sweep schedule as ``([(pos, pos_end, fills, evicts, sweep)], sweeps)``.
 
     Epoch ``k`` covers misses ``pos:pos_end`` and the events the scalar
-    loop applies before the epoch's last lookup, ``ev_lo:ev_hi``; events
-    at or after that lookup land post-sweep, in the next epoch.  ``sweep``
-    says whether the engine fires after the epoch's last miss.
+    loop applies before the epoch's last lookup, as the slices ``fills``
+    and ``evicts`` of ``events``; events at or after that lookup land
+    post-sweep, in the next epoch.  ``sweep`` says whether the engine
+    fires after the epoch's last miss.
     """
     n_miss = len(miss_at)
     if not n_miss:
@@ -174,12 +238,22 @@ def _epochs(engine: RecalibrationEngine, miss_at: np.ndarray,
     if not len(ends) or ends[-1] != n_miss:
         ends = np.append(ends, n_miss)
     ev_his = np.searchsorted(when, miss_at[ends - 1], side="left")
-    plan = []
-    pos = ev_lo = 0
-    for k, (pos_end, ev_hi) in enumerate(zip(ends.tolist(), ev_his.tolist())):
-        plan.append((pos, pos_end, ev_lo, ev_hi, k < sweeps))
-        pos, ev_lo = pos_end, ev_hi
-    return plan, sweeps
+    fill_his = events.fill_cut[ev_his]
+    epochs = []
+    pos = fill_lo = evict_lo = 0
+    for k, (pos_end, fill_hi, evict_hi) in enumerate(zip(
+            ends.tolist(), fill_his.tolist(), (ev_his - fill_his).tolist())):
+        epochs.append((pos, pos_end, slice(fill_lo, fill_hi),
+                       slice(evict_lo, evict_hi), k < sweeps))
+        pos, fill_lo, evict_lo = pos_end, fill_hi, evict_hi
+    return epochs, sweeps
+
+
+def _tail(epochs: list, events: _Events) -> tuple[slice, slice]:
+    """The fills and evictions after the last epoch's lookups."""
+    fills, evicts = (epochs[-1][2].stop, epochs[-1][3].stop) if epochs else (0, 0)
+    return (slice(fills, events.fills),
+            slice(evicts, len(events.evict_entry)))
 
 
 def _finish_engine(engine: RecalibrationEngine, n_miss: int, epochs: int,
@@ -211,6 +285,25 @@ def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
+# ------------------------------------------------------------- presence
+@dataclass(frozen=True, eq=False)
+class _PresencePlan:
+    """The hashed entries a presence bitmap replay reads."""
+
+    miss_entry: np.ndarray      # intp[k]
+    events: _Events
+
+
+def _presence_plan(stream: OutcomeStream, hash_kind: str, p: int) -> _PresencePlan:
+    def build() -> _PresencePlan:
+        entries = _index_array(hash_kind, p,
+                               np.concatenate([stream.block, stream.llc_block]))
+        n_miss = stream.num_misses
+        return _PresencePlan(miss_entry=_frozen(entries[:n_miss]),
+                             events=_Events.split(stream, entries[n_miss:]))
+    return _plan(stream, ("presence", hash_kind, p), build)
+
+
 def _replay_presence(stream: OutcomeStream, predictor) -> tuple[np.ndarray, float]:
     """The ReDHiP epoch loop over a controller's presence bitmap.
 
@@ -219,34 +312,29 @@ def _replay_presence(stream: OutcomeStream, predictor) -> tuple[np.ndarray, floa
     ``predicted_miss`` / ``table_updates`` (one per fill) counters where
     the scalar loop would.
     """
+    plan = _presence_plan(stream, predictor.hash_kind, predictor.table.p)
+    events = plan.events
     miss_at = stream.at
     n_miss = len(miss_at)
-    index = partial(_index_array, predictor.hash_kind, predictor.table.p)
-    miss_entry = index(stream.block)
-    when = stream.llc_when
-    ev_fill = stream.llc_op == EVENT_FILL
-    ev_entry = index(stream.llc_block)
 
     bits = predictor.table._bits
     counts = predictor.mirror._counts
-    plan, sweeps = _epochs(predictor.engine, miss_at, when)
+    epochs, sweeps = _epochs(predictor.engine, miss_at, stream.llc_when, events)
     out = np.empty(n_miss, dtype=bool)
     first_fill = None                            # lazily allocated
-    for pos, pos_end, ev_lo, ev_hi, sweep in plan:
-        seg_fill = ev_fill[ev_lo:ev_hi]
-        fill_entry = ev_entry[ev_lo:ev_hi][seg_fill]
-        fill_when = when[ev_lo:ev_hi][seg_fill]
-        entries = miss_entry[pos:pos_end]
+    for pos, pos_end, fills, evicts, sweep in epochs:
+        fill_entry = events.fill_entry[fills]
+        entries = plan.miss_entry[pos:pos_end]
         if len(fill_entry):
             if first_fill is None:
                 first_fill = np.full(predictor.table.num_bits, _NEVER,
                                      dtype=np.int64)
-            np.minimum.at(first_fill, fill_entry, fill_when)
+            np.minimum.at(first_fill, fill_entry, events.fill_when[fills])
             out[pos:pos_end] = bits[entries] | (first_fill[entries] < miss_at[pos:pos_end])
             first_fill[fill_entry] = _NEVER      # reset only touched slots
         else:
             out[pos:pos_end] = bits[entries]
-        _advance_mirror(counts, fill_entry, ev_entry[ev_lo:ev_hi][~seg_fill])
+        _advance_mirror(counts, fill_entry, events.evict_entry[evicts])
         if sweep:
             np.greater(counts, 0, out=bits)
         else:
@@ -254,16 +342,15 @@ def _replay_presence(stream: OutcomeStream, predictor) -> tuple[np.ndarray, floa
 
     # Drain the event tail so telemetry covers the full run (matches the
     # sequential loop's trailing drain).
-    tail = plan[-1][3] if plan else 0
-    seg_fill = ev_fill[tail:]
-    fill_entry = ev_entry[tail:][seg_fill]
-    _advance_mirror(counts, fill_entry, ev_entry[tail:][~seg_fill])
+    fills, evicts = _tail(epochs, events)
+    fill_entry = events.fill_entry[fills]
+    _advance_mirror(counts, fill_entry, events.evict_entry[evicts])
     bits[fill_entry] = True
 
     predictor.lookups += n_miss
     predictor.predicted_miss += int(n_miss - np.count_nonzero(out))
-    predictor.table_updates += int(np.count_nonzero(ev_fill))
-    return out, _finish_engine(predictor.engine, n_miss, len(plan), sweeps)
+    predictor.table_updates += events.fills
+    return out, _finish_engine(predictor.engine, n_miss, len(epochs), sweeps)
 
 
 def replay_redhip_vectorized(
@@ -284,21 +371,62 @@ def replay_redhip_vectorized(
 
 
 # ------------------------------------------------------------ LevelPred
-def _train_level_table(predictor: LevelPredController, slot: np.ndarray,
-                       tag: np.ndarray, hit: np.ndarray) -> tuple:
-    """Replay every miss's ``train`` against the level table.
+@dataclass(frozen=True, eq=False)
+class _LevelPlan:
+    """The level table trained over every miss, and what each miss read.
 
-    Returns ``(matched, pre_level, updates)``: per miss, whether its slot
-    held its tag at confidence >= ``CONF_CONFIDENT`` just before its own
-    train, that slot's level at the time, and the number of modifying
-    trains.  Leaves ``tags``/``levels``/``conf`` in their final state.
+    Per miss: whether its slot held its tag at confidence >=
+    ``CONF_CONFIDENT`` just before its own train (``matched``), that
+    slot's level at the time (``pre_level``), whether that is a scored
+    single-level guess (``scored``: matched at a level >= 2) and a right
+    one (``correct``).  ``updates`` counts modifying trains; ``tags``,
+    ``levels`` and ``conf`` are the final table.
+    """
+
+    matched: np.ndarray         # bool[k]
+    pre_level: np.ndarray       # uint8[k]
+    scored: np.ndarray          # bool[k]
+    correct: np.ndarray         # bool[k]
+    updates: int
+    tags: np.ndarray
+    levels: np.ndarray
+    conf: np.ndarray
+
+
+def _level_plan(stream: OutcomeStream, predictor: LevelPredController) -> _LevelPlan:
+    tables = (predictor.tags, predictor.levels, predictor.conf)
+
+    def build() -> _LevelPlan:
+        full = (stream.pc >> np.uint64(2)) ^ stream.block
+        slot = (full & np.uint64(predictor._level_mask)).astype(np.intp)
+        tag = ((full >> np.uint64(predictor._level_bits)) & np.uint64(0xFF)).astype(np.uint8)
+        hit = stream.hit_level.astype(np.uint8)
+        tags, levels, conf = trained = tuple(table.copy() for table in tables)
+        matched, pre_level, updates = _train_level_table(trained, slot, tag, hit)
+        scored = matched & (pre_level >= 2)
+        return _LevelPlan(
+            matched=_frozen(matched), pre_level=_frozen(pre_level),
+            scored=_frozen(scored), correct=_frozen(scored & (hit == pre_level)),
+            updates=updates, tags=_frozen(tags), levels=_frozen(levels),
+            conf=_frozen(conf))
+    return _plan(stream, ("levelpred", predictor._level_bits), build,
+                 pristine=not any(table.any() for table in tables))
+
+
+def _train_level_table(table: tuple, slot: np.ndarray, tag: np.ndarray,
+                       hit: np.ndarray) -> tuple:
+    """Replay every miss's ``train`` against ``table`` (the ``tags``,
+    ``levels`` and ``conf`` arrays), leaving it in its final state.
+
+    Returns ``(matched, pre_level, updates)`` as :class:`_LevelPlan`
+    describes them.
     """
     n = len(slot)
     matched = np.zeros(n, dtype=bool)
     pre_level = np.zeros(n, dtype=np.uint8)
     if not n:
         return matched, pre_level, 0
-    tags, levels, conf = predictor.tags, predictor.levels, predictor.conf
+    tags, levels, conf = table
 
     # Group the misses by slot (time order within a slot), rank each one
     # within its slot, and lay them out round-major: round r holds every
@@ -336,21 +464,18 @@ def _train_level_table(predictor: LevelPredController, slot: np.ndarray,
         levels[s] = np.where(replace, h, L)
         tags[s] = np.where(replace, t, T)
     if lo < n:
-        updates += _train_tail(predictor, slot, tag, hit, by_round[lo:],
+        updates += _train_tail(table, slot, tag, hit, by_round[lo:],
                                matched, pre_level)
     return matched, pre_level, updates
 
 
-def _train_tail(predictor: LevelPredController, slot, tag, hit, tail,
-                matched, pre_level) -> int:
+def _train_tail(table: tuple, slot, tag, hit, tail, matched, pre_level) -> int:
     """Scalar ``train`` over ``tail`` (per-slot time order preserved),
-    on plain-int copies of just the slots it touches."""
+    on plain-int copies of just the slots of ``table`` it touches."""
     tail_slots = slot[tail].tolist()
     slots = list(dict.fromkeys(tail_slots))      # np.unique would import numpy.ma
     local = {s: k for k, s in enumerate(slots)}
-    tags = predictor.tags[slots].tolist()
-    levels = predictor.levels[slots].tolist()
-    conf = predictor.conf[slots].tolist()
+    tags, levels, conf = (column[slots].tolist() for column in table)
     hits, pres = [], []
     updates = 0
     for s, t, h in zip(tail_slots, tag[tail].tolist(), hit[tail].tolist()):
@@ -376,9 +501,8 @@ def _train_tail(predictor: LevelPredController, slot, tag, hit, tail,
             updates += 1
     matched[tail] = hits
     pre_level[tail] = pres
-    predictor.tags[slots] = tags
-    predictor.levels[slots] = levels
-    predictor.conf[slots] = conf
+    for column, values in zip(table, (tags, levels, conf)):
+        column[slots] = values
     return updates
 
 
@@ -394,31 +518,140 @@ def replay_levelpred_vectorized(
     """
     _require(predictor, LevelPredController)
     present, stall = _replay_presence(stream, predictor)
+    plan = _level_plan(stream, predictor)
 
-    full = (stream.pc >> np.uint64(2)) ^ stream.block
-    slot = (full & np.uint64(predictor._level_mask)).astype(np.intp)
-    tag = ((full >> np.uint64(predictor._level_bits)) & np.uint64(0xFF)).astype(np.uint8)
-    hit = stream.hit_level.astype(np.uint8)
-    matched, pre_level, updates = _train_level_table(predictor, slot, tag, hit)
-
-    single = present & matched
-    level = np.where(single, pre_level, 0).astype(np.int64)
-    confident = ~present | matched
-    scored = single & (pre_level >= 2)
-    correct = int(np.count_nonzero(scored & (hit == pre_level)))
+    single = present & plan.matched
+    level = np.where(single, plan.pre_level, 0).astype(np.int64)
+    confident = ~present | plan.matched
+    correct = int(np.count_nonzero(present & plan.correct))
     predictor.confident_singles += int(np.count_nonzero(single))
     predictor.correct_singles += correct
-    predictor.mispredicts += int(np.count_nonzero(scored)) - correct
-    predictor.table_updates += updates
+    predictor.mispredicts += int(np.count_nonzero(present & plan.scored)) - correct
+    predictor.table_updates += plan.updates
+    np.copyto(predictor.tags, plan.tags)
+    np.copyto(predictor.levels, plan.levels)
+    np.copyto(predictor.conf, plan.conf)
     if stream.num_misses:
         predictor._last = (int(level[-1]), bool(confident[-1]))
     return level, confident, stall
 
 
 # ------------------------------------------------------------------ EHC
+@dataclass(frozen=True, eq=False)
+class _EHCPlan:
+    """Everything an EHC replay reads that no sweep changes.
+
+    Evictions are numbered in time order.  ``evict_cur`` is ``cur`` at
+    each eviction (what it writes to ``expected``), ``evict_next`` the
+    next eviction on the same entry (the eviction count: none) and
+    ``miss_last`` each miss's latest earlier eviction on its entry (-1:
+    none).  ``cur`` is the final ``cur`` table.
+    """
+
+    miss_entry: np.ndarray      # intp[k]
+    miss_last: np.ndarray       # intp[k]
+    events: _Events
+    evict_cur: np.ndarray       # uint8[evicts]
+    evict_next: np.ndarray      # intp[evicts]
+    cur: np.ndarray             # uint8[entries]
+    observed: int               # LLC hits the misses observe
+
+
 def _saturate(base: np.ndarray, hits: np.ndarray) -> np.ndarray:
     """``cur`` after ``hits`` saturating increments from ``base``."""
     return np.where(base >= EHC_MAX, base, np.minimum(base + hits, EHC_MAX))
+
+
+def _ehc_plan(stream: OutcomeStream, predictor: EHCController) -> _EHCPlan:
+    cur0, counts0 = predictor.cur, predictor.mirror._counts
+
+    def build() -> _EHCPlan:
+        n_miss = stream.num_misses
+        mask = np.uint64(predictor._mask)
+        miss_entry = (stream.block & mask).astype(np.intp)
+        observe = stream.hit_level == stream.num_levels
+        when = stream.llc_when
+        ev_fill = stream.llc_op == EVENT_FILL
+        ev_entry = (stream.llc_block & mask).astype(np.intp)
+        m = len(when)
+
+        # One timeline of misses (items 0..n_miss-1) and events (n_miss..):
+        # event e precedes miss i iff when[e] < miss_at[i].  Sorted stably
+        # by entry, each entry's items form a run in timeline order.
+        total = n_miss + m
+        position = np.empty(total, dtype=np.intp)
+        position[:n_miss] = np.arange(n_miss) + np.searchsorted(when, stream.at, side="left")
+        position[n_miss:] = np.arange(m) + np.searchsorted(stream.at, when, side="right")
+        timeline = np.empty(total, dtype=np.intp)
+        timeline[position] = np.arange(total)
+        entry = np.concatenate([miss_entry, ev_entry])
+        item = timeline[_stable_argsort(entry[timeline], predictor.num_entries)]
+
+        # Per sorted item: its kind, its entry, and where its entry's run
+        # starts.
+        where_at = np.arange(total)
+        no_miss, no_event = np.zeros(n_miss, dtype=bool), np.zeros(m, dtype=bool)
+        is_miss = item < n_miss
+        is_fill = np.concatenate([no_miss, ev_fill])[item]
+        is_evict = ~is_miss & ~is_fill
+        is_obs = np.concatenate([observe, no_event])[item]
+        run_entry = entry[item]
+        group = np.ones(total, dtype=bool)
+        np.not_equal(run_entry[1:], run_entry[:-1], out=group[1:])
+        group_start = np.maximum.accumulate(np.where(group, where_at, 0))
+        # Each eviction item's number among the evictions in time order.
+        evict_no = np.full(total, -1, dtype=np.intp)
+        evict_no[is_evict] = (np.cumsum(~ev_fill) - 1)[item[is_evict] - n_miss]
+
+        # Mirror occupancy after every item: an eviction may never find its
+        # entry empty (the scalar TagMirror.evict check, exact per event).
+        step = is_fill.astype(np.int64) - is_evict
+        running = np.cumsum(step)
+        occupancy = counts0[run_entry] + running - (running - step)[group_start]
+        if np.any(occupancy[is_evict] < 0):
+            raise ConfigError("tag mirror underflow: eviction of a block never filled")
+
+        # cur at each eviction: hits since the entry's last fill or evict.
+        reset = is_fill | is_evict
+        seg_start = np.maximum.accumulate(np.where(
+            group | np.r_[False, reset[:-1]], where_at, 0))
+        hits_before = np.cumsum(is_obs) - is_obs
+        base = np.where(group[seg_start], cur0[run_entry], 0)
+        cur_here = _saturate(base, hits_before - hits_before[seg_start])
+        n_evict = m - int(np.count_nonzero(ev_fill))
+        evict_cur = np.zeros(n_evict, dtype=np.uint8)
+        evict_cur[evict_no[is_evict]] = cur_here[is_evict]
+
+        # Per miss: latest eviction on its entry before it (-1: none).
+        last_evict = np.maximum.accumulate(np.where(is_evict, where_at, -1))
+        has_evict = last_evict >= group_start
+        miss_last = np.full(n_miss, -1, dtype=np.intp)
+        miss_last[item[is_miss]] = np.where(has_evict, evict_no[last_evict], -1)[is_miss]
+        # Per eviction: the next eviction on its entry, so a batch of
+        # events can tell which eviction writes `expected` last.
+        ev_items = np.flatnonzero(is_evict)
+        nxt = np.full(n_evict, n_evict, dtype=np.intp)
+        same = run_entry[ev_items[1:]] == run_entry[ev_items[:-1]]
+        nxt[:-1][same] = evict_no[ev_items[1:]][same]
+        evict_next = np.empty(n_evict, dtype=np.intp)
+        evict_next[evict_no[ev_items]] = nxt
+
+        # Final cur: hits in each entry's last segment, 0 right after a
+        # reset.
+        cur = cur0.copy()
+        if total:
+            ends = np.r_[np.flatnonzero(group)[1:] - 1, total - 1]
+            cur[run_entry[ends]] = np.where(
+                reset[ends], 0,
+                _saturate(base[ends], hits_before[ends] + is_obs[ends]
+                          - hits_before[seg_start[ends]]))
+        return _EHCPlan(
+            miss_entry=_frozen(miss_entry), miss_last=_frozen(miss_last),
+            events=_Events.split(stream, ev_entry),
+            evict_cur=_frozen(evict_cur), evict_next=_frozen(evict_next),
+            cur=_frozen(cur), observed=int(np.count_nonzero(observe)))
+    return _plan(stream, ("ehc", predictor._mask), build,
+                 pristine=not (cur0.any() or counts0.any()))
 
 
 def replay_ehc_vectorized(
@@ -431,113 +664,39 @@ def replay_ehc_vectorized(
     counters in the state the scalar loop would.
     """
     _require(predictor, EHCController)
-    miss_at = stream.at
-    n_miss = len(miss_at)
-    mask = np.uint64(predictor._mask)
-    miss_entry = (stream.block & mask).astype(np.intp)
-    observe = stream.hit_level == stream.num_levels
-    when = stream.llc_when
-    ev_fill = stream.llc_op == EVENT_FILL
-    ev_entry = (stream.llc_block & mask).astype(np.intp)
-    m = len(when)
-
-    # One timeline of misses (items 0..n_miss-1) and events (n_miss..):
-    # event e precedes miss i iff when[e] < miss_at[i].  Sorted stably by
-    # entry, each entry's items form a run in timeline order.
-    total = n_miss + m
-    position = np.empty(total, dtype=np.intp)
-    position[:n_miss] = np.arange(n_miss) + np.searchsorted(when, miss_at, side="left")
-    position[n_miss:] = np.arange(m) + np.searchsorted(miss_at, when, side="right")
-    timeline = np.empty(total, dtype=np.intp)
-    timeline[position] = np.arange(total)
-    entry = np.concatenate([miss_entry, ev_entry])
-    item = timeline[_stable_argsort(entry[timeline], predictor.num_entries)]
-
-    # Per sorted item: its kind, its entry, and where its entry's run starts.
-    where_at = np.arange(total)
-    no_miss, no_event = np.zeros(n_miss, dtype=bool), np.zeros(m, dtype=bool)
-    is_miss = item < n_miss
-    is_fill = np.concatenate([no_miss, ev_fill])[item]
-    is_evict = ~is_miss & ~is_fill
-    is_obs = np.concatenate([observe, no_event])[item]
-    ev_of = item - n_miss                        # event index at event items
-    run_entry = entry[item]
-    group = np.ones(total, dtype=bool)
-    np.not_equal(run_entry[1:], run_entry[:-1], out=group[1:])
-    group_start = np.maximum.accumulate(np.where(group, where_at, 0))
-
-    # Mirror occupancy after every item: an eviction may never find its
-    # entry empty (the scalar TagMirror.evict check, exact per event).
-    counts0 = predictor.mirror._counts
-    step = is_fill.astype(np.int64) - is_evict
-    running = np.cumsum(step)
-    occupancy = counts0[run_entry] + running - (running - step)[group_start]
-    if np.any(occupancy[is_evict] < 0):
-        raise ConfigError("tag mirror underflow: eviction of a block never filled")
-
-    # cur at each eviction: hits since the entry's last fill or evict.
-    reset = is_fill | is_evict
-    seg_start = np.maximum.accumulate(np.where(
-        group | np.r_[False, reset[:-1]], where_at, 0))
-    hits_before = np.cumsum(is_obs) - is_obs
-    cur0 = predictor.cur
-    base = np.where(group[seg_start], cur0[run_entry], 0)
-    cur_here = _saturate(base, hits_before - hits_before[seg_start])
-    cur_at = np.zeros(m, dtype=np.uint8)
-    cur_at[ev_of[is_evict]] = cur_here[is_evict]
-
-    # Per miss: latest eviction on its entry before it (-1: none).
-    last_evict = np.maximum.accumulate(np.where(is_evict, where_at, -1))
-    has_evict = last_evict >= group_start
-    miss_last = np.full(n_miss, -1, dtype=np.intp)
-    miss_last[item[is_miss]] = np.where(has_evict, ev_of[last_evict], -1)[is_miss]
-    # Per eviction: the next eviction on its entry (m: none), so a batch of
-    # events can tell which eviction writes `expected` last.
-    ev_items = np.flatnonzero(is_evict)
-    nxt = np.full(len(ev_items), m, dtype=np.intp)
-    same = run_entry[ev_items[1:]] == run_entry[ev_items[:-1]]
-    nxt[:-1][same] = ev_of[ev_items[1:]][same]
-    next_evict = np.full(m, m, dtype=np.intp)
-    next_evict[ev_of[ev_items]] = nxt
-
+    plan = _ehc_plan(stream, predictor)
+    events = plan.events
+    n_miss = stream.num_misses
     expected = predictor.expected
     counts = predictor.mirror._counts
 
-    def apply_events(lo: int, hi: int) -> None:
-        seg_fill = ev_fill[lo:hi]
-        seg_entry = ev_entry[lo:hi]
-        _advance_mirror(counts, seg_entry[seg_fill], seg_entry[~seg_fill])
-        last_write = ~seg_fill & (next_evict[lo:hi] >= hi)
-        expected[seg_entry[last_write]] = cur_at[lo:hi][last_write]
+    def apply_events(fills: slice, evicts: slice) -> None:
+        evict_entry = events.evict_entry[evicts]
+        _advance_mirror(counts, events.fill_entry[fills], evict_entry)
+        last_write = plan.evict_next[evicts] >= evicts.stop
+        expected[evict_entry[last_write]] = plan.evict_cur[evicts][last_write]
 
-    plan, sweeps = _epochs(predictor.engine, miss_at, when)
+    epochs, sweeps = _epochs(predictor.engine, stream.at, stream.llc_when, events)
     dead = np.empty(n_miss, dtype=bool)
-    for pos, pos_end, ev_lo, ev_hi, sweep in plan:
-        values = expected[miss_entry[pos:pos_end]]
-        last = miss_last[pos:pos_end]
-        fresh = last >= ev_lo
+    for pos, pos_end, fills, evicts, sweep in epochs:
+        values = expected[plan.miss_entry[pos:pos_end]]
+        last = plan.miss_last[pos:pos_end]
+        fresh = last >= evicts.start
         if fresh.any():
-            values = np.where(fresh, cur_at[last], values)
+            values = np.where(fresh, plan.evict_cur[last], values)
         dead[pos:pos_end] = values == 0
-        apply_events(ev_lo, ev_hi)
+        apply_events(fills, evicts)
         if sweep:
             np.maximum(expected, 1, out=expected)
             expected[counts == 0] = 0
-    apply_events(plan[-1][3] if plan else 0, m)
-
-    # Final cur: hits in each entry's last segment, 0 right after a reset.
-    if total:
-        ends = np.r_[np.flatnonzero(group)[1:] - 1, total - 1]
-        final = np.where(reset[ends], 0,
-                         _saturate(base[ends], hits_before[ends] + is_obs[ends]
-                                   - hits_before[seg_start[ends]]))
-        cur0[run_entry[ends]] = final
+    apply_events(*_tail(epochs, events))
+    np.copyto(predictor.cur, plan.cur)
 
     predictor.lookups += n_miss
     predictor.predicted_dead += int(np.count_nonzero(dead))
-    predictor.llc_hits_observed += int(np.count_nonzero(observe))
-    predictor.table_updates += m
-    return dead, _finish_engine(predictor.engine, n_miss, len(plan), sweeps)
+    predictor.llc_hits_observed += plan.observed
+    predictor.table_updates += len(stream.llc_when)
+    return dead, _finish_engine(predictor.engine, n_miss, len(epochs), sweeps)
 
 
 # ------------------------------------------------------------------ CBF

@@ -127,6 +127,11 @@ def _summarize(counters: dict) -> dict:
     def total(prefix: str) -> float:
         return sum(v for k, v in counters.items() if k.startswith(prefix))
 
+    def by_kind(name: str) -> dict:
+        prefix = f"{name}{{kind="
+        return {k[len(prefix):-1]: v for k, v in sorted(counters.items())
+                if k.startswith(prefix)}
+
     return {
         "cache": {
             "hits": total("stream_cache.hit"),
@@ -140,6 +145,12 @@ def _summarize(counters: dict) -> dict:
             "sequential": total("replay.sequential"),
             "epochs": total("replay.epochs"),
             "sweeps": total("replay.sweeps"),
+        },
+        # Replay plans per kind (presence, levelpred, ehc): built once
+        # per (stream, table geometry), reused by every later cell.
+        "plans": {
+            "built": by_kind("replay.plans_built"),
+            "reused": by_kind("replay.plans_reused"),
         },
         "content": {
             "walks": total("content.walks"),

@@ -344,6 +344,23 @@ class TestCli:
         assert any(e["ph"] == "X" and e["name"] == "experiment"
                    for e in doc["traceEvents"])
 
+    def test_stats_counts_replay_plans(self, tmp_path, capsys):
+        """study-recal replays every cadence of a workload from one plan
+        per kind: one presence (ReDHiP and LevelPred), one LevelPred and
+        one EHC plan built per workload, the other cells reuse them."""
+        from repro.cli import main
+        from repro.experiments.studies import STUDY_WORKLOADS
+
+        out = tmp_path / "results"
+        assert main(["run", "study-recal", "--machine", "tiny", "--refs", "1000",
+                     "--telemetry", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(out / telemetry.MANIFEST_NAME)]) == 0
+        n = len(STUDY_WORKLOADS)
+        assert (f"replay plans: built {n} ehc, {n} levelpred, {n} presence; "
+                f"reused {3 * n} ehc, {3 * n} levelpred, {7 * n} presence"
+                in capsys.readouterr().out)
+
     def test_stats_missing_manifest_is_an_error(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -13,7 +13,10 @@ keep the sequential path.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import itertools
 import json
+import weakref
 from functools import partial
 
 import numpy as np
@@ -237,6 +240,10 @@ ZOO_CONTROLLERS = {"levelpred": LevelPredController, "ehc": EHCController}
 
 
 def _zoo_replay(kind, stream, predictor, vector):
+    if kind == "redhip":
+        if vector:
+            return vector_replay.replay_redhip_vectorized(stream, predictor)
+        return _replay_predictor_scalar(stream, predictor)
     if kind == "levelpred":
         if vector:
             return vector_replay.replay_levelpred_vectorized(stream, predictor)
@@ -247,7 +254,7 @@ def _zoo_replay(kind, stream, predictor, vector):
 
 
 def _zoo_state(kind, predictor) -> dict:
-    """Every end-of-run observable of a zoo controller."""
+    """Every end-of-run observable of a zoo (or ReDHiP) controller."""
     state = {
         "mirror": predictor.mirror._counts.copy(),
         "stats": predictor.stats(),
@@ -255,7 +262,9 @@ def _zoo_state(kind, predictor) -> dict:
         "l1_misses": predictor.engine.l1_misses,
         "sweeps": predictor.engine.sweeps,
     }
-    if kind == "levelpred":
+    if kind == "redhip":
+        state.update(bits=predictor.table._bits.copy())
+    elif kind == "levelpred":
         state.update(bits=predictor.table._bits.copy(),
                      tags=predictor.tags.copy(), levels=predictor.levels.copy(),
                      conf=predictor.conf.copy(), last=predictor._last)
@@ -271,9 +280,13 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def _zoo_divergences(kind, stream, make) -> list:
-    """Replay two fresh controllers down both paths; name what differs."""
+def _zoo_divergences(kind, stream, make, warm=()) -> list:
+    """Replay two fresh controllers down both paths — after each path has
+    first replayed the ``warm`` streams — and name what differs."""
     scalar, batched = make(), make()
+    for earlier in warm:
+        _zoo_replay(kind, earlier, scalar, vector=False)
+        _zoo_replay(kind, earlier, batched, vector=True)
     want = _zoo_replay(kind, stream, scalar, vector=False)
     got = _zoo_replay(kind, stream, batched, vector=True)
     diffs = [f"output {k}" for k, (a, b) in enumerate(zip(got, want))
@@ -299,10 +312,13 @@ def _fuzz_periods(rng, n_miss: int) -> tuple:
 def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
     """Random geometry x workload family x recal period x table budget:
     the batched LevelPred and EHC kernels match the scalar loops in every
-    output and every piece of end-of-run state.  Half the cases run the
-    level-table wavefront down to single-miss rounds, half finish sparse
-    rounds in the scalar tail.  A divergence writes a seed-replay bundle
-    (the case is regenerated from ``ZOO_FUZZ_SEED`` and its index)."""
+    output and every piece of end-of-run state, from fresh controllers
+    and from controllers that already replayed the stream once or twice
+    (so a plan built for a fresh predictor is never applied to a trained
+    one).  Half the cases run the level-table wavefront down to
+    single-miss rounds, half finish sparse rounds in the scalar tail.  A
+    divergence writes a seed-replay bundle (the case is regenerated from
+    ``ZOO_FUZZ_SEED`` and its index)."""
     monkeypatch.setenv(checking.REPLAY_DIR_ENV, str(tmp_path))
     for i, rng in cases(seed=ZOO_FUZZ_SEED, n=16):
         machine = random_machine(rng)
@@ -318,24 +334,26 @@ def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
         stream = runner.stream(workload.name)
         n_miss = stream.num_misses
         monkeypatch.setattr(vector_replay, "_WAVE_MIN", wave)
-        for period in _fuzz_periods(rng, n_miss):
-            for kind, controller in ZOO_CONTROLLERS.items():
-                make = partial(controller, machine, budget, recal_period=period)
-                diffs = _zoo_divergences(kind, stream, make)
-                if not diffs:
-                    continue
-                bundle = {
-                    "fuzz_seed": ZOO_FUZZ_SEED, "case": i, "scheme": kind,
-                    "machine": machine.name, "family": family,
-                    "refs_per_core": refs, "seed": seed,
-                    "budget_bytes": budget, "recal_period": period,
-                    "wave_min": wave, "misses": n_miss, "diverged": diffs,
-                }
-                path = checking.default_replay_dir() / f"zoo-replay-case{i}-{kind}.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(bundle, indent=2, sort_keys=True))
-                pytest.fail(f"case {i}: {kind} kernel diverged in {diffs} "
-                            f"(bundle: {path})")
+        for period, kind, warm in itertools.product(
+                _fuzz_periods(rng, n_miss), ZOO_CONTROLLERS, (0, 1, 2)):
+            make = partial(ZOO_CONTROLLERS[kind], machine, budget,
+                           recal_period=period)
+            diffs = _zoo_divergences(kind, stream, make, [stream] * warm)
+            if not diffs:
+                continue
+            bundle = {
+                "fuzz_seed": ZOO_FUZZ_SEED, "case": i, "scheme": kind,
+                "machine": machine.name, "family": family,
+                "refs_per_core": refs, "seed": seed,
+                "budget_bytes": budget, "recal_period": period,
+                "wave_min": wave, "misses": n_miss, "warm_replays": warm,
+                "diverged": diffs,
+            }
+            path = checking.default_replay_dir() / f"zoo-replay-case{i}-{kind}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(bundle, indent=2, sort_keys=True))
+            pytest.fail(f"case {i}: {kind} kernel diverged in {diffs} "
+                        f"(bundle: {path})")
 
 
 def _synthetic_stream(hit_level, block, events=(), num_levels=4,
@@ -398,7 +416,10 @@ def _random_valid_stream(rng, n: int, pool: int,
 @pytest.mark.parametrize("period", [1, 5, None])
 def test_zoo_directed_streams(tiny_machine, monkeypatch, kind, period):
     """Degenerate and adversarial streams: no L1 misses, no LLC events,
-    and a hot block pool that saturates EHC's counters."""
+    and a hot block pool that saturates EHC's counters — each from a
+    fresh controller and after one or two earlier replays of it.  Unlike
+    a cold-cache walk, these streams hit the LLC before any event on the
+    entry, so they read the ``cur`` an earlier replay left."""
     rng = np.random.default_rng(11)
     no_misses = _synthetic_stream(
         [1] * 6, [1, 2, 3, 4, 5, 6],
@@ -414,7 +435,9 @@ def test_zoo_directed_streams(tiny_machine, monkeypatch, kind, period):
         for k, stream in enumerate(streams):
             pcs = rng.integers(0, 1 << 20, size=stream.num_misses).astype(np.uint64)
             stream = dataclasses.replace(stream, pc=pcs)
-            assert _zoo_divergences(kind, stream, make) == [], (k, wave)
+            for warm in range(3):
+                assert _zoo_divergences(kind, stream, make,
+                                        [stream] * warm) == [], (k, wave, warm)
 
 
 @pytest.mark.parametrize("wave", [1, 10**9])
@@ -542,6 +565,107 @@ def test_checked_mode_catches_divergent_zoo_kernels(zoo_case, monkeypatch):
             evaluate_scheme(stream, cfg.machine, scheme, wl, checked=True)
 
 
+# ---------------------------------------------------------- replay plans
+def _plan_scheme(kind, budget, period):
+    """The recalibrating schemes that replay through a plan, by kind."""
+    if kind == "redhip":
+        return redhip_scheme(table_bytes=budget, recal_period=period)
+    if kind == "redhip_noov":
+        return redhip_scheme(table_bytes=budget, recal_period=period,
+                             name="ReDHiP-NoOv", lookup_delay=0)
+    if kind == "levelpred":
+        return levelpred_scheme(table_bytes=budget, recal_period=period)
+    return ehc_scheme(budget_bytes=budget, recal_period=period)
+
+
+def _plan_outcome(machine, stream, kind, budget, period, vector=True):
+    """(SchemeResult facts, end-of-run state) of one evaluation."""
+    scheme = _plan_scheme(kind, budget, period)
+    result = evaluate_scheme(stream, machine, scheme, "soplex")
+    predictor = scheme.build_predictor(machine)
+    state_kind = "redhip" if kind.startswith("redhip") else kind
+    _zoo_replay(state_kind, stream, predictor, vector=vector)
+    return _result_facts(result), _zoo_state(state_kind, predictor)
+
+
+def _same_outcome(a, b) -> bool:
+    return a[0] == b[0] and all(_same(a[1][k], b[1][k]) for k in a[1])
+
+
+def test_plan_reuse_is_exact(tmp_path, monkeypatch):
+    """One stream through one runner: ReDHiP, ReDHiP-NoOv, LevelPred and
+    EHC at every cadence kind and two table budgets, forward and then in
+    reverse, so nearly every cell reuses a plan.  Each result and end
+    state equals the same evaluation on an independently loaded copy of
+    the stream with a cold memo, and the scalar oracle."""
+    from repro.energy.params import get_machine
+
+    cfg = SimConfig(machine=get_machine("tiny"), refs_per_core=2500, seed=3,
+                    stream_cache=str(tmp_path / "cache"))
+    runner = ExperimentRunner(cfg)
+    stream = runner.stream("soplex")
+    loaded = ExperimentRunner(cfg).stream("soplex")  # from the disk cache
+    assert loaded is not stream and loaded.record_digest() == stream.record_digest()
+    kinds = ("redhip", "redhip_noov", "levelpred", "ehc")
+    cells = list(itertools.product(
+        kinds, (None, 128), _fuzz_periods(np.random.default_rng(7),
+                                          stream.num_misses)))
+    with telemetry.session(force=True, label="plans") as sess:
+        hot = {}
+        for cell in cells + cells[::-1]:
+            outcome = _plan_outcome(cfg.machine, runner.stream("soplex"), *cell)
+            assert _same_outcome(hot.setdefault(cell, outcome), outcome), cell
+        counters = sess.registry.snapshot()["counters"]
+    # One plan per (kind, geometry), used by every later lookup: each cell
+    # looks its plans up twice per pass (evaluation and direct replay),
+    # and the presence plan serves ReDHiP, ReDHiP-NoOv and LevelPred.
+    for kind, users in (("presence", 3), ("levelpred", 1), ("ehc", 1)):
+        built = counters[f"replay.plans_built{{kind={kind}}}"]
+        reused = counters[f"replay.plans_reused{{kind={kind}}}"]
+        assert built == 2 and built + reused == 2 * 2 * len(cells) * users // 4, kind
+    for plan in vector_replay._PLANS[stream].values():
+        for value in vars(plan).values():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+    for cell in cells:
+        cold = _plan_outcome(cfg.machine, dataclasses.replace(loaded), *cell)
+        assert _same_outcome(hot[cell], cold), cell
+        with monkeypatch.context() as env:
+            env.setenv(vector_replay.NO_VECTOR_ENV, "1")
+            scalar = _plan_outcome(cfg.machine, loaded, *cell, vector=False)
+        assert _same_outcome(hot[cell], scalar), cell
+
+
+def test_plans_live_as_long_as_their_stream(tiny_machine, tmp_path):
+    """Dropping a runner drops its stream's plans; a sweep over several
+    shards leaves none behind."""
+    runner = ExperimentRunner(SimConfig(machine=tiny_machine,
+                                        refs_per_core=1500, seed=6))
+    for scheme in (redhip_scheme(), levelpred_scheme(), ehc_scheme()):
+        runner.run("mcf", scheme)
+    stream = weakref.ref(runner.stream("mcf"))
+    assert {key[0] for key in vector_replay._PLANS[stream()]} == {
+        "presence", "levelpred", "ehc"}
+    gc.collect()
+    before = len(vector_replay._PLANS)
+    del runner
+    gc.collect()
+    assert stream() is None
+    assert len(vector_replay._PLANS) == before - 1
+
+    from repro.experiments.studies import cells_recal_study
+    from repro.sweep.scheduler import run_cells
+
+    cfg = SimConfig(machine=tiny_machine, refs_per_core=1500, seed=6)
+    cells = cells_recal_study(cfg, workloads=("mcf", "bwaves", "soplex"))
+    with telemetry.session(force=True, label="shards") as sess:
+        report = run_cells(cells, "plans", tmp_path / "s.sqlite", workers=1)
+        built = sess.registry.counter_total("replay.plans_built")
+    gc.collect()
+    assert report.ok and built == 3 * 3
+    assert len(vector_replay._PLANS) == before - 1
+
+
 def test_per_access_pcs_is_one_gather(tiny_machine):
     """The single gather of the L1 misses' PCs at walk time equals a
     per-core masked assignment on a multi-core workload, restricted to
@@ -582,12 +706,11 @@ def test_miss_record_is_a_read_only_gather_of_the_walk(zoo_case):
             stream.local[stream.core == core],
             np.flatnonzero(record.hit_level[mine] != 1))
     assert stream.fingerprint() == record.fingerprint()
-    for name in ("at", "hit_level", "hit_rank", "block", "pc", "core",
-                 "local", "core_accesses", "core_gap_sums", "cpis"):
-        assert not getattr(stream, name).flags.writeable, name
     arrays = {f.name for f in dataclasses.fields(stream)} - {
         "num_levels", "content_fingerprint"}
     assert arrays == {name for name, _ in RECORD_FIELDS}
+    for name in arrays:     # replay plans are memoized per stream object
+        assert not getattr(stream, name).flags.writeable, name
 
 
 def test_gap_sums_cover_cores_without_accesses(seeded):
