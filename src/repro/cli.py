@@ -767,12 +767,16 @@ def _stats(args) -> int:
     print(f"replay paths: {replay['vector']:.0f} vector, "
           f"{replay['sequential']:.0f} sequential "
           f"({replay['epochs']:.0f} epochs, {replay['sweeps']:.0f} sweeps)")
-    plans = s.get("plans")  # absent in manifests written before replay plans
-    if plans and plans["built"]:
-        def listing(counts: dict) -> str:
-            return ", ".join(f"{n:.0f} {kind}" for kind, n in counts.items()) or "none"
-        print(f"replay plans: built {listing(plans['built'])}; "
-              f"reused {listing(plans['reused'])}")
+
+    def listing(counts: dict) -> str:
+        return ", ".join(f"{n:.0f} {kind}" for kind, n in counts.items()) or "none"
+
+    # Both blocks are absent in manifests written before them.
+    for label, key in (("replay plans", "plans"), ("code tables", "tables")):
+        memo = s.get(key)
+        if memo and (memo["built"] or memo["reused"]):
+            print(f"{label}: built {listing(memo['built'])}; "
+                  f"reused {listing(memo['reused'])}")
     print(f"content: {content['walks']:.0f} walks, "
           f"{content['accesses']:.0f} accesses")
     print(f"invariants: {inv['violations']:.0f} violations, "

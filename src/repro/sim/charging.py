@@ -1,11 +1,11 @@
 """The charging kernel: single source of per-access latency/energy charges.
 
 Both simulation paths — the two-phase evaluator
-(:mod:`repro.sim.evaluate`, including the vectorized replay's bulk
-accounting) and the integrated single-pass simulator
-(:mod:`repro.sim.integrated`, including its exclusive-ReDHiP and prefetch
-branches) — attribute every cycle and nanojoule through this module.  No
-latency/energy arithmetic lives anywhere else in the simulation layer;
+(:mod:`repro.sim.evaluate`, which charges through decision-code tables)
+and the integrated single-pass simulator (:mod:`repro.sim.integrated`,
+including its exclusive-ReDHiP and prefetch branches) — attribute every
+cycle and nanojoule through this module.  No latency/energy arithmetic
+lives anywhere else in the simulation layer;
 ``scripts/check_charging_drift.py`` enforces that in CI.
 
 The model (§III-§IV of the paper):
@@ -39,19 +39,29 @@ Structure
     :class:`ProbePlan` captures a scheme's per-level probe decision
     (parallel / phased / waypred); :class:`AccessCharge` is the
     introspectable description of one probe's charges; and
-    :class:`ChargingKernel` applies them, with a scalar API for the
-    integrated per-access loop and a bulk NumPy API for the two-phase
-    evaluator.  Scalar and bulk share the same precomputed per-level
-    constants, which is what makes the integrated ≡ two-phase equivalence
+    :class:`ChargingKernel` applies them through a scalar API the
+    integrated per-access loop calls once per probe.  The two-phase
+    evaluator charges by *decision code* instead: what an L1 miss costs
+    depends only on its flow's decision (skip, walk, single probe,
+    phased LLC probe), the level serving it and that level's MRU bit.
+    :func:`code_table` walks the scalar API once per code into a
+    :class:`CodeTable` (per-code latency, ledger-line and tally counts),
+    and a cell charges one histogram of its misses' codes against it.
+    Both paths therefore read the same constants in the same call
+    order, which is what makes the integrated ≡ two-phase equivalence
     exact rather than approximate.
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
+from repro import telemetry
 from repro.energy.accounting import CostTable, EnergyLedger, StaticEnergyModel
 from repro.energy.params import MachineConfig
 from repro.energy.timing import TimingModel, TimingResult
@@ -75,6 +85,8 @@ __all__ = [
     "AccessCharge",
     "ProbePlan",
     "ChargingKernel",
+    "CodeTable",
+    "code_table",
     "recal_stall_cycles",
     "resolve_dram_model",
 ]
@@ -171,9 +183,10 @@ class AccessCharge:
 class ChargingKernel:
     """Applies the charging model for one (machine, probe plan) pair.
 
-    Scalar methods serve the integrated per-access loop; ``*_bulk``
-    methods serve the two-phase evaluator's NumPy accounting.  Both read
-    the same precomputed per-level constants.
+    Scalar methods serve the integrated per-access loop and build the
+    two-phase evaluator's :class:`CodeTable`; both read the same
+    precomputed per-level constants.  A kernel is never mutated, so
+    :meth:`for_scheme` shares one per key.
     """
 
     def __init__(
@@ -222,13 +235,15 @@ class ChargingKernel:
     @classmethod
     def for_scheme(cls, machine: MachineConfig, scheme) -> "ChargingKernel":
         """Kernel for a :class:`~repro.predictors.base.SchemeSpec`: its
-        probe plan plus its resolved table-lookup cost."""
-        return cls(
-            machine,
-            plan=scheme.probe_plan(machine.num_levels),
-            lookup_energy_nj=scheme.resolve_lookup_energy(machine),
-            lookup_delay=scheme.resolve_lookup_delay(machine),
-        )
+        probe plan plus its resolved table-lookup cost, built once per
+        (machine, plan, lookup energy, lookup delay)."""
+        key = (machine, scheme.probe_plan(machine.num_levels),
+               scheme.resolve_lookup_energy(machine),
+               scheme.resolve_lookup_delay(machine))
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            kernel = _KERNELS[key] = cls(*key)
+        return kernel
 
     # ------------------------------------------------------------- scalar
     def charge_l1(self, ledger: EnergyLedger) -> float:
@@ -310,108 +325,6 @@ class ChargingKernel:
         d1 = float(self.par_d[1])
         return d1 + (lat - d1) / mlp
 
-    # --------------------------------------------------------------- bulk
-    # The bulk methods below ``charge_l1_bulk`` take per-L1-miss arrays
-    # (an :class:`~repro.hierarchy.events.OutcomeStream`'s order): an L1
-    # hit is charged its L1 probe and nothing else under every scheme.
-    def charge_l1_bulk(self, ledger: EnergyLedger, n: int,
-                       n_misses: int) -> np.ndarray:
-        """Bulk form of :meth:`charge_l1` for ``n`` accesses: the initial
-        latency vector of their ``n_misses`` L1 misses."""
-        ledger.charge(self.names[1], CAT_PROBE, self.par_e[1], n)
-        return np.full(n_misses, float(self.par_d[1]), dtype=np.float64)
-
-    def charge_lookup_bulk(self, ledger: EnergyLedger, lat: np.ndarray,
-                           consulted: np.ndarray) -> None:
-        """Table lookups for every consulted access (gated predictors
-        answer some misses without touching the table)."""
-        lat[consulted] += self.lookup_delay
-        ledger.charge(
-            COMPONENT_PT, CAT_LOOKUP, self.lookup_energy_nj, int(consulted.sum())
-        )
-
-    def charge_level_bulk(
-        self,
-        ledger: EnergyLedger,
-        lat: np.ndarray,
-        level: int,
-        hits: np.ndarray,
-        misses: np.ndarray,
-        n_reach: int,
-        n_hits: int,
-        hit_rank: np.ndarray | None = None,
-        mode: str | None = None,
-    ) -> None:
-        """Bulk form of :meth:`charge_probe` for every access reaching
-        ``level``.  ``hit_rank`` (per-access MRU rank) is only read for
-        way-predicted levels; ``mode`` overrides the plan's probe mode
-        for this charge (see :meth:`charge_probe`)."""
-        if mode is None:
-            mode = self.modes[level]
-        name = self.names[level]
-        if mode == PROBE_PHASED:
-            lat[hits] += self.tag_d[level] + self.dat_d[level]
-            lat[misses] += self.tag_d[level]
-            ledger.charge(name, CAT_TAG, self.tag_e[level], n_reach)
-            ledger.charge(name, CAT_DATA, self.data_e[level], n_hits)
-        elif mode == PROBE_WAYPRED:
-            mru_hits = hits & (hit_rank == 0)
-            slow_hits = hits & (hit_rank > 0)
-            lat[mru_hits] += self.par_d[level]
-            lat[slow_hits] += self.par_d[level] + self.dat_d[level]
-            lat[misses] += self.tag_d[level]
-            ledger.charge(name, CAT_TAG, self.tag_e[level], n_reach)
-            ledger.charge(name, CAT_DATA, self.way_e[level], n_reach)
-            ledger.charge(name, CAT_DATA, self.way_e[level], int(slow_hits.sum()))
-        else:
-            lat[hits] += self.par_d[level]
-            lat[misses] += self.tag_d[level]
-            ledger.charge(name, CAT_PROBE, self.par_e[level], n_reach)
-
-    def charge_memory_bulk(
-        self,
-        ledger: EnergyLedger,
-        lat: np.ndarray,
-        mem_mask: np.ndarray,
-        blocks: np.ndarray,
-        true_misses: int,
-        memory_latency: float = 0.0,
-        memory_energy_nj: float = 0.0,
-        dram=None,
-    ) -> None:
-        """Memory charges for every memory-served access.
-
-        With a DRAM model the memory accesses replay in run order — the
-        trajectory is scheme-independent, so every scheme sees the same
-        bank/row sequence (each evaluation replays a fresh model).
-        """
-        if dram is not None:
-            model = resolve_dram_model(dram)
-            mem_lat, mem_energy = model.access_stream(blocks[mem_mask])
-            lat[mem_mask] += mem_lat
-            ledger.counts[(COMPONENT_MEM, CAT_ACCESS)] += true_misses
-            ledger.energy_nj[(COMPONENT_MEM, CAT_ACCESS)] += float(mem_energy.sum())
-            return
-        if memory_latency > 0.0:
-            lat[mem_mask] += memory_latency
-        if memory_energy_nj > 0.0:
-            ledger.charge(COMPONENT_MEM, CAT_ACCESS, memory_energy_nj, true_misses)
-
-    def charge_fills_bulk(self, ledger: EnergyLedger, h: np.ndarray,
-                          true_misses: int, weight: float) -> None:
-        """Optional fill accounting (identical across schemes): every
-        level is filled by memory fetches, plus by hits below it.  ``h``
-        may omit the L1 hits, which fill nothing."""
-        if weight <= 0.0:
-            return
-        for level in range(1, self.num_levels + 1):
-            fills = true_misses
-            if level < self.num_levels:
-                fills += int((h > level).sum())
-            ledger.charge(
-                self.names[level], CAT_FILL, weight * self.data_e[level], fills
-            )
-
     # -------------------------------------------------------- maintenance
     def charge_predictor_maintenance(self, ledger: EnergyLedger,
                                      table_updates: int, recal_nj: float) -> None:
@@ -423,29 +336,41 @@ class ChargingKernel:
             ledger.charge(COMPONENT_PT, CAT_RECAL, recal_nj, 1)
 
     # ------------------------------------------------------ timing/static
-    def run_timing(self, stream, miss_latencies: np.ndarray,
-                   stall_cycles: float) -> TimingResult:
+    def run_timing(self, stream, latencies: np.ndarray, stall_cycles: float,
+                   codes: "np.ndarray | None" = None,
+                   histogram: "np.ndarray | None" = None) -> TimingResult:
         """Fold a stream's latencies into per-core cycles.
 
-        ``miss_latencies`` are per L1 miss (``stream`` order); every
-        other access is an L1 hit at the L1 delay.  When every latency is
-        integral and every sum stays below 2**52 (inside float64's exact
-        integer range), each per-core total is exact in any summation
-        order, so it folds as ``hits x d1`` plus
-        a bincount of the miss latencies.  Otherwise (MLP != 1, a
-        fractional lookup delay) it keeps the ordered fold: each core's
-        latencies summed in that core's access order, rebuilt from the
-        misses' core-local indices — bit-identical to the per-access
-        fold either way."""
+        ``latencies`` are per L1 miss (``stream`` order), or — given the
+        misses' decision ``codes`` (``code * cores + core``, see
+        :class:`CodeTable`) and their ``histogram`` — per code.  Every
+        other access is an L1 hit at the L1 delay.  When every latency
+        is integral and every sum stays below 2**52 (inside float64's
+        exact integer range), each per-core total is exact in any
+        summation order, so it folds as ``hits x d1`` plus the per-core
+        code tally times the code latencies (a bincount of the miss
+        latencies without codes).  Otherwise (MLP != 1, a fractional
+        lookup delay) it expands the latencies per miss and keeps the
+        ordered fold: each core's latencies summed in that core's access
+        order, rebuilt from the misses' core-local indices — bit-identical
+        to the per-access fold either way."""
         cores = self.machine.cores
         d1 = float(self.par_d[1])
-        lat = np.asarray(miss_latencies, dtype=np.float64)
+        lat = np.asarray(latencies, dtype=np.float64)
         accesses = stream.core_accesses
-        if _exact_in_any_order(lat, d1, stream.num_accesses):
-            hits = accesses - np.bincount(stream.core, minlength=cores)
-            latency_sums = hits * d1 + np.bincount(
-                stream.core, weights=lat, minlength=cores)
+        tally = None if codes is None else histogram.reshape(-1, cores)
+        weights = None if tally is None else tally.sum(1)
+        if _exact_in_any_order(lat, d1, stream.num_accesses, weights):
+            if tally is None:
+                hits = accesses - np.bincount(stream.core, minlength=cores)
+                miss_sums = np.bincount(stream.core, weights=lat, minlength=cores)
+            else:
+                hits = accesses - tally.sum(0)
+                miss_sums = tally.T @ lat
+            latency_sums = hits * d1 + miss_sums
         else:
+            if codes is not None:
+                lat = np.repeat(lat, cores)[codes]
             starts = np.cumsum(accesses) - accesses
             sequence = np.full(int(accesses.sum()), d1)
             sequence[starts[stream.core] + stream.local] = lat
@@ -461,16 +386,280 @@ class ChargingKernel:
         )
 
 
-def _exact_in_any_order(lat: np.ndarray, d1: float, accesses: int) -> bool:
-    """Is every partial sum of ``accesses`` latencies — the misses' plus
-    ``d1`` per hit — an exactly representable integer?  Then float
-    addition is associative over them and any fold order is exact."""
+# ------------------------------------------------------- decision codes
+#: Memos: kernels by (machine, plan, lookup energy, lookup delay); code
+#: tables by (kernel, flow, consults, skips); each stream's code base
+#: (weak keys: an entry dies with its stream).  Nothing stored is ever
+#: mutated.
+_KERNELS: dict = {}
+_TABLES: dict = {}
+_BASES: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+#: Per-code tallies a flow may raise besides reach, hits and fills.
+_FLAGS = ("skips", "false_positives", "false_negatives", "correct_singles",
+          "mispredicts", "unconfident", "walks", "walk_reach_l2")
+
+
+# A flow maps an L1 miss's decision ``d`` and serving level ``h`` (0 =
+# memory) to the probes it pays.  Each returns ``(decisions, passes,
+# path, encode)``: ``passes`` lists the (level, mode) probe passes in
+# charge order (mode None: the plan's), ``path(d, h)`` gives (consulted,
+# reached per pass, flow tallies) and ``encode`` turns the replay's
+# per-miss outputs into decisions.  Without a table ``h`` alone settles
+# the miss, so the flow has one decision.
+def _presence_flow(levels: int, consults: bool, skips: bool):
+    """Base, oracle and every presence predictor: a miss predicted absent
+    skips every level below L1.  A consulting scheme decides ``2 *
+    predicted + consulted`` in its replay; a scheme that skips without a
+    table knows presence (the Oracle); the rest predict present."""
+
+    def path(d, h):
+        predicted = d >> 1 if consults else (h != 0 or not skips)
+        reach = [(h == 0 or h >= level) and (predicted or not skips)
+                 for level in range(2, levels + 1)]
+        return bool(d & 1), reach, {
+            "skips": not predicted and h == 0,
+            "false_positives": skips and predicted and h == 0,
+            "false_negatives": not predicted and h >= 2,
+        }
+
+    passes = [(level, None) for level in range(2, levels + 1)]
+    return 4 if consults else 1, passes, path, lambda p, c: np.uint8(2) * p + c
+
+
+def _levelpred_flow(levels: int, consults: bool, skips: bool):
+    """Level prediction and its oracle.  A confident presence miss
+    (predicted level 0) skips every level; a confident level prediction
+    pays one probe at the predicted level plus, on a mispredict, the full
+    serial recovery walk from L2; an unconfident miss walks serially.  A
+    table decides ``confident * (L + 1) + predicted level``; the oracle
+    predicts the true level."""
+
+    def path(d, h):
+        confident, pred = divmod(d, levels + 1) if consults else (1, h)
+        skip = confident and pred == 0
+        single = confident and pred >= 2
+        mispredict = single and h != pred
+        walk = not confident or mispredict
+        # A mispredict may probe a level twice, as its single and again in
+        # its recovery walk: each level has a walk pass and a single pass.
+        reach = []
+        for level in range(2, levels + 1):
+            reach += [walk and (h == 0 or h >= level), single and pred == level]
+        return True, reach, {
+            "skips": skip, "false_negatives": skip and h >= 2,
+            "false_positives": consults and not skip and h == 0,
+            "correct_singles": single and not mispredict,
+            "mispredicts": mispredict, "unconfident": not confident,
+            "walks": walk, "walk_reach_l2": walk and (h == 0 or h >= 2),
+        }
+
+    passes = [(level, None) for level in range(2, levels + 1)
+              for _ in ("walk", "single")]
+    return (2 * (levels + 1) if consults else 1, passes, path,
+            lambda pred_level, confident: np.uint8(levels + 1) * confident + pred_level)
+
+
+def _ehc_flow(levels: int, consults: bool, skips: bool):
+    """Expected hit count: the full walk, but the LLC probe of a block
+    predicted dead (decision 1) is phased.  Nothing is skipped."""
+
+    def path(d, h):
+        reach = [h == 0 or h >= level for level in range(2, levels + 1)]
+        return True, reach[:-1] + [reach[-1] and d == 0, reach[-1] and d == 1], {}
+
+    passes = [(level, None) for level in range(2, levels)]
+    return 2, passes + [(levels, None), (levels, PROBE_PHASED)], path, lambda dead: dead
+
+
+_FLOWS = {"presence": _presence_flow, "levelpred": _levelpred_flow, "ehc": _ehc_flow}
+
+
+class _Calls(list):
+    """Ledger stand-in that records each charge: how tables read the scalar API."""
+
+    def charge(self, component, category, unit_energy_nj, count=1) -> None:
+        self.append((component, category, unit_energy_nj))
+
+
+@dataclass(frozen=True, eq=False)
+class CodeTable:
+    """What each decision code of one flow costs under one kernel.
+
+    A code is ``(decision * (L + 1) + hit_level) * 2 + mru``: the flow's
+    decision at the L1 miss, the level serving it (0 = memory) and
+    whether it hit that level's MRU way.  ``lat[c]`` is code ``c``'s
+    latency through its last probe, accumulated in the per-miss order;
+    ``rows[:, c]`` is its count on each ledger line (``lines``, in charge
+    order), then on each tally (``tally_rows`` names those rows).  A
+    cell's miss carries ``code * cores + core``.  Arrays are read-only:
+    one table serves every cell under its key.
+    """
+
+    kernel: ChargingKernel
+    decisions: int
+    encode: Callable
+    lines: tuple
+    tally_rows: dict
+    rows: np.ndarray
+    lat: np.ndarray
+
+    def histogram(self, stream, *outputs) -> tuple[np.ndarray, np.ndarray]:
+        """The misses' codes from the replay's per-miss ``outputs`` (none if
+        the hit level settles the decision), and their histogram."""
+        base, base_histogram = _stream_base(stream)
+        if self.decisions == 1:
+            return base, base_histogram
+        codes = np.multiply(self.encode(*outputs), base_histogram.size, dtype=np.intp)
+        codes += base
+        return codes, np.bincount(codes, minlength=self.decisions * base_histogram.size)
+
+    def totals(self, histogram: np.ndarray) -> np.ndarray:
+        """Each ledger line's and tally's count over a code histogram."""
+        return self.rows @ histogram.reshape(len(self.lat), -1).sum(1)
+
+    def tally(self, totals: np.ndarray, name: str) -> int:
+        return int(totals[self.tally_rows[name]])
+
+    def charge(self, ledger: EnergyLedger, stream, codes: np.ndarray,
+               totals: np.ndarray, fill_energy_weight: float = 0.0,
+               memory_latency: float = 0.0, memory_energy_nj: float = 0.0,
+               mlp: float = 1.0, dram=None) -> tuple:
+        """Charge one cell: the L1 probe of every access, each ledger
+        line, then memory and fills.  Returns the latencies after memory
+        and MLP with the codes indexing them, or per miss (codes None)
+        when a DRAM model charges each miss its own.
+
+        With a DRAM model the memory accesses replay in run order — the
+        trajectory is scheme-independent, so every scheme sees the same
+        bank/row sequence (each evaluation replays a fresh model).
+        """
+        kernel = self.kernel
+        names = kernel.names
+        ledger.charge(names[1], CAT_PROBE, kernel.par_e[1], stream.num_accesses)
+        for (component, category, unit_nj), n in zip(self.lines, totals.tolist()):
+            ledger.charge(component, category, unit_nj, n)
+        true_misses = self.tally(totals, "true_misses")
+        lat = self.lat
+        if dram is not None:
+            memory = stream.hit_level == 0
+            mem_lat, mem_energy = resolve_dram_model(dram).access_stream(
+                stream.block[memory])
+            lat = np.repeat(lat, kernel.machine.cores)[codes]
+            lat[memory] += mem_lat
+            codes = None
+            ledger.counts[(COMPONENT_MEM, CAT_ACCESS)] += true_misses
+            ledger.energy_nj[(COMPONENT_MEM, CAT_ACCESS)] += float(mem_energy.sum())
+        else:
+            if memory_latency > 0.0:
+                lat = lat.copy()
+                lat[self.rows[self.tally_rows["true_misses"]] > 0] += memory_latency
+            if memory_energy_nj > 0.0:
+                ledger.charge(COMPONENT_MEM, CAT_ACCESS, memory_energy_nj, true_misses)
+        # Optional fill accounting (identical across schemes): every level
+        # is filled by memory fetches, plus by hits below it.
+        if fill_energy_weight > 0.0:
+            for level in range(1, kernel.num_levels + 1):
+                ledger.charge(names[level], CAT_FILL,
+                              fill_energy_weight * kernel.data_e[level],
+                              self.tally(totals, f"fills{level}"))
+        return kernel.mlp_adjust(lat, mlp), codes
+
+
+def code_table(kernel: ChargingKernel, flow: str, consults: bool,
+               skips: bool) -> CodeTable:
+    """The :class:`CodeTable` of ``flow`` (``presence``, ``levelpred`` or
+    ``ehc``) under ``kernel`` for a scheme that does or does not consult
+    a table and skip on a predicted miss; built once per key."""
+    key = (kernel, flow, consults, skips)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _build_table(*key)
+        telemetry.count("evaluate.tables_built", kind=flow)
+    else:
+        telemetry.count("evaluate.tables_reused", kind=flow)
+    return table
+
+
+def _build_table(kernel: ChargingKernel, flow: str, consults: bool,
+                 skips: bool) -> CodeTable:
+    """Walk every code's probes through the scalar API once."""
+    levels = kernel.num_levels
+    decisions, passes, path, encode = _FLOWS[flow](levels, consults, skips)
+    # The lookup line, then per pass the calls of its costliest probe (a
+    # non-MRU hit); every other outcome makes a prefix of them.
+    lines = _Calls()
+    if consults:
+        kernel.charge_lookup(lines)
+    starts = []
+    for level, mode in passes:
+        starts.append(len(lines))
+        kernel.charge_probe(lines, level, True, 1, mode)
+    names = (["true_misses", *_FLAGS]
+             + [f"{what}{level}" for what in ("reach", "hits")
+                for level in range(2, levels + 1)]
+             + [f"fills{level}" for level in range(1, levels + 1)])
+    tally_rows = {name: len(lines) + i for i, name in enumerate(names)}
+    size = decisions * (levels + 1) * 2
+    rows = np.zeros((len(lines) + len(names), size), dtype=np.int64)
+    lat = np.empty(size)
+    for code in range(size):
+        d, h, mru = code // (2 * levels + 2), code // 2 % (levels + 1), code % 2
+        consulted, reach, flags = path(d, h)
+        tallies = Counter({name: int(n) for name, n in flags.items()})
+        calls, line_of = _Calls(), []
+        latency = kernel.charge_l1(_Calls())
+        if consults and consulted:
+            latency += kernel.charge_lookup(calls)
+            line_of.append(0)
+        for (level, mode), start, reached in zip(passes, starts, reach):
+            if reached:
+                first = len(calls)
+                latency += kernel.charge_probe(calls, level, h == level, 1 - mru, mode)
+                line_of += range(start, start + len(calls) - first)
+                tallies[f"reach{level}"] += 1
+                tallies[f"hits{level}"] += h == level
+        assert calls == [lines[i] for i in line_of], (flow, code)
+        tallies["true_misses"] = h == 0
+        for level in range(1, levels + 1):
+            tallies[f"fills{level}"] = h == 0 or level < levels and h > level
+        np.add.at(rows[:, code], line_of, 1)
+        rows[[tally_rows[name] for name in tallies], code] = list(tallies.values())
+        lat[code] = latency
+    rows.setflags(write=False)
+    lat.setflags(write=False)
+    return CodeTable(kernel, decisions, encode, tuple(lines), tally_rows, rows, lat)
+
+
+def _stream_base(stream) -> tuple[np.ndarray, np.ndarray]:
+    """A stream's per-miss ``(hit_level * 2 + mru) * cores + core`` — its
+    decision-0 codes — and their histogram, computed once per stream."""
+    entry = _BASES.get(stream)
+    if entry is None:
+        cores = len(stream.core_accesses)
+        base = ((stream.hit_level.astype(np.intp) * 2 + (stream.hit_rank == 0))
+                * cores + stream.core)
+        histogram = np.bincount(base, minlength=(stream.num_levels + 1) * 2 * cores)
+        base.setflags(write=False)
+        histogram.setflags(write=False)
+        entry = _BASES[stream] = (base, histogram)
+    return entry
+
+
+def _exact_in_any_order(lat: np.ndarray, d1: float, accesses: int,
+                        weights: "np.ndarray | None" = None) -> bool:
+    """Is every partial sum of ``accesses`` latencies — the misses' (each
+    ``lat`` entry ``weights`` times, default once) plus ``d1`` per hit —
+    an exactly representable integer?  Then float addition is
+    associative over them and any fold order is exact."""
     if not d1.is_integer():
         return False
+    if weights is not None:
+        lat, weights = lat[weights > 0], weights[weights > 0]
     if not np.array_equal(lat, np.trunc(lat)):
         return False
-    bound = accesses * abs(d1) + float(np.abs(lat).sum())
-    return bound < 2.0 ** 52
+    total = np.abs(lat).sum() if weights is None else np.abs(lat) @ weights
+    return accesses * abs(d1) + float(total) < 2.0 ** 52
 
 
 def recal_stall_cycles(sweeps: int, cost) -> float:

@@ -1,11 +1,14 @@
 """Phase 2: scheme evaluation over a frozen outcome stream.
 
 Given the scheme-independent content trajectory from
-:mod:`repro.sim.content`, this module decides *which* levels each access
-reaches under one scheme and what the predictor answered; every latency
-and energy charge for those decisions is applied by the charging kernel
-(:mod:`repro.sim.charging` — see its docstring for the full policy, which
-the integrated simulator shares).
+:mod:`repro.sim.content`, this module replays one scheme's predictor over
+the stream's L1 misses and turns what it answered into one *decision
+code* per miss: the decision, the level serving the miss and that
+level's MRU bit.  Every latency and energy charge comes from the
+charging kernel (:mod:`repro.sim.charging` — see its docstring for the
+full policy, which the integrated simulator shares): a per-scheme
+:class:`~repro.sim.charging.CodeTable` says what each code costs, and the
+evaluation charges one histogram of its misses' codes against it.
 
 A predicted LLC miss skips every level below L1: no probes, no latency
 beyond L1 + table, straight to (free) memory.  False negatives are
@@ -16,6 +19,7 @@ stale data in real hardware.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -32,7 +36,7 @@ from repro.predictors.cbf_scheme import CBFPredictor
 from repro.predictors.ehc import EHCController
 from repro.predictors.levelpred import LevelPredController
 from repro.sim import vector_replay
-from repro.sim.charging import PROBE_PHASED, ChargingKernel
+from repro.sim.charging import ChargingKernel, code_table
 from repro.util.validation import ReproError
 from repro.workloads.trace import Workload
 
@@ -334,6 +338,20 @@ def _replay_binary(stream: OutcomeStream, predictor):
     return replay_predictor(stream, predictor)
 
 
+def _dispatch(kind: str) -> tuple:
+    """A scheme kind's charging flow (:func:`~repro.sim.charging.code_table`)
+    and, for table schemes, its replay, scalar oracle and replay counter.
+    Looked up per call, so a profiler that swaps a replay sees its calls."""
+    if kind == "predictor":
+        return "presence", _replay_binary, _replay_predictor_scalar, None
+    if kind == "levelpred":
+        return ("levelpred", replay_level_predictor,
+                _replay_level_predictor_scalar, "replay.levelpred")
+    if kind == "ehc":
+        return "ehc", replay_ehc, _replay_ehc_scalar, "replay.ehc"
+    return "levelpred" if kind == "oracle_level" else "presence", None, None, None
+
+
 def evaluate_scheme(
     stream: OutcomeStream,
     machine: MachineConfig,
@@ -364,132 +382,66 @@ def evaluate_scheme(
     set; ``checked`` (default: the ``REPRO_CHECKED`` environment) replays
     *both* paths and raises if they diverge in any observable — the
     equivalence oracle for the kernels.
+
+    The replay's outputs become one decision code per miss; the cell is
+    charged as one histogram of those codes against the scheme flow's
+    :class:`~repro.sim.charging.CodeTable`.
     """
     if checked is None:
         checked = checking.enabled(None)
     workload_name = workload if isinstance(workload, str) else workload.name
-    run = _Evaluation(stream, machine, scheme, workload_name, checked,
-                      fill_energy_weight, memory_latency, memory_energy_nj,
-                      mlp, dram)
-    # The zoo schemes walk (or skip) levels in patterns the binary
-    # predicted-present flow cannot express; they get their own decision
-    # and per-level charges, then the same shared tail.
-    if scheme.kind in ("levelpred", "oracle_level"):
-        return _evaluate_levelpred(run)
-    if scheme.kind == "ehc":
-        return _evaluate_ehc(run)
-    return _evaluate_presence(run)
-
-
-class _Evaluation:
-    """One (stream, scheme) evaluation: what the three flows share — the
-    replay wrapper, the per-miss charging steps and the charging tail."""
-
-    def __init__(self, stream: OutcomeStream, machine: MachineConfig,
-                 scheme: SchemeSpec, workload_name: str, checked: bool,
-                 fill_energy_weight: float, memory_latency: float,
-                 memory_energy_nj: float, mlp: float, dram) -> None:
-        self.stream = stream
-        self.machine = machine
-        self.scheme = scheme
-        self.workload_name = workload_name
-        self.checked = checked
-        self.fill_energy_weight = fill_energy_weight
-        self.memory_latency = memory_latency
-        self.memory_energy_nj = memory_energy_nj
-        self.mlp = mlp
-        self.dram = dram
-        self.kernel = ChargingKernel.for_scheme(machine, scheme)
-        self.ledger = EnergyLedger()
-        self.h = stream.hit_level
-
-    def context(self) -> dict:
-        return checking.evaluation_context(self.machine.name, self.workload_name,
-                                           self.scheme.name)
-
-    def replay(self, replay, sequential, counter: "str | None" = None):
-        """Build the scheme's predictor and run ``replay(stream,
-        predictor)`` in a ``replay`` span tagged with the path it takes.
-        In checked mode a batched replay is re-run through ``sequential``
-        (its scalar oracle) and must match it exactly.  Returns the
-        predictor and the replay's per-miss outputs."""
-        scheme = self.scheme
-        predictor = scheme.build_predictor(self.machine)
-        with telemetry.span(
-            "replay", scheme=scheme.name, workload=self.workload_name
-        ) as replay_span:
+    context = functools.partial(checking.evaluation_context, machine.name,
+                                workload_name, scheme.name)
+    flow, replay, sequential, counter = _dispatch(scheme.kind)
+    predictor, stall, outputs = None, 0.0, ()
+    if replay is not None:
+        # The span is tagged with the replay's path; in checked mode a
+        # batched replay must match ``sequential``, its scalar oracle.
+        predictor = scheme.build_predictor(machine)
+        with telemetry.span("replay", scheme=scheme.name,
+                            workload=workload_name) as replay_span:
             vector = vector_replay.use_vector(predictor)
             path = "vector" if vector else "sequential"
             replay_span.tag(path=path)
             telemetry.count(f"replay.{path}")
             if counter is not None:
                 telemetry.count(counter)
-            outputs = replay(self.stream, predictor)
-            if vector and self.checked:
+            *outputs, stall = replay(stream, predictor)
+            if vector and checked:
                 with telemetry.span("replay_equivalence_check"):
-                    _assert_replay_equivalent(self.stream, scheme, self.machine,
-                                              predictor, outputs, sequential)
-        return predictor, outputs
+                    _assert_replay_equivalent(stream, scheme, machine, predictor,
+                                              (*outputs, stall), sequential)
+    if checked and flow == "ehc":
+        checking.check_ehc_counters(predictor, context())
 
-    def refuse_false_negatives(self, mask: np.ndarray) -> None:
-        """``mask`` marks misses skipped although a cache held the block."""
-        fn = int(np.count_nonzero(mask))
-        if fn:
-            raise ReproError(
-                f"scheme {self.scheme.name!r} produced {fn} false negatives — "
-                "it would serve stale data in hardware"
-            )
-
-    def accounting(self):
-        # The accounting stages are pure NumPy over frozen arrays; the
-        # span makes their share of the wall time visible in `repro stats`.
-        return telemetry.span("energy_accounting", scheme=self.scheme.name,
-                              workload=self.workload_name)
-
-    def charge_start(self, consulted: "np.ndarray | None") -> np.ndarray:
-        """L1 probes for every access, table lookups for the ``consulted``
-        misses (None: no lookup charge); returns the per-miss latencies."""
-        lat = self.kernel.charge_l1_bulk(self.ledger, self.stream.num_accesses,
-                                         self.stream.num_misses)
-        if consulted is not None:
-            self.kernel.charge_lookup_bulk(self.ledger, lat, consulted)
-        return lat
-
-    def charge_level(self, lat: np.ndarray, level: int, reach: np.ndarray,
-                     mode: "str | None" = None) -> tuple[int, int]:
-        """Probe ``level`` for the ``reach`` misses; returns (probes, hits)."""
-        hits = reach & (self.h == level)
-        n_reach = int(np.count_nonzero(reach))
-        n_hits = int(np.count_nonzero(hits))
-        self.kernel.charge_level_bulk(
-            self.ledger, lat, level, hits, reach & (self.h != level), n_reach,
-            n_hits, hit_rank=self.stream.hit_rank, mode=mode,
+    kernel = ChargingKernel.for_scheme(machine, scheme)
+    table = code_table(kernel, flow, scheme.consults_table,
+                       scheme.skips_on_predicted_miss)
+    codes, histogram = table.histogram(stream, *outputs)
+    totals = table.totals(histogram)
+    tally = functools.partial(table.tally, totals)
+    if tally("false_negatives"):
+        raise ReproError(
+            f"scheme {scheme.name!r} produced {tally('false_negatives')} false "
+            "negatives — it would serve stale data in hardware"
         )
-        return n_reach, n_hits
-
-    def finish(self, lat: np.ndarray, level_tallies: dict, predictor,
-               stall: float, skips: int = 0,
-               false_positives: int = 0) -> SchemeResult:
-        """The shared tail: memory, fills, MLP, predictor maintenance,
-        timing, static energy and the per-level hit rates."""
-        kernel, ledger = self.kernel, self.ledger
-        stream, scheme = self.stream, self.scheme
-        memory = self.h == 0
-        true_misses = int(np.count_nonzero(memory))
-
-        # ---- main memory (the paper's free data store unless configured) -----
-        kernel.charge_memory_bulk(
-            ledger, lat, memory, stream.block, true_misses,
-            memory_latency=self.memory_latency,
-            memory_energy_nj=self.memory_energy_nj, dram=self.dram,
+    if checked and flow == "levelpred" and predictor is not None:
+        checking.check_levelpred_conservation(
+            ctx=context(), l1_misses=stream.num_misses,
+            **{name: tally(name) for name in (
+                "skips", "correct_singles", "mispredicts", "unconfident",
+                "walks", "walk_reach_l2")},
         )
-        # ---- fills (optional accounting, identical across schemes) -----------
-        kernel.charge_fills_bulk(ledger, self.h, true_misses,
-                                 self.fill_energy_weight)
-        # ---- memory-level parallelism (1.0 = the paper's serialized model) ---
-        lat = kernel.mlp_adjust(lat, self.mlp)
 
-        # ---- predictor maintenance -------------------------------------------
+    # The accounting is pure NumPy over frozen arrays; the span makes its
+    # share of the wall time visible in `repro stats`.
+    with telemetry.span("energy_accounting", scheme=scheme.name,
+                        workload=workload_name):
+        ledger = EnergyLedger()
+        lat, codes = table.charge(
+            ledger, stream, codes, totals, fill_energy_weight=fill_energy_weight,
+            memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
+            mlp=mlp, dram=dram)
         predictor_stats: dict = {}
         if predictor is not None:
             kernel.charge_predictor_maintenance(
@@ -497,165 +449,23 @@ class _Evaluation:
                 predictor.maintenance_energy_nj(),
             )
             predictor_stats = predictor.stats()
-
-        # ---- timing ------------------------------------------------------------
-        timing = kernel.run_timing(stream, lat, stall)
+        timing = kernel.run_timing(stream, lat, stall, codes, histogram)
         static_nj = kernel.static_energy_nj(
             timing.exec_cycles, include_pt=scheme.consults_table
         )
 
-        # ---- per-level accounting under this scheme ---------------------------
-        n = stream.num_accesses
-        level_lookups = {1: n}
-        level_hits = {1: n - stream.num_misses}
-        for level, (n_reach, n_hits) in level_tallies.items():
-            level_lookups[level] = n_reach
-            level_hits[level] = n_hits
-        hit_rates = {
-            lvl: (level_hits[lvl] / level_lookups[lvl] if level_lookups[lvl] else 0.0)
-            for lvl in level_lookups
-        }
-
+        n, levels = stream.num_accesses, range(2, stream.num_levels + 1)
+        level_lookups = {1: n, **{lvl: tally(f"reach{lvl}") for lvl in levels}}
+        level_hits = {1: n - stream.num_misses,
+                      **{lvl: tally(f"hits{lvl}") for lvl in levels}}
+        hit_rates = {lvl: (level_hits[lvl] / level_lookups[lvl]
+                           if level_lookups[lvl] else 0.0) for lvl in level_lookups}
         return SchemeResult(
-            scheme=scheme.name,
-            workload=self.workload_name,
-            machine=self.machine.name,
-            timing=timing,
-            ledger=ledger,
-            static_nj=static_nj,
-            hit_rates=hit_rates,
-            level_lookups=level_lookups,
-            level_hits=level_hits,
-            l1_misses=stream.num_misses,
-            skips=skips,
-            false_positives=false_positives,
-            true_misses=true_misses,
-            recal_stall_cycles=stall,
+            scheme=scheme.name, workload=workload_name, machine=machine.name,
+            timing=timing, ledger=ledger, static_nj=static_nj,
+            hit_rates=hit_rates, level_lookups=level_lookups,
+            level_hits=level_hits, l1_misses=stream.num_misses,
+            skips=tally("skips"), false_positives=tally("false_positives"),
+            true_misses=tally("true_misses"), recal_stall_cycles=stall,
             predictor_stats=predictor_stats,
         )
-
-
-def _evaluate_presence(run: _Evaluation) -> SchemeResult:
-    """The binary predicted-present flow: base, oracle and every presence
-    predictor.  A miss predicted absent skips every level below L1."""
-    h, scheme = run.h, run.scheme
-    predictor = None
-    stall = 0.0
-    consulted = np.zeros(len(h), dtype=bool)
-    if scheme.kind == "predictor":
-        predictor, (predicted, consulted, stall) = run.replay(
-            _replay_binary, _replay_predictor_scalar)
-        run.refuse_false_negatives(~predicted & (h >= 2))
-    elif scheme.kind == "oracle":
-        predicted = h != 0
-    else:
-        predicted = np.ones(len(h), dtype=bool)
-
-    absent = h == 0
-    skips = int(np.count_nonzero(~predicted & absent))
-    false_positives = (int(np.count_nonzero(predicted & absent))
-                       if scheme.skips_on_predicted_miss else 0)
-
-    with run.accounting():
-        # Gated predictors answer some misses without a table consult;
-        # only real consults pay the lookup delay and energy.
-        lat = run.charge_start(consulted if scheme.consults_table else None)
-        level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, run.stream.num_levels + 1):
-            reach = absent | (h >= level)
-            if scheme.skips_on_predicted_miss:
-                reach &= predicted
-            level_tallies[level] = run.charge_level(lat, level, reach)
-        return run.finish(lat, level_tallies, predictor, stall, skips,
-                          false_positives)
-
-
-def _evaluate_levelpred(run: _Evaluation) -> SchemeResult:
-    """Level prediction (``levelpred``) and its oracle (``oracle_level``).
-
-    Access flow per L1 miss: a confident presence miss skips every level
-    (ReDHiP's move); a confident level prediction pays exactly one probe
-    at the predicted level, plus — on a mispredict — the full serial
-    recovery walk from L2; no confident prediction walks serially.  The
-    oracle variant probes exactly the true hit level with no table.
-    """
-    h, scheme = run.h, run.scheme
-    predictor = None
-    stall = 0.0
-    if scheme.kind == "levelpred":
-        predictor, (pred_level, confident, stall) = run.replay(
-            replay_level_predictor, _replay_level_predictor_scalar,
-            counter="replay.levelpred",
-        )
-        skip = confident & (pred_level == 0)
-        run.refuse_false_negatives(skip & (h >= 2))
-        single = confident & (pred_level >= 2)
-        unconfident = ~confident
-        false_positives = int(np.count_nonzero(~skip & (h == 0)))
-    else:  # oracle_level: perfect level knowledge, no hardware
-        pred_level = h.astype(np.int64)
-        skip = h == 0
-        single = h >= 2
-        unconfident = np.zeros(len(h), dtype=bool)
-        false_positives = 0
-
-    mispredict = single & (h != pred_level)
-    walk = unconfident | mispredict
-    if run.checked and predictor is not None:
-        checking.check_levelpred_conservation(
-            ctx=run.context(),
-            l1_misses=len(h),
-            skips=int(np.count_nonzero(skip)),
-            correct_singles=int(np.count_nonzero(single & ~mispredict)),
-            mispredicts=int(np.count_nonzero(mispredict)),
-            unconfident=int(np.count_nonzero(unconfident)),
-            walks=int(np.count_nonzero(walk)),
-            walk_reach_l2=int(np.count_nonzero(walk & ((h == 0) | (h >= 2)))),
-        )
-
-    with run.accounting():
-        all_misses = np.ones(len(h), dtype=bool)
-        lat = run.charge_start(all_misses if scheme.consults_table else None)
-        # Two charge passes per level: the serial-walk probes (unconfident
-        # walks + mispredict recovery walks) and the single predicted-level
-        # probes.  A mispredicting access can legitimately probe the same
-        # level twice — once as its confident single, once again inside
-        # its recovery walk — which is why the passes stay separate.
-        level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, run.stream.num_levels + 1):
-            walks = run.charge_level(lat, level, walk & ((h == 0) | (h >= level)))
-            singles = run.charge_level(lat, level, single & (pred_level == level))
-            level_tallies[level] = (walks[0] + singles[0], walks[1] + singles[1])
-        return run.finish(lat, level_tallies, predictor, stall,
-                          int(np.count_nonzero(skip)), false_positives)
-
-
-def _evaluate_ehc(run: _Evaluation) -> SchemeResult:
-    """Expected-hit-count evaluation: full walk, but LLC probes for
-    predicted-dead blocks degrade to phased (tag-then-data) mode.
-
-    No level is ever skipped, so ``skips``/``false_positives`` stay 0 and
-    there is no false-negative hazard — the prediction only chooses how
-    the LLC probe is issued.
-    """
-    h = run.h
-    num_levels = run.stream.num_levels
-    predictor, (dead, stall) = run.replay(replay_ehc, _replay_ehc_scalar,
-                                          counter="replay.ehc")
-    if run.checked:
-        checking.check_ehc_counters(predictor, run.context())
-
-    with run.accounting():
-        lat = run.charge_start(np.ones(len(h), dtype=bool))
-        level_tallies: dict[int, tuple[int, int]] = {}
-        for level in range(2, num_levels + 1):
-            reach = (h == 0) | (h >= level)
-            if level < num_levels:
-                level_tallies[level] = run.charge_level(lat, level, reach)
-                continue
-            # Predicted-dead blocks fire the LLC in phased mode; the rest
-            # keep the plan's discipline.  Two charge passes, disjoint masks.
-            live = run.charge_level(lat, level, reach & ~dead)
-            gated = run.charge_level(lat, level, reach & dead, mode=PROBE_PHASED)
-            level_tallies[level] = (live[0] + gated[0], live[1] + gated[1])
-        return run.finish(lat, level_tallies, predictor, stall)

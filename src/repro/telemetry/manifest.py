@@ -152,6 +152,12 @@ def _summarize(counters: dict) -> dict:
             "built": by_kind("replay.plans_built"),
             "reused": by_kind("replay.plans_reused"),
         },
+        # Decision-code tables per flow (presence, levelpred, ehc): built
+        # once per (kernel, flow, consults, skips) and process.
+        "tables": {
+            "built": by_kind("evaluate.tables_built"),
+            "reused": by_kind("evaluate.tables_reused"),
+        },
         "content": {
             "walks": total("content.walks"),
             "accesses": total("content.accesses"),

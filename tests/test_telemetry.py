@@ -361,6 +361,29 @@ class TestCli:
                 f"reused {3 * n} ehc, {3 * n} levelpred, {7 * n} presence"
                 in capsys.readouterr().out)
 
+    def test_stats_counts_code_tables(self, tmp_path, capsys, monkeypatch):
+        """study-recal charges every evaluation from one code table per
+        (kernel, flow, consults, skips): ReDHiP and Base (presence),
+        LevelPred and EHC are built once, every other cell reuses them.
+        The table memo is per process, so the test starts it empty."""
+        from repro.cli import main
+        from repro.experiments.studies import STUDY_WORKLOADS
+        from repro.sim import charging
+
+        monkeypatch.setattr(charging, "_TABLES", {})
+        out = tmp_path / "results"
+        assert main(["run", "study-recal", "--machine", "tiny", "--refs", "1000",
+                     "--telemetry", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(out / telemetry.MANIFEST_NAME)]) == 0
+        n = len(STUDY_WORKLOADS)
+        assert (f"code tables: built 1 ehc, 1 levelpred, 2 presence; "
+                f"reused {4 * n - 1} ehc, {4 * n - 1} levelpred, "
+                f"{5 * n - 2} presence" in capsys.readouterr().out)
+        manifest = telemetry.load_manifest(out / telemetry.MANIFEST_NAME)
+        assert manifest["summary"]["tables"]["built"] == {
+            "ehc": 1, "levelpred": 1, "presence": 2}
+
     def test_stats_missing_manifest_is_an_error(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,9 +1,12 @@
 """The per-miss timing fold is the per-access fold, bit for bit.
 
 :meth:`ChargingKernel.run_timing` folds an L1-miss record into per-core
-cycles without a per-access latency vector: ``hits x d1`` plus a bincount
-of the miss latencies when every partial sum is an exact integer, and an
-ordered per-core fold (rebuilt from the misses' core-local indices)
+cycles without a per-access latency vector.  The evaluator hands it one
+latency per decision code plus each miss's code (per-miss latencies only
+under a DRAM model): ``hits x d1`` plus the per-core code tally times the
+code latencies (a bincount of the miss latencies) when every partial sum
+is an exact integer, and an ordered per-core fold of the latencies
+expanded per miss (rebuilt from the misses' core-local indices)
 otherwise.  Both must reproduce the former fold — every access's latency
 in one per-access vector, summed per core in access order — exactly, on
 every registry machine, with and without MLP, with and without a DRAM
@@ -81,10 +84,19 @@ def test_run_timing_equals_per_access_fold(walked, scheme_key, dram, mlp,
     real_fold = ChargingKernel.run_timing
     real_exact = charging._exact_in_any_order
 
-    def spy_fold(self, stream_, miss_latencies, stall_cycles):
-        result = real_fold(self, stream_, miss_latencies, stall_cycles)
-        folds.append((self, np.array(miss_latencies, dtype=np.float64),
-                      stall_cycles, result))
+    def spy_fold(self, stream_, latencies, stall_cycles, codes=None,
+                 histogram=None):
+        result = real_fold(self, stream_, latencies, stall_cycles, codes,
+                           histogram)
+        lat = np.array(latencies, dtype=np.float64)
+        if codes is not None:
+            # One latency per decision code; a miss's code ends in its core.
+            cores = self.machine.cores
+            assert histogram.tobytes() == np.bincount(
+                codes, minlength=lat.size * cores).tobytes()
+            assert np.array_equal(codes % cores, stream_.core)
+            lat = np.repeat(lat, cores)[codes]
+        folds.append((self, lat, stall_cycles, codes, result))
         return result
 
     def spy_exact(*args):
@@ -95,8 +107,12 @@ def test_run_timing_equals_per_access_fold(walked, scheme_key, dram, mlp,
     monkeypatch.setattr(charging, "_exact_in_any_order", spy_exact)
     res = evaluate_scheme(stream, cfg.machine, scheme, workload, mlp=mlp,
                           dram=dram)
-    [(kernel, lat, stall, timing)] = folds
+    [(kernel, lat, stall, codes, timing)] = folds
     assert timing is res.timing
+    # A DRAM model charges each miss its own latency; otherwise the
+    # latencies stay per decision code.
+    assert (codes is None) == (dram is not None)
+    assert lat.shape == (stream.num_misses,)
     # The paper's model (MLP 1, integral delays) takes the fast fold; a
     # fractional lookup delay always takes the ordered one.  (Under
     # MLP != 1 the latencies decide: some machines' stay integral.)
