@@ -779,6 +779,14 @@ def _stats(args) -> int:
                   f"reused {listing(memo['reused'])}")
     print(f"content: {content['walks']:.0f} walks, "
           f"{content['accesses']:.0f} accesses")
+    if content.get("vector") and "classes" in content:  # absent before lockstep
+        print(f"lockstep: {content['classes']:.0f} classes over "
+              f"{content['vector']:.0f} vector walks, "
+              f"{content['template_refs']:.0f} template refs, "
+              f"{content['llc_pass_refs']:.0f} LLC-pass refs, "
+              f"{content['live_victims_checked']:.0f} victims checked; "
+              f"{content['switches']:.0f} switched to the exact loop "
+              f"({content['exact_refs']:.0f} refs)")
     print(f"invariants: {inv['violations']:.0f} violations, "
           f"{inv['inclusion_sweeps']:.0f} inclusion sweeps, "
           f"{inv['result_checks']:.0f} result checks")

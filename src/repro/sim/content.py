@@ -152,10 +152,26 @@ class ContentSimulator:
             skipped=stats["skipped"],
             demoted=stats["demoted"],
             hazards=stats["hazards"],
+            classes=stats["classes"],
+            template_refs=stats["template_refs"],
+            llc_pass_refs=stats["llc_pass_refs"],
+            live_victims_checked=stats["live_victims_checked"],
+            exact_from=stats["exact_from"],
         )
         telemetry.count("content.vector_walks")
         telemetry.count("content.vector_chunks", stats["chunks"])
         telemetry.count("content.vector_skipped", stats["skipped"])
+        telemetry.count("content.classes", stats["classes"])
+        telemetry.count("content.template_refs", stats["template_refs"])
+        telemetry.count("content.llc_pass_refs", stats["llc_pass_refs"])
+        telemetry.count("content.live_victims_checked",
+                        stats["live_victims_checked"])
+        if stats["exact_from"] >= 0:
+            # Walks that met a live inclusion victim, and the accesses
+            # the exact loop walked from it on.
+            telemetry.count("content.switches")
+            telemetry.count("content.exact_refs",
+                            record.num_accesses - stats["exact_from"])
         return record
 
     def _walk(self, workload: Workload, max_accesses: int | None) -> AccessRecord:

@@ -166,6 +166,17 @@ def _summarize(counters: dict) -> dict:
             "dual": total("content.dual_walks"),
             "chunks": total("content.vector_chunks"),
             "skipped": total("content.vector_skipped"),
+            # The vector walk's lockstep regime (DESIGN.md, "Vectorized
+            # content walk"): classes of XOR-equivalent cores, template
+            # and shared-LLC pass sizes, LLC evictions checked for a
+            # live victim, and the walks that switched to the exact loop
+            # with the accesses it walked.
+            "classes": total("content.classes"),
+            "template_refs": total("content.template_refs"),
+            "llc_pass_refs": total("content.llc_pass_refs"),
+            "live_victims_checked": total("content.live_victims_checked"),
+            "switches": total("content.switches"),
+            "exact_refs": total("content.exact_refs"),
         },
         "invariants": {
             "inclusion_sweeps": total("invariants.inclusion_sweeps"),

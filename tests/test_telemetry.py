@@ -384,6 +384,28 @@ class TestCli:
         assert manifest["summary"]["tables"]["built"] == {
             "ehc": 1, "levelpred": 1, "presence": 2}
 
+    def test_stats_reports_lockstep(self, tmp_path, capsys):
+        """Every fig6 walk is a vector walk; its lockstep counters reach
+        the manifest's content block and the ``lockstep:`` line."""
+        from repro.cli import main
+
+        out = tmp_path / "results"
+        assert main(["run", "fig6", "--machine", "tiny", "--refs", "3000",
+                     "--telemetry", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["stats", str(out / telemetry.MANIFEST_NAME)]) == 0
+        printed = capsys.readouterr().out
+        content = telemetry.load_manifest(
+            out / telemetry.MANIFEST_NAME)["summary"]["content"]
+        assert content["vector"] == 11
+        assert 11 <= content["classes"] <= 11 * 2
+        assert content["template_refs"] > 0
+        assert content["llc_pass_refs"] > 0
+        assert content["switches"] <= content["vector"]
+        assert (f"lockstep: {content['classes']:.0f} classes over 11 vector "
+                f"walks, {content['template_refs']:.0f} template refs"
+                in printed)
+
     def test_stats_missing_manifest_is_an_error(self, tmp_path, capsys):
         from repro.cli import main
 

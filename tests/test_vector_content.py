@@ -16,6 +16,8 @@ bundle alone, like every other invariant in :mod:`repro.checking`.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,40 +53,102 @@ SHALLOW_FAMILIES = ("mcf", "lbm", "milc", "bwaves", "pmf", "blas", "shared")
 STREAM_FIELDS = vector_content._STREAM_FIELDS
 
 
-def random_machine(rng: np.random.Generator) -> MachineConfig:
-    """A random small machine: 2-5 levels, 1-4 cores, pow2 geometry.
+def make_machine(name: str, cores: int, geometry,
+                 description: str = "hand-sized test geometry") -> MachineConfig:
+    """A machine from ``(num_sets, assoc)`` per level, the last shared.
 
-    Set counts and associativities vary per level; sizes are forced
-    non-decreasing with depth (a MachineConfig invariant) by accumulating
-    size bits.  Timing/energy parameters are irrelevant to the content
-    walk and stay fixed.
+    Timing/energy parameters are irrelevant to the content walk and stay
+    fixed.
     """
-    depth = int(rng.integers(2, 6))
-    ncores = int(rng.integers(1, 5))
-    levels = []
-    size_bits = int(rng.integers(3, 6))  # L1: 8..32 lines
-    for i in range(depth):
-        size_bits += int(rng.integers(0, 3)) if i else 0
-        assoc_bits = int(rng.integers(0, min(4, size_bits) + 1))
-        assoc = 1 << assoc_bits
-        num_sets = 1 << (size_bits - assoc_bits)
-        levels.append(CacheLevelParams(
+    levels = tuple(
+        CacheLevelParams(
             name=f"L{i + 1}",
             size=num_sets * assoc * 64,
             assoc=assoc,
-            shared=(i == depth - 1),
+            shared=(i == len(geometry) - 1),
             tag_delay=2, data_delay=3,
             tag_energy=0.01, data_energy=0.04, leakage_w=0.001,
-        ))
+        )
+        for i, (num_sets, assoc) in enumerate(geometry)
+    )
     pt = PredictionTableParams(
         size=512, access_delay=1, wire_delay=5,
         access_energy=0.02, leakage_w=0.01, banks=2,
     )
     return MachineConfig(
-        name=f"fuzz-{depth}l{ncores}c-{size_bits}", cores=ncores,
-        frequency_hz=3.7e9, levels=tuple(levels), prediction_table=pt,
-        description="randomized fuzz geometry",
+        name=name, cores=cores, frequency_hz=3.7e9, levels=levels,
+        prediction_table=pt, description=description,
     )
+
+
+def random_machine(rng: np.random.Generator,
+                   tight_llc: bool = False) -> MachineConfig:
+    """A random small machine: 2-5 levels, 1-4 cores, pow2 geometry.
+
+    Set counts and associativities vary per level; sizes are forced
+    non-decreasing with depth (a MachineConfig invariant) by accumulating
+    size bits.  ``tight_llc`` gives the LLC the deepest private level's
+    size, so it holds less than the cores' private levels together and
+    evicts blocks they still hold (the draws are the same either way).
+    """
+    depth = int(rng.integers(2, 6))
+    ncores = int(rng.integers(1, 5))
+    geometry = []
+    size_bits = int(rng.integers(3, 6))  # L1: 8..32 lines
+    for i in range(depth):
+        grow = int(rng.integers(0, 3)) if i else 0
+        size_bits += 0 if tight_llc and i == depth - 1 else grow
+        assoc_bits = int(rng.integers(0, min(4, size_bits) + 1))
+        geometry.append((1 << (size_bits - assoc_bits), 1 << assoc_bits))
+    tag = "-tight" if tight_llc else ""
+    return make_machine(f"fuzz-{depth}l{ncores}c-{size_bits}{tag}", ncores,
+                        geometry, "randomized fuzz geometry")
+
+
+def xor_blocks(trace: Trace, xor: int) -> Trace:
+    """``trace`` with every block number XOR ``xor``."""
+    return replace(trace, addr=trace.addr ^ np.uint64(xor << 6))
+
+
+def xor_constants(rng: np.random.Generator, machine: MachineConfig,
+                  count: int) -> list:
+    """``count`` distinct XOR constants, 0 first, the rest flipping set
+    index bits at every level (when the smallest level has more than one
+    set) as well as high tag bits."""
+    low = min(lvl.num_sets for lvl in machine.levels)
+    out = [0]
+    while len(out) < count:
+        flip = int(rng.integers(1, low)) if low > 1 else 0
+        d = (int(rng.integers(1, 1 << 20)) << 16) | flip
+        if d not in out:
+            out.append(d)
+    return out
+
+
+#: Workload shapes of the fuzz: the family as built; one trace on every
+#: core under distinct XOR constants; cores 0..k sharing a trace that
+#: way, the rest distinct; every core its own trace.
+SHAPES = ("native", "duplicated", "partial", "distinct")
+
+
+def shape_workload(shape: str, family: str, machine: MachineConfig,
+                   refs_per_core: int, seed: int,
+                   rng: np.random.Generator) -> Workload:
+    native = build_case_workload(family, machine, refs_per_core, seed)
+    if shape == "native":
+        return native
+    ncores = machine.cores
+    shared = {"duplicated": ncores,
+              "partial": int(rng.integers(1, ncores + 1)),
+              "distinct": 1}[shape]
+    consts = xor_constants(rng, machine, shared)
+    traces = [xor_blocks(native.traces[0], d) for d in consts]
+    for core in range(shared, ncores):
+        # A different seed per core: no two of these are XOR-equivalent.
+        other = build_case_workload(family, machine, refs_per_core,
+                                    seed + 7919 * core)
+        traces.append(other.traces[core])
+    return Workload(name=f"{native.name}-{shape}", traces=tuple(traces))
 
 
 def build_case_workload(name: str, machine: MachineConfig,
@@ -125,15 +189,22 @@ def assert_bit_identical(cfg: SimConfig, workload: Workload, label: str,
 # ================================================================ fuzz
 class TestDifferentialFuzz:
     def test_random_geometry_family_chunk(self):
-        """200 randomized machine x family x chunk-size cases."""
+        """200 randomized machine x family x shape x chunk-size cases."""
         skipped_total = 0
+        switches = 0
+        shared_classes = 0
         for i, rng in cases(seed=20260808, n=200):
-            machine = random_machine(rng)
+            # The shape axes draw from their own stream, so the geometry,
+            # family and chunk draws are those of the shape-less corpus.
+            aux = np.random.default_rng([20260808, i])
+            tight = bool(aux.integers(0, 2))
+            machine = random_machine(rng, tight_llc=tight)
             pool = FAMILIES if machine.num_levels >= 3 else SHALLOW_FAMILIES
             family = pool[int(rng.integers(0, len(pool)))]
             refs = int(rng.integers(150, 700))
             seed = int(rng.integers(1, 1 << 16))
-            workload = build_case_workload(family, machine, refs, seed)
+            shape = SHAPES[int(aux.integers(0, len(SHAPES)))]
+            workload = shape_workload(shape, family, machine, refs, seed, aux)
             total = workload.total_refs
             chunk = [1, 7, 64, total - 1, total, total + 1, None][
                 int(rng.integers(0, 7))]
@@ -141,13 +212,18 @@ class TestDifferentialFuzz:
                 chunk = 1
             cfg = SimConfig(machine=machine, refs_per_core=refs, seed=seed)
             label = (f"case {i}: machine={machine.name} family={family} "
-                     f"refs={refs} seed={seed} chunk={chunk}")
+                     f"shape={shape} refs={refs} seed={seed} chunk={chunk}")
             stats = assert_bit_identical(cfg, workload, label,
                                          chunk_refs=chunk)
             skipped_total += stats["skipped"]
-        # The candidate rule must actually fire across the corpus —
-        # otherwise the fuzz only ever exercises the residual loop.
+            switches += stats["exact_from"] >= 0
+            shared_classes += stats["classes"] < machine.cores
+        # The candidate rule, the switch to the exact loop and classes
+        # of more than one core must all occur across the corpus —
+        # otherwise the fuzz misses the path they guard.
         assert skipped_total > 0
+        assert switches > 0
+        assert shared_classes > 0
 
     @pytest.mark.parametrize("family", ("mcf", "mix", "pmf", "shared"))
     @pytest.mark.parametrize("boundary", ("one", "n-1", "n", "n+1"))
@@ -297,6 +373,173 @@ class TestRepeatedHazard:
         assert stats["hazards"] == 1
 
 
+# ==================================================== lockstep regime
+#: L1 4x2, L2 8x4, LLC 8x4 (sets x ways): the LLC is no larger than one
+#: core's L2, so the first live inclusion victim comes early.
+TIGHT = ((4, 2), (8, 4), (8, 4))
+
+
+def duplicated(machine: MachineConfig, family: str, refs: int, seed: int,
+               gaps: "tuple | None" = None) -> Workload:
+    """One ``family`` trace on every core under distinct XOR constants;
+    ``gaps[c]`` scales core ``c``'s compute gaps (its merge speed)."""
+    base = build_case_workload(family, machine, refs, seed).traces[0]
+    consts = xor_constants(np.random.default_rng(seed), machine,
+                           machine.cores)
+    traces = []
+    for core, d in enumerate(consts):
+        t = xor_blocks(base, d)
+        if gaps is not None:
+            t = replace(t, gap=(t.gap * np.uint32(gaps[core])).astype(
+                np.uint32))
+        traces.append(t)
+    return Workload(name=f"{family}-dup", traces=tuple(traces))
+
+
+def block_trace(name: str, blocks, gap: int = 1) -> Trace:
+    blocks = np.asarray(blocks, dtype=np.uint64)
+    n = len(blocks)
+    return Trace(name=name, pc=np.zeros(n, dtype=np.uint64),
+                 addr=blocks << np.uint64(6), write=np.zeros(n, dtype=bool),
+                 gap=np.full(n, gap, dtype=np.uint32))
+
+
+class TestLockstep:
+    """The lockstep regime and its switch to the exact loop, each case
+    byte-identical to the sequential walk."""
+
+    def test_live_victim_in_first_chunk(self):
+        machine = make_machine("tight2", 2, TIGHT)
+        workload = duplicated(machine, "mcf", 600, 3)
+        cfg = SimConfig(machine=machine, refs_per_core=600, seed=3)
+        stats = assert_bit_identical(cfg, workload, "first chunk",
+                                     chunk_refs=256)
+        assert stats["classes"] == 1
+        assert 0 <= stats["exact_from"] < 256
+
+    def test_live_victim_at_chunk_boundary(self):
+        machine = make_machine("tight2", 2, TIGHT)
+        workload = duplicated(machine, "mcf", 600, 3)
+        cfg = SimConfig(machine=machine, refs_per_core=600, seed=3)
+        first = assert_bit_identical(cfg, workload, "whole")["exact_from"]
+        assert first > 1
+        # The first live victim is a property of the stream: chunking
+        # so that its access opens or closes a chunk moves nothing.
+        for chunk in (first, first + 1):
+            stats = assert_bit_identical(cfg, workload, f"chunk={chunk}",
+                                         chunk_refs=chunk)
+            assert stats["exact_from"] == first
+
+    def test_live_victim_on_core_0_itself(self):
+        """One core, L1 1x2, L2 2x2, LLC 2x2: A, B, A, C.  The L1 hit on
+        A leaves it least recent in the LLC, so C's fill evicts A while
+        core 0's own L1 and L2 hold it."""
+        machine = make_machine("self-victim", 1, ((1, 2), (2, 2), (2, 2)))
+        workload = Workload(name="self-victim",
+                            traces=(block_trace("abac", [0, 2, 0, 4]),))
+        cfg = SimConfig(machine=machine, refs_per_core=4, seed=1)
+        stats = assert_bit_identical(cfg, workload, "self victim")
+        assert stats["exact_from"] == 3
+        assert stats["live_victims_checked"] == 1
+        seq = ContentSimulator(cfg, vectorized=False).walk(workload)
+        assert seq.hit_level.tolist() == [0, 0, 1, 0]
+
+    def test_dead_victims_stay_in_lockstep(self):
+        """A one-set stream, L1 1x1, L2 1x2, LLC 1x4: every LLC victim
+        left the private levels two fills earlier, so none is live and
+        the walk never leaves the lockstep regime."""
+        machine = make_machine("stream", 1, ((1, 1), (1, 2), (1, 4)))
+        workload = Workload(name="stream",
+                            traces=(block_trace("s", np.arange(12)),))
+        cfg = SimConfig(machine=machine, refs_per_core=12, seed=1)
+        stats = assert_bit_identical(cfg, workload, "dead victims")
+        assert stats["exact_from"] == -1
+        assert stats["live_victims_checked"] == 12 - 4
+
+    def test_near_lockstep_adversary_gets_its_own_class(self):
+        """Core 1 is core 0 XOR a constant except for its last access,
+        which misses where core 0's repeat hits."""
+        machine = make_machine("tight2", 2, TIGHT)
+        blocks = np.random.default_rng(8).integers(0, 40, size=300,
+                                                   dtype=np.uint64)
+        blocks[-1] = blocks[-2]
+        d = 1 << 20
+        other = blocks ^ np.uint64(d)
+        other[-1] = 1 << 30
+        workload = Workload(name="near-lockstep", traces=(
+            block_trace("t0", blocks), block_trace("t1", other)))
+        leaders, cls, _ = vector_content._classes(workload)
+        assert leaders == [0, 1] and cls == [0, 1]
+        cfg = SimConfig(machine=machine, refs_per_core=300, seed=1)
+        stats = assert_bit_identical(cfg, workload, "near lockstep")
+        assert stats["classes"] == 2
+        seq = ContentSimulator(cfg, vectorized=False).walk(workload)
+        last = np.flatnonzero(seq.core == 1)[-1]
+        assert seq.hit_level[last] == 0
+
+    def test_xor_equivalent_cores_share_a_class(self):
+        machine = make_machine("tight4", 4, TIGHT)
+        workload = duplicated(machine, "lbm", 300, 2)
+        leaders, cls, xor = vector_content._classes(workload)
+        assert leaders == [0] and cls == [0, 0, 0, 0]
+        for core, t in enumerate(workload.traces):
+            assert np.array_equal(
+                workload.traces[0].blocks ^ np.uint64(xor[core]), t.blocks)
+
+    @pytest.mark.parametrize("chunk", (None, 16, 97))
+    def test_truncation_at_unequal_member_ranks(self, chunk):
+        """Members merge at different speeds (gaps x1, x3, x7), so a cut
+        leaves them at far-apart ranks, and the switch materializes each
+        from a snapshot well behind it."""
+        machine = make_machine("tight3", 3, TIGHT)
+        workload = duplicated(machine, "milc", 500, 4, gaps=(1, 3, 7))
+        cfg = SimConfig(machine=machine, refs_per_core=500, seed=4)
+        for cut in (1, 250, 701, workload.total_refs):
+            stats = assert_bit_identical(cfg, workload,
+                                         f"cut={cut} chunk={chunk}",
+                                         chunk_refs=chunk, max_accesses=cut)
+            assert stats["classes"] == 1
+        cores = np.concatenate(
+            [c.core for c in workload.block_stream(max_refs=701)])
+        counts = np.bincount(cores, minlength=3)
+        assert counts.max() - counts.min() > 100
+        assert stats["exact_from"] >= 0
+
+    @pytest.mark.parametrize("batch", (1, 7, 16))
+    @pytest.mark.parametrize("family,llc,switches", (
+        ("mix", (16, 8), True), ("mcf", (16, 16), False)))
+    def test_small_batches_near_eviction(self, monkeypatch, batch, family,
+                                         llc, switches):
+        """Once the fullest LLC set nears its first eviction the regime
+        walks smaller batches; shrunk, they split the 50-ref chunks
+        anywhere, across the switch (mix) or without one (mcf)."""
+        monkeypatch.setattr(vector_content, "_LIVE_BATCH", batch)
+        machine = make_machine("mid3", 3, ((4, 2), (8, 4), llc))
+        workload = build_case_workload(family, machine, 400, 9)
+        cfg = SimConfig(machine=machine, refs_per_core=400, seed=9)
+        stats = assert_bit_identical(cfg, workload, f"batch={batch}",
+                                     chunk_refs=50)
+        assert (stats["exact_from"] > 50) == switches
+
+    def test_one_core_machine(self):
+        machine = make_machine("tight1", 1, TIGHT)
+        workload = get_workload("mcf", machine, 2000, 5)
+        cfg = SimConfig(machine=machine, refs_per_core=2000, seed=5)
+        stats = assert_bit_identical(cfg, workload, "one core")
+        assert stats["classes"] == 1
+        assert stats["exact_from"] >= 0
+
+    def test_two_level_machine(self):
+        machine = make_machine("tight-2l", 2, ((4, 2), (4, 4)))
+        workload = duplicated(machine, "mcf", 800, 6)
+        cfg = SimConfig(machine=machine, refs_per_core=800, seed=6)
+        for chunk in (None, 33):
+            stats = assert_bit_identical(cfg, workload, f"chunk={chunk}",
+                                         chunk_refs=chunk)
+            assert stats["classes"] == 1
+            assert stats["exact_from"] >= 0
+
+
 # ============================================== selection and fallbacks
 class TestPathSelection:
     def test_escape_hatch_env(self, monkeypatch):
@@ -358,6 +601,27 @@ class TestPathSelection:
         counters = sess.registry.snapshot()["counters"]
         assert counters["content.vector_chunks"] >= 1
         assert counters["content.sequential_walks"] == 1
+
+    def test_lockstep_tags_and_counters(self):
+        """The lockstep stats reach the span tags and the counters."""
+        machine = make_machine("tight2", 2, TIGHT)
+        workload = duplicated(machine, "mcf", 600, 3)
+        cfg = SimConfig(machine=machine, refs_per_core=600, seed=3)
+        _, stats = vector_content.walk_vectorized(cfg, workload)
+        assert stats["exact_from"] >= 0
+        with telemetry.session(force=True, label="lockstep") as sess:
+            ContentSimulator(cfg).run(workload)
+        span = next(s for s in sess.tracer.records if s.name == "content_walk")
+        for key in ("classes", "template_refs", "llc_pass_refs",
+                    "live_victims_checked", "exact_from"):
+            assert span.tags[key] == stats[key], key
+        counters = sess.registry.snapshot()["counters"]
+        assert counters["content.classes"] == 1
+        assert counters["content.template_refs"] == stats["template_refs"]
+        assert counters["content.llc_pass_refs"] == stats["llc_pass_refs"]
+        assert counters["content.switches"] == 1
+        assert (counters["content.exact_refs"]
+                == workload.total_refs - stats["exact_from"])
 
     def test_injected_fault_falls_back_to_sequential(self):
         machine = get_machine("tiny")
