@@ -263,9 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rp = sub.add_parser(
         "report",
-        help="post-run sweep summary joining the journal, the results "
-             "store and the repo's BENCH_*.json perf trend — the "
-             "artifact CI archives next to the store digest",
+        help="post-run sweep summary joining the journal and the "
+             "results store — the artifact CI archives next to the store "
+             "digest",
     )
     rp.add_argument("target", type=Path,
                     help="results store (.sqlite) or journal "
@@ -275,9 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "store by stem)")
     rp.add_argument("--json", action="store_true",
                     help="emit the full report as JSON instead of text")
-    rp.add_argument("--bench-root", type=Path, default=Path("."),
-                    help="directory scanned for BENCH_*.json trend "
-                         "artifacts (default: .)")
     rp.add_argument("--events", type=int, default=8,
                     help="tail length for event lists (default: 8)")
 
@@ -593,17 +590,19 @@ def _merge(args) -> int:
     Union by fingerprint; the same fingerprint with a different canonical
     payload is a hard error (one store is corrupt or was produced by
     incompatible code), surfaced as a non-zero exit with nothing further
-    merged from that source.
+    merged from that source.  Every source must exist before the
+    destination is opened, so a missing one leaves ``dst`` untouched.
     """
     from repro.results import ResultsStore
 
+    for src_path in args.src:
+        if not src_path.exists():
+            raise ReproError(
+                f"no results store at {src_path}; "
+                f"produce one with `repro sweep <spec>`"
+            )
     with ResultsStore(args.dst) as dst:
         for src_path in args.src:
-            if not src_path.exists():
-                raise ReproError(
-                    f"no results store at {src_path}; "
-                    f"produce one with `repro sweep <spec>`"
-                )
             with ResultsStore(src_path) as src:
                 added, skipped = dst.merge_from(src)
             print(f"{src_path}: {added} added, {skipped} already present")
@@ -677,11 +676,11 @@ def _watch(args) -> int:
 
 
 def _report(args) -> int:
-    """``repro report``: the static journal+store+bench summary."""
+    """``repro report``: the static journal+store summary."""
     from repro.sweep.report import build_report, render_report, report_json
 
     report = build_report(args.target, journal=args.journal,
-                          bench_root=args.bench_root, events=args.events)
+                          events=args.events)
     if args.json:
         print(report_json(report))
     else:

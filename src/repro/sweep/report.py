@@ -1,11 +1,10 @@
 """``repro report``: one post-run artifact for "what ran, how fast, what broke".
 
-Aggregates the three durable outputs a sweep leaves behind — the results
-store (canonical rows), the progress journal (lifecycle history), and
-the repo's ``BENCH_*.json`` perf trend — into a single static summary,
-rendered as text for humans and JSON for CI.  Unlike ``repro watch``
-this never loops and never needs the sweep alive; it is the artifact a
-CI job archives next to the store digest.
+Aggregates the two durable outputs a sweep leaves behind — the results
+store (canonical rows) and the progress journal (lifecycle history) —
+into a single static summary, rendered as text for humans and JSON for
+CI.  Unlike ``repro watch`` this never loops and never needs the sweep
+alive; it is the artifact a CI job archives next to the store digest.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 from pathlib import Path
 
 from repro.results.store import ResultsStore
-from repro.results.trend import collect_bench, render_trend
 from repro.sweep.journal import read_journal
 from repro.sweep.watch import build_view, percentile_exact, resolve_paths
 from repro.util.validation import ReproError
@@ -81,7 +79,6 @@ def _store_summary(store_p: Path) -> dict:
 
 def build_report(target: "str | Path",
                  journal: "str | Path | None" = None,
-                 bench_root: "str | Path | None" = ".",
                  events: int = 8) -> dict:
     """The ``repro report`` payload (JSON-able dict)."""
     store_p, journal_p = resolve_paths(target)
@@ -122,8 +119,6 @@ def build_report(target: "str | Path",
         "store": _store_summary(store_p),
         "journal": {**_journal_summary(journal_p), "cells": cells},
         "tails": tails,
-        "bench": (collect_bench(bench_root)
-                  if bench_root is not None else []),
     }
 
 
@@ -188,10 +183,6 @@ def render_report(report: dict) -> str:
             f"  {name}: p50 {tail['p50']:.3f} p95 {tail['p95']:.3f} "
             f"max {tail['max']:.3f} (n={tail['n']})"
         )
-    if report["bench"]:
-        lines.append("  bench trend:")
-        for line in render_trend(report["bench"]).splitlines():
-            lines.append("    " + line)
     return "\n".join(lines)
 
 

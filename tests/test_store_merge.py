@@ -113,10 +113,28 @@ def test_tampered_row_is_a_merge_conflict(smoke_parts, tmp_path, capsys):
     assert "merge conflict" in err
 
 
-def test_cli_merge_missing_source_is_an_error(tmp_path, capsys):
-    assert main(["merge", str(tmp_path / "dst.sqlite"),
-                 str(tmp_path / "nope.sqlite")]) == 1
+def test_cli_merge_missing_source_is_an_error(smoke_parts, tmp_path, capsys):
+    """A missing source fails the merge before ``dst`` is opened: no empty
+    store is left behind, and an existing one keeps its rows even when a
+    good source precedes the missing one."""
+    _, host_a, host_b = smoke_parts
+    missing = tmp_path / "nope.sqlite"
+
+    fresh = tmp_path / "dst.sqlite"
+    assert main(["merge", str(fresh), str(missing)]) == 1
     assert "no results store" in capsys.readouterr().err
+    assert not fresh.exists()
+    assert main(["merge", str(fresh), str(host_a), str(missing)]) == 1
+    capsys.readouterr()
+    assert not fresh.exists()
+
+    existing = tmp_path / "existing.sqlite"
+    assert main(["merge", str(existing), str(host_b)]) == 0
+    capsys.readouterr()
+    before = existing.read_bytes()
+    assert main(["merge", str(existing), str(host_a), str(missing)]) == 1
+    assert "no results store" in capsys.readouterr().err
+    assert existing.read_bytes() == before
 
 
 def test_export_csv_is_fingerprint_ordered(smoke_parts):

@@ -69,6 +69,38 @@ def test_warm_runner_skips_walk(cached_config, monkeypatch):
     assert loaded.num_accesses == cached_config.total_refs
 
 
+def test_warm_figure_regeneration_runs_no_walk(cached_config, monkeypatch):
+    """Figure-level warm path: regenerating fig6 over a filled cache, with
+    the in-process runner memo dropped, runs zero content walks, loads
+    every stream from disk and renders the same table byte for byte."""
+    from repro import telemetry
+    from repro.experiments import clear_cache, get_spec, run_spec
+
+    workloads = ("mcf", "soplex")
+    walks = []
+    real_run = ContentSimulator.run
+
+    def counting_run(self, workload, max_accesses=None):
+        walks.append(workload.name)
+        return real_run(self, workload, max_accesses=max_accesses)
+
+    monkeypatch.setattr(ContentSimulator, "run", counting_run)
+    clear_cache()
+    cold = run_spec(get_spec("fig6"), cached_config, workloads=workloads)
+    assert sorted(walks) == sorted(workloads)
+
+    clear_cache()
+    walks.clear()
+    with telemetry.session(force=True, label="warm") as sess:
+        warm = run_spec(get_spec("fig6"), cached_config, workloads=workloads)
+        hits = sess.registry.counter_total("stream_cache.hit")
+        misses = sess.registry.counter_total("stream_cache.miss")
+    clear_cache()
+    assert walks == []
+    assert (hits, misses) == (len(workloads), 0)
+    assert warm.table == cold.table
+
+
 def test_warm_cells_build_no_workload(cached_config, monkeypatch):
     """With a filled cache, every sweep scheme evaluates from the L1-miss
     record alone — no workload is built — and matches the cold run.  The

@@ -4,8 +4,7 @@ Both tools are pure functions of the on-disk journal + store, so the
 tests drive them through real sweeps at three lifecycle points: killed
 mid-grid (counts show the partial state and remaining work), resumed to
 completion (counts converge with the store), and degraded inputs (store
-without journal, journal without store).  The bench trend folding is
-covered against the committed BENCH_*.json artifacts.
+without journal, journal without store).
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.results.trend import collect_bench, render_trend
 from repro.sweep import SweepSpec, journal_path, run_sweep
 from repro.sweep.report import build_report, render_report
 from repro.sweep.watch import (
@@ -29,7 +27,6 @@ from repro.util.validation import ReproError
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 GOLDEN = Path(__file__).parent / "golden"
-REPO_ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -120,7 +117,7 @@ def test_report_counts_match_store_and_journal(tmp_path):
     store = tmp_path / "s.sqlite"
     run_sweep(spec, store, workers=1, max_cells=2)
     run_sweep(spec, store, workers=1)
-    report = build_report(store, bench_root=REPO_ROOT)
+    report = build_report(store)
     assert report["store"]["rows"] == 4
     assert report["store"]["by_scheme"] == {"base": 2, "redhip": 2}
     assert report["journal"]["runs"] == 2
@@ -128,9 +125,8 @@ def test_report_counts_match_store_and_journal(tmp_path):
     assert report["journal"]["cells"]["resumed_distinct"] == 0
     assert report["journal"]["cells"]["failed"] == 0
     assert report["tails"]["cell_wall_s"]["n"] == 4
-    assert report["bench"], "committed BENCH_*.json artifacts should fold in"
     text = render_report(report)
-    assert "4 rows" in text and "2 run(s)" in text and "bench trend" in text
+    assert "4 rows" in text and "2 run(s)" in text
     json.dumps(report)                                 # fully JSON-able
 
 
@@ -139,52 +135,10 @@ def test_report_without_store_uses_journal_only(tmp_path):
     store = tmp_path / "s.sqlite"
     run_sweep(spec, store, workers=1)
     store.unlink()
-    report = build_report(journal_path(store), bench_root=None)
+    report = build_report(journal_path(store))
     assert report["store"] == {"present": False}
     assert report["journal"]["cells"]["completed"] == 2
     assert "store: missing" in render_report(report)
-
-
-# ------------------------------------------------------------ bench trend
-def test_bench_trend_folds_committed_artifacts():
-    rows = collect_bench(REPO_ROOT)
-    assert len(rows) >= 2
-    by_file = {r["file"]: r for r in rows}
-    assert by_file["BENCH_pr2.json"]["metrics"]["replay_speedup"] == 9.3
-    assert by_file["BENCH_pr6.json"]["metrics"]["pass"] is True
-    table = render_trend(rows)
-    assert "BENCH_pr2.json" in table and "replay_speedup" in table
-
-
-def test_bench_trend_survives_a_corrupt_artifact(tmp_path):
-    (tmp_path / "BENCH_a.json").write_text('{"benchmark": "x", "pass": true}')
-    (tmp_path / "BENCH_b.json").write_text("{not json")
-    rows = collect_bench(tmp_path)
-    assert rows[0]["metrics"] == {"pass": True}
-    assert rows[1]["error"] and "JSONDecodeError" in rows[1]["error"]
-    assert "error" in render_trend(rows)
-    assert render_trend([]) == "no BENCH_*.json artifacts found"
-
-
-def test_bench_trend_warns_and_keeps_going_on_hostile_files(tmp_path):
-    """Malformed or schema-less artifacts become warned-about error rows —
-    `repro report` over a directory with one bad file must not raise."""
-    import warnings
-
-    (tmp_path / "BENCH_good.json").write_text(
-        '{"benchmark": "x", "replay_speedup": 2.5}')
-    (tmp_path / "BENCH_binary.json").write_bytes(b"\xff\xfe\x00bad")
-    (tmp_path / "BENCH_list.json").write_text('[1, 2, 3]')
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rows = collect_bench(tmp_path)
-    # Name-sorted: binary (error), good, list (error).
-    assert [bool(r["error"]) for r in rows] == [True, False, True]
-    assert "expected a JSON object" in rows[2]["error"]
-    assert any(issubclass(w.category, RuntimeWarning)
-               and "BENCH_binary.json" in str(w.message) for w in caught)
-    table = render_trend(rows)
-    assert "BENCH_good.json" in table and "2.5" in table
 
 
 # -------------------------------------------------------------------- CLI
@@ -209,14 +163,14 @@ def test_cli_watch_once_and_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "8 completed" in out and "0 remaining" in out and "finished" in out
 
-    assert main(["report", str(store), "--bench-root",
-                 str(REPO_ROOT)]) == 0
+    assert main(["report", str(store)]) == 0
     out = capsys.readouterr().out
-    assert "8 rows" in out and "bench trend" in out
+    assert "8 rows" in out
 
-    assert main(["report", str(store), "--json", "--bench-root",
-                 str(REPO_ROOT)]) == 0
+    assert main(["report", str(store), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"store_path", "journal_path", "store", "journal",
+                        "tails"}
     assert doc["store"]["rows"] == 8
     assert doc["journal"]["cells"]["completed"] == 8
 
