@@ -45,15 +45,10 @@ FORBIDDEN = (
     re.compile(r"\bleakage\b"),
 )
 
-#: Pinned allowlist: (file, exact line content after strip).  The two
-#: ``counts[...]`` lines are the vectorized replay's *predictor mirror*
-#: occupancy counters (LLC lines per table entry) — predictor state, not
-#: energy accounting.  Additions here need review: every new entry is a
-#: hole in the single-source-of-truth guarantee.
-ALLOWED = {
-    ("src/repro/sim/vector_replay.py",
-     "if len(evict_entry) and counts[evict_entry].min() < 0:"),
-}
+#: Pinned allowlist: (file, exact line content after strip).  Additions
+#: here need review: every new entry is a hole in the single-source-of-truth
+#: guarantee.
+ALLOWED: set[tuple[str, str]] = set()
 
 
 def main() -> int:

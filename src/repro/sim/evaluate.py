@@ -262,17 +262,17 @@ def _replay_ehc_scalar(
 
 
 #: Predictor state each batched kernel must leave exactly as its scalar
-#: loop would, per predictor class (dotted attribute paths).
+#: loop would, per predictor class (dotted attribute paths; an engine's
+#: ``__dict__`` holds its miss, sweep and fill counts).
 _REPLAY_STATE = {
     ReDHiPController: ("table._bits", "mirror._counts", "table_updates",
-                       "engine.l1_misses", "engine.sweeps"),
+                       "engine.__dict__"),
     CBFPredictor: ("filter._counts", "filter._disabled", "filter.inserts",
                    "filter.deletes", "filter.saturations", "table_updates"),
     LevelPredController: ("table._bits", "mirror._counts", "tags", "levels",
-                          "conf", "table_updates", "_last",
-                          "engine.l1_misses", "engine.sweeps"),
+                          "conf", "table_updates", "_last", "engine.__dict__"),
     EHCController: ("expected", "cur", "mirror._counts", "table_updates",
-                    "engine.l1_misses", "engine.sweeps"),
+                    "engine.__dict__"),
 }
 
 

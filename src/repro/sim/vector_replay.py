@@ -1,83 +1,65 @@
-"""Vectorized predictor replay: batch the per-L1-miss loops with NumPy.
+"""Vectorized predictor replay: the per-L1-miss loops in closed form.
 
 The scalar replays in :mod:`repro.sim.evaluate` walk the LLC event stream
-against a predictor one L1 miss at a time — a Python call per miss plus a
-Python call per LLC event.  For the three recalibrating predictors that
-loop is batchable, because their visible state changes in a schedule
-fixed in advance:
+against a predictor one L1 miss at a time.  For the recalibrating
+predictors that loop has a closed form: fills only set bits (evictions
+touch only the tag mirror), and sweeps fall at misses the stream alone
+fixes — every ``period``-th miss, or for the adaptive engine the first
+miss ``fill_budget`` LLC fills after the last sweep.  Sweep ``K`` fires
+right after the lookup of the miss at access index ``s[K]``, so an event
+lands after it iff its ``when >= s[K]``; ``s[0]``, just above ``-inf``,
+stands for "no sweep yet".  Every kernel answers from one **timeline**
+(:class:`_Timeline`): the misses and LLC events merged in the order the
+scalar loop applies them and grouped by table entry, which gives each
+miss its entry's latest earlier event and running fills minus evictions.
 
-* **fills set bits** — and never clear them (the PT-monotonicity invariant
-  checked mode already enforces); evictions touch only the tag mirror;
-* **sweeps happen at deterministic miss counts** — the fixed-period engine
-  fires after every ``period``-th L1 miss, independent of the answers.
+* **Presence** (ReDHiP, ReDHiP-NoOv, ReDHiP-xor, LevelPred's presence
+  half).  Per miss, ``t`` is ``+inf`` if the entry's mirror count is
+  positive just before the lookup, else the ``when`` of its latest
+  earlier event (a stale initial bit: ``s[0]``), else ``-inf``.  The miss
+  after ``K`` sweeps reads a set bit iff ``t >= s[K]``: a live block set
+  it at the sweep, or an event since did (a fill sets the bit; an
+  eviction means a block was live at the sweep).  The end-state bits are
+  each entry's final ``t`` against the last sweep.
+* **LevelPred** (:func:`replay_levelpred_vectorized`) — the level table
+  evolves only from the (slot, tag, hit level) sequence of L1 misses, and
+  slots are independent, so it replays as a *wavefront* over each slot's
+  occurrence rank: round ``r`` updates every slot's ``r``-th miss in one
+  vectorized step.  Rounds too sparse to amortize NumPy's per-call cost
+  (a few hot slots) finish in a scalar tail.
+* **EHC** (:func:`replay_ehc_vectorized`) — an eviction ``x`` writes its
+  ``cur`` (``min(15, LLC hits since the entry's last fill or evict)``) to
+  ``expected``; a later sweep writes 0 iff the mirror count is 0, i.e. it
+  was 0 right after ``x`` and no fill came before the sweep.  So a miss
+  is dead iff ``x_when >= s[K] ? cur_x == 0 : empty_after_x &
+  (refill_when >= s[K])``, and the end-state ``expected`` follows from
+  the same values per entry.
+* **CBF** (:func:`replay_cbf_vectorized`) — never recalibrates, and its
+  lookups never touch the filter: each counter is a +1/-1 walk over its
+  entry's events that disables itself at the first overflow or
+  underflow, and each miss reads its entry's walk at its own place on the
+  timeline.
 
-So the replay decomposes into *epochs* (the spans between consecutive
-sweeps).  Within one epoch the ReDHiP prediction for the miss at access
-index ``i`` hashing to table entry ``e`` is::
+The recalibrating kernels are each a **plan** plus a **per-cell run**.
+The plan is what no cadence changes: the timeline's per-miss and
+per-entry values (presence, EHC) and the trained level table
+(LevelPred).  The run places the sweeps, compares and writes the
+predictor's end state: a fixed number of array operations, however many
+sweeps the cadence makes.  Plans live in a per-stream memo with weak
+keys, built at most once per (stream, table geometry) and freed with the
+stream.  A plan's key names every predictor parameter it reads; one that
+reads predictor state (the level table, EHC's ``cur`` and mirror) is
+stored only when that state is the constructor's all-zero one.  Plan
+arrays are read-only.
 
-    bits_at_epoch_start[e]  OR  first_fill_time[e] < i
-
-where ``first_fill_time[e]`` is the access index of the earliest LLC fill
-in the epoch that hashes to ``e`` — computed for all entries at once with
-``np.minimum.at`` (first-fill-sets-the-bit semantics).  The tag mirror
-advances per epoch with ``np.add.at``/``np.subtract.at``, and the sweep
-itself is the same ``counts > 0`` assignment the engine performs.
-
-The two predictor-zoo controllers reuse that schedule:
-
-* **LevelPred** (:func:`replay_levelpred_vectorized`) — the presence half
-  *is* ReDHiP's bitmap, replayed by the same epoch loop.  The level table
-  evolves only from the (slot, tag, hit level) sequence of L1 misses:
-  presence bits, LLC events and sweeps never feed into it.  Slots are
-  independent, so it replays as a *wavefront* over each slot's occurrence
-  rank — round ``r`` updates every slot's ``r``-th miss in one vectorized
-  step.  Once a round is too sparse to amortize NumPy's per-call cost, the
-  remaining misses (a few hot slots) finish in a scalar tail.
-* **EHC** (:func:`replay_ehc_vectorized`) — predictions never feed back
-  into the counters.  An eviction's ``cur`` is ``min(15, LLC hits on its
-  entry since the entry's last fill or evict)``, which one stable sort of
-  the merged miss/event timeline by entry yields for every eviction at
-  once.  ``expected`` then only needs materialising at sweep boundaries:
-  within an epoch a miss reads either the value at the epoch start or the
-  ``cur`` of the latest eviction on its entry in the same epoch.
-
-Each of these kernels is a **plan** plus a cheap **per-cell run**.  The
-plan holds everything derived from the stream alone, which no cadence
-changes: the hashed miss and event entries (presence), the trained level
-table (LevelPred), and the timeline sort's per-eviction ``cur``,
-last/next-eviction links and final ``cur`` (EHC).  The run is the epoch
-loop for one cadence plus writing the predictor's end state.  A plan is
-built at most once per (stream, table geometry) and kept in a per-stream
-memo with weak keys, so every cadence and every scheme that replays one
-stream shares it and it lives exactly as long as the stream.  A plan's
-key names every predictor parameter it reads; a plan that reads
-predictor state (the level table, EHC's ``cur`` and mirror) is stored only
-when that state is the constructor's all-zero one, and is otherwise built
-for the one call.  Plan arrays are read-only; the run copies from them.
-
-The counting-Bloom-filter competitor needs no schedule at all:
-
-* **CBF** (:func:`replay_cbf_vectorized`) — it never recalibrates and its
-  lookups never touch the filter.  Each counter is a +1/-1 walk over the
-  events on its entry that disables itself at the first overflow or
-  underflow, so one stable sort of the events by entry turns every walk
-  into a running sum, and one ``searchsorted`` on ``(entry, when)`` finds
-  the state each miss reads.
-
-Every kernel, like its scalar oracle, reads the stream's L1 misses (an
-:class:`~repro.hierarchy.events.OutcomeStream` is the L1-miss record)
-and returns one answer per miss, in access order; L1 hits never reach a
-predictor.  Each kernel mutates its predictor to the exact end-of-run
-state the scalar loop would leave (tables, mirror or filter counts, telemetry
-counters, sweep/stall totals), so ``predictor.stats()`` and every derived
-:class:`SchemeResult` field are bit-identical.  Predictors whose
-per-event updates do not decompose this way — MissMap (page-granular
-capacity evictions), gated wrappers (window state), the adaptive
-(churn-triggered) engine — stay on the scalar path; :func:`eligible` is
-the gate.
-
-``REPRO_NO_VECTOR_REPLAY=1`` forces the scalar path everywhere, and
-checked mode runs both paths and asserts equivalence (see
+Every kernel returns one answer per L1 miss, in access order, and leaves
+its predictor in the exact end-of-run state the scalar loop would
+(tables, mirror or filter counts, engine, telemetry counters), so
+``predictor.stats()`` and every :class:`SchemeResult` field are
+bit-identical.  MissMap (page-granular capacity evictions) and gated
+wrappers (window state) stay on the scalar path; :func:`eligible` is the
+gate.  ``REPRO_NO_VECTOR_REPLAY=1`` forces the scalar path everywhere,
+and checked mode runs both paths and asserts equivalence (see
 :func:`repro.sim.evaluate.evaluate_scheme`).
 """
 
@@ -90,7 +72,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import telemetry
-from repro.core.recalibration import RecalibrationEngine
+from repro.core.recalibration import AdaptiveRecalibrationEngine, RecalibrationEngine
 from repro.core.redhip import ReDHiPController
 from repro.hierarchy.events import EVENT_FILL, OutcomeStream, _frozen
 from repro.predictors.bloom import CountingBloomFilter
@@ -110,8 +92,11 @@ NO_VECTOR_ENV = "REPRO_NO_VECTOR_REPLAY"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
-#: Sentinel "no fill yet" event time (later than any access index).
-_NEVER = np.iinfo(np.int64).max
+#: Sentinel times: before every event (``-inf``), the sweep threshold
+#: before the first sweep (``s[0]``), and after every access (``+inf``).
+_NEG = np.iinfo(np.int64).min
+_START = _NEG + 1
+_POS = np.iinfo(np.int64).max
 
 #: A level-table wavefront round narrower than this many misses costs
 #: more in NumPy call overhead than the scalar state machine spends on
@@ -132,11 +117,11 @@ def eligible(predictor) -> bool:
     """Can ``predictor`` be replayed by one of the batched kernels?
 
     Exactly the plain ReDHiP, LevelPred and EHC controllers with the
-    fixed-period engine, and the plain CBF predictor over its own
-    counting filter: subclasses and wrappers (gating, checked-mode
-    delegation, the adaptive churn-triggered engine) may observe
-    per-event state and must replay sequentially.  ``type(...) is`` — not
-    ``isinstance`` — on purpose.
+    fixed-period or the adaptive (fill-budget) engine, and the plain CBF
+    predictor over its own counting filter: subclasses and wrappers
+    (gating, checked-mode delegation) may observe per-event state and
+    must replay sequentially.  ``type(...) is`` — not ``isinstance`` — on
+    purpose.
     """
     kind = type(predictor)
     if kind is CBFPredictor:
@@ -147,7 +132,7 @@ def eligible(predictor) -> bool:
             return False
     elif kind is not LevelPredController and kind is not EHCController:
         return False
-    return type(predictor.engine) is RecalibrationEngine
+    return type(predictor.engine) in (RecalibrationEngine, AdaptiveRecalibrationEngine)
 
 
 def use_vector(predictor) -> bool:
@@ -158,7 +143,7 @@ def use_vector(predictor) -> bool:
 def _require(predictor, kind: type) -> None:
     if type(predictor) is not kind or not eligible(predictor):
         raise ConfigError(
-            f"predictor {predictor.name!r} is not epoch-batchable "
+            f"predictor {predictor.name!r} is not batchable "
             f"as {kind.__name__}; use the sequential replay"
         )
 
@@ -170,6 +155,14 @@ def _index_array(hash_kind: str, p: int, blocks: np.ndarray) -> np.ndarray:
     else:
         idx = xor_hash_array(blocks, p)
     return idx.astype(np.intp)
+
+
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integer ``keys`` below ``bound``;
+    keys that fit 16 bits take NumPy's radix sort."""
+    if bound <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 # ---------------------------------------------------------------- plans
@@ -193,119 +186,177 @@ def _plan(stream: OutcomeStream, key: tuple, build, pristine: bool = True):
 
 
 @dataclass(frozen=True, eq=False)
-class _Events:
-    """A stream's LLC events split by kind, each in time order.  Events
-    ``lo:hi`` are fills ``fill_cut[lo]:fill_cut[hi]`` and evictions
-    ``lo - fill_cut[lo]:hi - fill_cut[hi]``."""
+class _Timeline:
+    """A stream's L1 misses and LLC events on one table, in the order the
+    scalar loop applies them, then grouped by table entry.
 
-    fill_entry: np.ndarray      # intp[fills]   table entry of each fill
-    fill_when: np.ndarray       # int64[fills]  access index of each fill
-    evict_entry: np.ndarray     # intp[evicts]
-    fill_cut: np.ndarray        # int64[m + 1]  fills among the first k events
+    Items are numbered misses first (``0..n-1``), then events, and
+    ``times`` holds their access indices.  Each entry's items form one
+    run, in time order (an event at access ``i`` lands after the lookup
+    of the miss at ``i``).  Per sorted position: the item, its place in
+    time order, its entry, where its run starts, its ``step`` (+1 fill,
+    -1 eviction, 0 miss) and ``net``, the sum of the steps of its run
+    through it.  ``picks`` holds each miss's position, then the last
+    position of each run.
+    """
+
+    times: np.ndarray           # int64[n + m]
+    item: np.ndarray            # intp[n + m]
+    place: np.ndarray           # intp[n + m]
+    entry: np.ndarray           # intp[n + m]
+    start: np.ndarray           # intp[n + m]
+    step: np.ndarray            # int8[n + m]
+    net: np.ndarray             # int64[n + m]
+    picks: np.ndarray           # intp[n + entries touched]
 
     @classmethod
-    def split(cls, stream: OutcomeStream, entry: np.ndarray) -> "_Events":
-        is_fill = stream.llc_op == EVENT_FILL
-        return cls(fill_entry=_frozen(entry[is_fill]),
-                   fill_when=_frozen(stream.llc_when[is_fill]),
-                   evict_entry=_frozen(entry[~is_fill]),
-                   fill_cut=_frozen(np.r_[0, np.cumsum(is_fill)]))
+    def sort(cls, stream: OutcomeStream, entries: np.ndarray) -> "_Timeline":
+        """``entries``: the table entry of every miss, then of every event."""
+        at, when = stream.at, stream.llc_when
+        n = len(at)
+        # Merge the two time-ordered runs (event e precedes miss i iff
+        # when[e] < at[i]), then sort the (entry, place) keys once.
+        merged = np.argsort(np.concatenate([2 * at, 2 * when + 1]), kind="stable")
+        total = len(merged)
+        shift = total.bit_length()
+        key = np.sort((entries[merged] << shift) | np.arange(total))
+        place = key & ((1 << shift) - 1)
+        item = merged[place]
+        entry = key >> shift
+        change = np.ones(total, dtype=bool)
+        np.not_equal(entry[1:], entry[:-1], out=change[1:])
+        first = np.flatnonzero(change)
+        length = np.diff(first, append=total)
+        step = np.concatenate([np.zeros(n, dtype=np.int8),
+                               np.where(stream.llc_op == EVENT_FILL, 1, -1)
+                               .astype(np.int8)])[item]
+        running = np.cumsum(step)
+        position = np.empty(total, dtype=np.intp)
+        position[item] = np.arange(total)
+        return cls(times=np.concatenate([at, when]), item=item, place=place, entry=entry,
+                   start=np.repeat(first, length), step=step,
+                   net=running - np.repeat((running - step)[first], length),
+                   picks=np.concatenate([position[:n], first + length - 1]))
 
-    @property
-    def fills(self) -> int:
-        return len(self.fill_entry)
+    def latest(self, mask: np.ndarray) -> np.ndarray:
+        """Per position, the latest position at or before it in its run
+        where ``mask`` holds (-1: none)."""
+        last = np.maximum.accumulate(np.where(mask, np.arange(len(mask)), -1))
+        return np.where(last >= self.start, last, -1)
+
+    def when_of(self, pos: np.ndarray, none: int) -> np.ndarray:
+        """The access index at each position of ``pos`` (``none`` at -1)."""
+        return np.where(pos >= 0, self.times[self.item[pos]], none)
 
 
-def _epochs(engine: RecalibrationEngine, miss_at: np.ndarray,
-            when: np.ndarray, events: _Events) -> tuple[list, int]:
-    """The sweep schedule as ``([(pos, pos_end, fills, evicts, sweep)], sweeps)``.
+@dataclass(frozen=True, eq=False)
+class _Deficit:
+    """Where the evictions so far outnumber the fills on an entry: the
+    mirror must have held that many blocks there before the stream (the
+    scalar ``TagMirror`` underflow check, exact per event)."""
 
-    Epoch ``k`` covers misses ``pos:pos_end`` and the events the scalar
-    loop applies before the epoch's last lookup, as the slices ``fills``
-    and ``evicts`` of ``events``; events at or after that lookup land
-    post-sweep, in the next epoch.  ``sweep`` says whether the engine
-    fires after the epoch's last miss.
+    entry: np.ndarray           # intp
+    net: np.ndarray             # int64, negative
+
+    @classmethod
+    def of(cls, tl: _Timeline) -> "_Deficit":
+        short = tl.net < 0
+        return cls(entry=_frozen(tl.entry[short]), net=_frozen(tl.net[short]))
+
+    def check(self, mirror: np.ndarray) -> None:
+        if np.any(mirror[self.entry] + self.net < 0):
+            raise ConfigError("tag mirror underflow: eviction of a block never filled")
+
+
+# ------------------------------------------------------------- schedule
+def _schedule(engine: RecalibrationEngine,
+              stream: OutcomeStream) -> tuple[np.ndarray, float]:
+    """Place ``engine``'s sweeps over ``stream``'s misses.
+
+    Returns ``(since, stall)``: per miss, and at the end of the stream
+    (``since[n]``), the threshold ``s[K]`` of the last sweep before it —
+    the access index of the miss after whose lookup the sweep fired, or
+    ``s[0] = _START`` before any sweep — and the stall cycles.  Advances
+    the engine as the scalar loop's ``note_fill`` and ``note_l1_miss``
+    calls would.
     """
-    n_miss = len(miss_at)
-    if not n_miss:
-        return [], 0
-    period = engine.period
-    if period is None:
-        ends = np.array([n_miss])
+    at = stream.at
+    n = len(at)
+    if type(engine) is AdaptiveRecalibrationEngine:
+        # The fills the engine has counted at each miss's lookup; it
+        # sweeps at the first miss ``fill_budget`` fills past the last.
+        fills = stream.llc_when[stream.llc_op == EVENT_FILL]
+        seen = engine._fills_since_sweep + np.searchsorted(fills, at, side="left")
+        fire, base = [], 0
+        while (j := int(np.searchsorted(seen, base + engine.fill_budget))) < n:
+            fire.append(j)
+            base = int(seen[j])
+        engine._fills_since_sweep += len(fills) - base
+        engine.l1_misses += n
+        swept = at[fire]
+        skip, repeats = 0, np.diff(fire, prepend=-1, append=n)
+    elif engine.period is None:                  # a None period never counts
+        fire = range(0)
     else:
-        ends = np.arange(period - engine.l1_misses % period, n_miss + 1, period)
-    sweeps = len(ends) if period is not None else 0
-    if not len(ends) or ends[-1] != n_miss:
-        ends = np.append(ends, n_miss)
-    ev_his = np.searchsorted(when, miss_at[ends - 1], side="left")
-    fill_his = events.fill_cut[ev_his]
-    epochs = []
-    pos = fill_lo = evict_lo = 0
-    for k, (pos_end, fill_hi, evict_hi) in enumerate(zip(
-            ends.tolist(), fill_his.tolist(), (ev_his - fill_his).tolist())):
-        epochs.append((pos, pos_end, slice(fill_lo, fill_hi),
-                       slice(evict_lo, evict_hi), k < sweeps))
-        pos, fill_lo, evict_lo = pos_end, fill_hi, evict_hi
-    return epochs, sweeps
-
-
-def _tail(epochs: list, events: _Events) -> tuple[slice, slice]:
-    """The fills and evictions after the last epoch's lookups."""
-    fills, evicts = (epochs[-1][2].stop, epochs[-1][3].stop) if epochs else (0, 0)
-    return (slice(fills, events.fills),
-            slice(evicts, len(events.evict_entry)))
-
-
-def _finish_engine(engine: RecalibrationEngine, n_miss: int, epochs: int,
-                   sweeps: int) -> float:
-    """Advance the engine as ``n_miss`` calls of ``note_l1_miss`` would
-    (a ``None`` period never counts) and return the stall cycles."""
-    if engine.period is not None:
-        engine.l1_misses += n_miss
+        # Every period-th miss sweeps; the first epoch is the rest of the
+        # period the engine is in.
+        period, skip = engine.period, engine.l1_misses % engine.period
+        fire = range(period - skip - 1, n, period)
+        swept, repeats = at[fire.start::period], period
+        engine.l1_misses += n
+    sweeps = len(fire)
     engine.sweeps += sweeps
-    telemetry.count("replay.epochs", epochs)
+    telemetry.count("replay.epochs",
+                    sweeps + int(n > 0 and (not sweeps or fire[-1] != n - 1)))
     telemetry.count("replay.sweeps", sweeps)
-    return recal_stall_cycles(sweeps, engine.cost)
-
-
-def _advance_mirror(counts: np.ndarray, fill_entry: np.ndarray,
-                    evict_entry: np.ndarray) -> None:
-    one = counts.dtype.type(1)                   # same dtype: ufunc.at fast path
-    np.add.at(counts, fill_entry, one)
-    np.subtract.at(counts, evict_entry, one)
-    if len(evict_entry) and counts[evict_entry].min() < 0:
-        raise ConfigError("LLC evicted a block the controller never saw filled")
-
-
-def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of non-negative integer ``keys`` below ``bound``;
-    keys that fit 16 bits take NumPy's radix sort."""
-    if bound <= 1 << 16:
-        keys = keys.astype(np.uint16)
-    return np.argsort(keys, kind="stable")
+    since = (np.repeat(np.concatenate([[_START], swept]), repeats)[skip:skip + n + 1]
+             if sweeps else np.full(n + 1, _START))
+    return since, recal_stall_cycles(sweeps, engine.cost)
 
 
 # ------------------------------------------------------------- presence
 @dataclass(frozen=True, eq=False)
 class _PresencePlan:
-    """The hashed entries a presence bitmap replay reads."""
+    """Per miss and per touched entry (``run_*``, at the end of the
+    stream): the entry's net fills minus evictions so far and ``t`` as an
+    all-zero table and mirror would give it; and the mirror-underflow
+    check."""
 
     miss_entry: np.ndarray      # intp[k]
-    events: _Events
+    miss_net: np.ndarray        # int64[k]
+    miss_t: np.ndarray          # int64[k]
+    run_entry: np.ndarray       # intp[r]
+    run_net: np.ndarray         # int32[r]
+    run_t: np.ndarray           # int64[r]
+    deficit: _Deficit
+    fills: int
 
 
 def _presence_plan(stream: OutcomeStream, hash_kind: str, p: int) -> _PresencePlan:
     def build() -> _PresencePlan:
+        n = stream.num_misses
         entries = _index_array(hash_kind, p,
                                np.concatenate([stream.block, stream.llc_block]))
-        n_miss = stream.num_misses
-        return _PresencePlan(miss_entry=_frozen(entries[:n_miss]),
-                             events=_Events.split(stream, entries[n_miss:]))
+        tl = _Timeline.sort(stream, entries)
+        q = tl.picks
+        net = tl.net[q]
+        t = np.where(net > 0, _POS, tl.when_of(tl.latest(tl.step != 0)[q], _NEG))
+        return _PresencePlan(
+            miss_entry=_frozen(entries[:n]), miss_net=_frozen(net[:n]),
+            miss_t=_frozen(t[:n]), run_entry=_frozen(tl.entry[q[n:]]),
+            run_net=_frozen(net[n:].astype(np.int32)), run_t=_frozen(t[n:]),
+            deficit=_Deficit.of(tl), fills=int(np.count_nonzero(tl.step > 0)))
     return _plan(stream, ("presence", hash_kind, p), build)
 
 
+def _initial_t(count: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """What an earlier replay's state adds to ``t``: ``+inf`` while one of
+    its blocks is live, a stale bit as an event at ``s[0]``."""
+    return np.where(count > 0, _POS, np.where(bit, _START, _NEG))
+
+
 def _replay_presence(stream: OutcomeStream, predictor) -> tuple[np.ndarray, float]:
-    """The ReDHiP epoch loop over a controller's presence bitmap.
+    """Replay a controller's presence bitmap in closed form.
 
     Returns the per-miss presence answers and the stall cycles, and
     leaves ``table``, ``mirror``, ``engine`` and the ``lookups`` /
@@ -313,50 +364,38 @@ def _replay_presence(stream: OutcomeStream, predictor) -> tuple[np.ndarray, floa
     the scalar loop would.
     """
     plan = _presence_plan(stream, predictor.hash_kind, predictor.table.p)
-    events = plan.events
-    miss_at = stream.at
-    n_miss = len(miss_at)
-
     bits = predictor.table._bits
-    counts = predictor.mirror._counts
-    epochs, sweeps = _epochs(predictor.engine, miss_at, stream.llc_when, events)
-    out = np.empty(n_miss, dtype=bool)
-    first_fill = None                            # lazily allocated
-    for pos, pos_end, fills, evicts, sweep in epochs:
-        fill_entry = events.fill_entry[fills]
-        entries = plan.miss_entry[pos:pos_end]
-        if len(fill_entry):
-            if first_fill is None:
-                first_fill = np.full(predictor.table.num_bits, _NEVER,
-                                     dtype=np.int64)
-            np.minimum.at(first_fill, fill_entry, events.fill_when[fills])
-            out[pos:pos_end] = bits[entries] | (first_fill[entries] < miss_at[pos:pos_end])
-            first_fill[fill_entry] = _NEVER      # reset only touched slots
-        else:
-            out[pos:pos_end] = bits[entries]
-        _advance_mirror(counts, fill_entry, events.evict_entry[evicts])
-        if sweep:
-            np.greater(counts, 0, out=bits)
-        else:
-            bits[fill_entry] = True
+    mirror = predictor.mirror._counts
+    plan.deficit.check(mirror)
+    since, stall = _schedule(predictor.engine, stream)
+    used = bits.any() or mirror.any()
+    t = plan.miss_t
+    if used:
+        entry = plan.miss_entry
+        t = np.maximum(t, _initial_t(mirror[entry] + plan.miss_net, bits[entry]))
+    out = t >= since[:-1]
 
-    # Drain the event tail so telemetry covers the full run (matches the
-    # sequential loop's trailing drain).
-    fills, evicts = _tail(epochs, events)
-    fill_entry = events.fill_entry[fills]
-    _advance_mirror(counts, fill_entry, events.evict_entry[evicts])
-    bits[fill_entry] = True
+    # End state: entries no event touched keep their count, so a sweep
+    # leaves them `count > 0` and no sweep leaves them as they were.
+    touched, t = plan.run_entry, plan.run_t
+    if used:
+        t = np.maximum(t, _initial_t(mirror[touched] + plan.run_net, bits[touched]))
+    mirror[touched] += plan.run_net
+    if since[-1] > _START:
+        np.greater(mirror, 0, out=bits)
+    bits[touched] = t >= since[-1]
 
+    n_miss = len(out)
     predictor.lookups += n_miss
     predictor.predicted_miss += int(n_miss - np.count_nonzero(out))
-    predictor.table_updates += events.fills
-    return out, _finish_engine(predictor.engine, n_miss, len(epochs), sweeps)
+    predictor.table_updates += plan.fills
+    return out, stall
 
 
 def replay_redhip_vectorized(
     stream: OutcomeStream, predictor: ReDHiPController
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Epoch-batched equivalent of :func:`repro.sim.evaluate.replay_predictor`.
+    """Closed-form equivalent of :func:`repro.sim.evaluate.replay_predictor`.
 
     Same contract: returns ``(predicted, consulted, stall)`` per L1 miss
     (``stream`` order), and leaves ``predictor`` in the
@@ -538,23 +577,50 @@ def replay_levelpred_vectorized(
 
 # ------------------------------------------------------------------ EHC
 @dataclass(frozen=True, eq=False)
-class _EHCPlan:
-    """Everything an EHC replay reads that no sweep changes.
+class _LastEviction:
+    """Per miss, or per touched entry at the end of the stream: the
+    latest eviction ``x`` on the entry before it.  ``when`` is its access
+    index (``_START``: none, the initial ``expected`` stands in), ``cur``
+    the ``cur`` it wrote to ``expected`` (0: none), ``empty`` whether the
+    mirror count was 0 right after it (at the start, if none) and
+    ``refill`` the access index of the entry's first fill after it
+    (``_POS``: none)."""
 
-    Evictions are numbered in time order.  ``evict_cur`` is ``cur`` at
-    each eviction (what it writes to ``expected``), ``evict_next`` the
-    next eviction on the same entry (the eviction count: none) and
-    ``miss_last`` each miss's latest earlier eviction on its entry (-1:
-    none).  ``cur`` is the final ``cur`` table.
-    """
+    when: np.ndarray            # int64
+    cur: np.ndarray             # uint8
+    empty: np.ndarray           # bool
+    refill: np.ndarray          # int64
+
+    def split(self, n: int) -> tuple:
+        """The first ``n`` rows and the rest, frozen."""
+        parts = [{}, {}]
+        for name, values in vars(self).items():
+            parts[0][name], parts[1][name] = _frozen(values[:n]), _frozen(values[n:])
+        return type(self)(**parts[0]), type(self)(**parts[1])
+
+    def value(self, expected: np.ndarray, entry: np.ndarray) -> np.ndarray:
+        """``expected`` as ``x`` left it; without an ``x``, the initial
+        ``expected[entry]``."""
+        if not expected.any():
+            return self.cur
+        return np.where(self.when == _START, expected[entry], self.cur)
+
+
+@dataclass(frozen=True, eq=False)
+class _EHCPlan:
+    """Everything an EHC replay reads that no sweep changes: each miss's
+    and each touched entry's last eviction, the touched entries' net
+    fills minus evictions, the final ``cur`` table and the LLC hits the
+    misses observe."""
 
     miss_entry: np.ndarray      # intp[k]
-    miss_last: np.ndarray       # intp[k]
-    events: _Events
-    evict_cur: np.ndarray       # uint8[evicts]
-    evict_next: np.ndarray      # intp[evicts]
+    miss: _LastEviction
+    run_entry: np.ndarray       # intp[r]
+    run_net: np.ndarray         # int32[r]
+    end: _LastEviction
+    run_refilled: np.ndarray    # intp[r]  misses up to each end refill
     cur: np.ndarray             # uint8[entries]
-    observed: int               # LLC hits the misses observe
+    observed: int
 
 
 def _saturate(base: np.ndarray, hits: np.ndarray) -> np.ndarray:
@@ -566,90 +632,58 @@ def _ehc_plan(stream: OutcomeStream, predictor: EHCController) -> _EHCPlan:
     cur0, counts0 = predictor.cur, predictor.mirror._counts
 
     def build() -> _EHCPlan:
-        n_miss = stream.num_misses
-        mask = np.uint64(predictor._mask)
-        miss_entry = (stream.block & mask).astype(np.intp)
+        n = stream.num_misses
+        entries = (np.concatenate([stream.block, stream.llc_block])
+                   & np.uint64(predictor._mask)).astype(np.intp)
+        tl = _Timeline.sort(stream, entries)
+        _Deficit.of(tl).check(counts0)
+        total = len(tl.entry)
+        q = tl.picks
         observe = stream.hit_level == stream.num_levels
-        when = stream.llc_when
-        ev_fill = stream.llc_op == EVENT_FILL
-        ev_entry = (stream.llc_block & mask).astype(np.intp)
-        m = len(when)
+        hits = np.zeros(total, dtype=np.int64)
+        hits[q[:n]] = observe
+        before = np.cumsum(hits) - hits          # LLC hits before each position
+        reset = tl.latest(tl.step != 0)          # latest fill or eviction
 
-        # One timeline of misses (items 0..n_miss-1) and events (n_miss..):
-        # event e precedes miss i iff when[e] < miss_at[i].  Sorted stably
-        # by entry, each entry's items form a run in timeline order.
-        total = n_miss + m
-        position = np.empty(total, dtype=np.intp)
-        position[:n_miss] = np.arange(n_miss) + np.searchsorted(when, stream.at, side="left")
-        position[n_miss:] = np.arange(m) + np.searchsorted(stream.at, when, side="right")
-        timeline = np.empty(total, dtype=np.intp)
-        timeline[position] = np.arange(total)
-        entry = np.concatenate([miss_entry, ev_entry])
-        item = timeline[_stable_argsort(entry[timeline], predictor.num_entries)]
+        def cur(pos, last, seen):
+            """``cur`` with ``seen`` hits counted since the start of the
+            timeline, after the reset at ``last`` (-1: none, ``cur0``)."""
+            first = last < 0
+            return _saturate(np.where(first, cur0[tl.entry[pos]], 0),
+                             seen - np.where(first, before[tl.start[pos]], before[last]))
 
-        # Per sorted item: its kind, its entry, and where its entry's run
-        # starts.
-        where_at = np.arange(total)
-        no_miss, no_event = np.zeros(n_miss, dtype=bool), np.zeros(m, dtype=bool)
-        is_miss = item < n_miss
-        is_fill = np.concatenate([no_miss, ev_fill])[item]
-        is_evict = ~is_miss & ~is_fill
-        is_obs = np.concatenate([observe, no_event])[item]
-        run_entry = entry[item]
-        group = np.ones(total, dtype=bool)
-        np.not_equal(run_entry[1:], run_entry[:-1], out=group[1:])
-        group_start = np.maximum.accumulate(np.where(group, where_at, 0))
-        # Each eviction item's number among the evictions in time order.
-        evict_no = np.full(total, -1, dtype=np.intp)
-        evict_no[is_evict] = (np.cumsum(~ev_fill) - 1)[item[is_evict] - n_miss]
+        # The cur each eviction writes: hits since the reset before it.
+        evict = np.flatnonzero(tl.step < 0)
+        written = np.zeros(total, dtype=np.uint8)
+        written[evict] = cur(evict, np.where(evict > tl.start[evict], reset[evict - 1], -1),
+                             before[evict])
 
-        # Mirror occupancy after every item: an eviction may never find its
-        # entry empty (the scalar TagMirror.evict check, exact per event).
-        step = is_fill.astype(np.int64) - is_evict
-        running = np.cumsum(step)
-        occupancy = counts0[run_entry] + running - (running - step)[group_start]
-        if np.any(occupancy[is_evict] < 0):
-            raise ConfigError("tag mirror underflow: eviction of a block never filled")
+        # Per miss and run end: its latest eviction x, and the first fill
+        # on its entry after x (after the run start if none).
+        x = tl.latest(tl.step < 0)[q]
+        has = x >= 0
+        fill_at = np.where(tl.step > 0, np.arange(total), total - 1)
+        refill = np.minimum.accumulate(fill_at[::-1])[::-1][np.where(has, x, tl.start[q])]
+        entry = tl.entry[q]
+        refill = np.where((tl.step[refill] > 0) & (tl.entry[refill] == entry), refill, -1)
+        miss, end = _LastEviction(
+            when=tl.when_of(x, _START), cur=np.where(has, written[x], 0),
+            empty=counts0[entry] + np.where(has, tl.net[x], 0) == 0,
+            refill=tl.when_of(refill, _POS)).split(n)
+        # Misses up to each end refill: those before it in time order.
+        refill = refill[n:]
+        refilled = np.where(refill >= 0, tl.place[refill] - tl.item[refill] + n, n)
 
-        # cur at each eviction: hits since the entry's last fill or evict.
-        reset = is_fill | is_evict
-        seg_start = np.maximum.accumulate(np.where(
-            group | np.r_[False, reset[:-1]], where_at, 0))
-        hits_before = np.cumsum(is_obs) - is_obs
-        base = np.where(group[seg_start], cur0[run_entry], 0)
-        cur_here = _saturate(base, hits_before - hits_before[seg_start])
-        n_evict = m - int(np.count_nonzero(ev_fill))
-        evict_cur = np.zeros(n_evict, dtype=np.uint8)
-        evict_cur[evict_no[is_evict]] = cur_here[is_evict]
-
-        # Per miss: latest eviction on its entry before it (-1: none).
-        last_evict = np.maximum.accumulate(np.where(is_evict, where_at, -1))
-        has_evict = last_evict >= group_start
-        miss_last = np.full(n_miss, -1, dtype=np.intp)
-        miss_last[item[is_miss]] = np.where(has_evict, evict_no[last_evict], -1)[is_miss]
-        # Per eviction: the next eviction on its entry, so a batch of
-        # events can tell which eviction writes `expected` last.
-        ev_items = np.flatnonzero(is_evict)
-        nxt = np.full(n_evict, n_evict, dtype=np.intp)
-        same = run_entry[ev_items[1:]] == run_entry[ev_items[:-1]]
-        nxt[:-1][same] = evict_no[ev_items[1:]][same]
-        evict_next = np.empty(n_evict, dtype=np.intp)
-        evict_next[evict_no[ev_items]] = nxt
-
-        # Final cur: hits in each entry's last segment, 0 right after a
-        # reset.
-        cur = cur0.copy()
-        if total:
-            ends = np.r_[np.flatnonzero(group)[1:] - 1, total - 1]
-            cur[run_entry[ends]] = np.where(
-                reset[ends], 0,
-                _saturate(base[ends], hits_before[ends] + is_obs[ends]
-                          - hits_before[seg_start[ends]]))
+        # Final cur: hits after each entry's last reset.
+        ends = q[n:]
+        final = cur0.copy()
+        final[tl.entry[ends]] = cur(ends, reset[ends], before[ends] + hits[ends])
         return _EHCPlan(
-            miss_entry=_frozen(miss_entry), miss_last=_frozen(miss_last),
-            events=_Events.split(stream, ev_entry),
-            evict_cur=_frozen(evict_cur), evict_next=_frozen(evict_next),
-            cur=_frozen(cur), observed=int(np.count_nonzero(observe)))
+            miss_entry=_frozen(entries[:n]), miss=miss,
+            run_entry=_frozen(tl.entry[ends]),
+            run_net=_frozen(tl.net[ends].astype(np.int32)), end=end,
+            run_refilled=_frozen(refilled),
+            cur=_frozen(final), observed=int(np.count_nonzero(observe)))
     return _plan(stream, ("ehc", predictor._mask), build,
                  pristine=not (cur0.any() or counts0.any()))
 
@@ -657,7 +691,7 @@ def _ehc_plan(stream: OutcomeStream, predictor: EHCController) -> _EHCPlan:
 def replay_ehc_vectorized(
     stream: OutcomeStream, predictor: EHCController
 ) -> tuple[np.ndarray, float]:
-    """Batched equivalent of :func:`repro.sim.evaluate.replay_ehc`.
+    """Closed-form equivalent of :func:`repro.sim.evaluate.replay_ehc`.
 
     Same contract: returns ``(dead, stall)`` per L1 miss and leaves
     ``expected``/``cur``, the mirror, the engine and the telemetry
@@ -665,38 +699,36 @@ def replay_ehc_vectorized(
     """
     _require(predictor, EHCController)
     plan = _ehc_plan(stream, predictor)
-    events = plan.events
-    n_miss = stream.num_misses
     expected = predictor.expected
-    counts = predictor.mirror._counts
+    mirror = predictor.mirror._counts
+    since, stall = _schedule(predictor.engine, stream)
 
-    def apply_events(fills: slice, evicts: slice) -> None:
-        evict_entry = events.evict_entry[evicts]
-        _advance_mirror(counts, events.fill_entry[fills], evict_entry)
-        last_write = plan.evict_next[evicts] >= evicts.stop
-        expected[evict_entry[last_write]] = plan.evict_cur[evicts][last_write]
+    # A sweep after x writes 0 iff the entry was still empty at it.
+    x, swept, last = plan.miss, since[:-1], since[-1]
+    dead = np.where(x.when >= swept, x.value(expected, plan.miss_entry) == 0,
+                    x.empty & (x.refill >= swept))
 
-    epochs, sweeps = _epochs(predictor.engine, stream.at, stream.llc_when, events)
-    dead = np.empty(n_miss, dtype=bool)
-    for pos, pos_end, fills, evicts, sweep in epochs:
-        values = expected[plan.miss_entry[pos:pos_end]]
-        last = plan.miss_last[pos:pos_end]
-        fresh = last >= evicts.start
-        if fresh.any():
-            values = np.where(fresh, plan.evict_cur[last], values)
-        dead[pos:pos_end] = values == 0
-        apply_events(fills, evicts)
-        if sweep:
-            np.maximum(expected, 1, out=expected)
-            expected[counts == 0] = 0
-    apply_events(*_tail(epochs, events))
+    # End state.  After x, sweeps keep a nonzero value, raise 0 to 1 if
+    # the entry is live and write 0 if it is empty; once filled it stays
+    # live.  Entries no event touched see only sweeps.
+    x, touched = plan.end, plan.run_entry
+    value = x.value(expected, touched)
+    mirror[touched] += plan.run_net
+    if last > _START:
+        np.maximum(expected, 1, out=expected)
+        expected[mirror == 0] = 0
+    # A sweep between x and the refill found the entry empty: 0, then 1.
+    emptied = x.empty & (since[plan.run_refilled] > x.when)
+    expected[touched] = np.where(x.when >= last, value,
+                                 np.where(emptied, x.refill < last, np.maximum(value, 1)))
     np.copyto(predictor.cur, plan.cur)
 
+    n_miss = len(dead)
     predictor.lookups += n_miss
     predictor.predicted_dead += int(np.count_nonzero(dead))
     predictor.llc_hits_observed += plan.observed
     predictor.table_updates += len(stream.llc_when)
-    return dead, _finish_engine(predictor.engine, n_miss, len(epochs), sweeps)
+    return dead, stall
 
 
 # ------------------------------------------------------------------ CBF
@@ -708,74 +740,42 @@ def replay_cbf_vectorized(
 
     CBF never recalibrates and its lookups never feed back into the
     filter, so each counter is an independent +1/-1 walk over the events
-    on its entry.  One stable sort of the events by entry gives every
-    walk as a running sum; the first value outside ``0..max_count`` is the
-    overflow or underflow that disables the entry, after which the counter
-    keeps its pre-violation value.  A miss reads the state its entry had
-    after the last event strictly before it, found for all misses at once
-    with one ``searchsorted`` on ``(entry, when)``.  Returns
-    ``(predicted, consulted, stall)`` per L1 miss and leaves the filter counts,
-    disabled flags and every telemetry counter where the scalar loop
-    would.
+    on its entry: the timeline's running sums, from the initial counts.
+    The first value outside ``0..max_count`` is the overflow or underflow
+    that disables the entry, after which the counter keeps its
+    pre-violation value.  A miss reads its entry's state at its own place
+    on the timeline.  Returns ``(predicted, consulted, stall)`` per L1
+    miss and leaves the filter counts, disabled flags and every telemetry
+    counter where the scalar loop would.
     """
     _require(predictor, CBFPredictor)
     cbf = predictor.filter
-    miss_at = stream.at
-    n_miss = len(miss_at)
-    when = stream.llc_when
-    m = len(when)
+    n_miss = stream.num_misses
+    m = len(stream.llc_when)
     counters, disabled = cbf._counts, cbf._disabled
-    entries = _index_array(cbf.hash_kind, cbf.p,
-                           np.concatenate([stream.block, stream.llc_block]))
-    miss_entry, ev_entry = entries[:n_miss], entries[n_miss:]
+    tl = _Timeline.sort(stream, _index_array(
+        cbf.hash_kind, cbf.p, np.concatenate([stream.block, stream.llc_block])))
+    entry, step = tl.entry, tl.step
 
-    # Events grouped by entry; the stable sort keeps time order within one.
-    order = _stable_argsort(ev_entry, cbf.num_entries)
-    entry = ev_entry[order]
-    ev_fill = stream.llc_op[order] == EVENT_FILL
-    step = np.where(ev_fill, 1, -1)
-    group = np.ones(m, dtype=bool)
-    np.not_equal(entry[1:], entry[:-1], out=group[1:])
-    starts = np.flatnonzero(group)
-    group_of = np.cumsum(group) - 1
-    group_start = starts[group_of]
+    # Each counter's walk as if it never saturated; disabled after an
+    # item once its entry's first violation is at or before it.
     was_disabled = disabled[entry]
-
-    # Each counter's walk as if it never saturated, from its initial count.
-    running = np.cumsum(step)
-    offset = (running - step)[starts] - counters[entry[starts]]
-    value = running - offset[group_of]
-    bad = (value < 0) | (value > cbf.max_count)
-    bad &= ~was_disabled
-    # Disabled after event k: the entry's first violation is at or before k.
-    last_bad = np.maximum.accumulate(np.where(bad, np.arange(m), -1))
-    dead = last_bad >= group_start
-    dead |= was_disabled
-    present_after = dead | (value > 0)
-
-    # Per miss: its entry's last event strictly earlier in time (-1: none).
-    stride = max(stream.num_accesses, int(when.max(initial=0)) + 1)
-    ev_key = entry.astype(np.int64) * stride + when[order]
-    prev = np.searchsorted(ev_key, miss_entry.astype(np.int64) * stride + miss_at) - 1
-    seen = prev >= 0
-    seen[seen] = entry[prev[seen]] == miss_entry[seen]
-    out = disabled[miss_entry] | (counters[miss_entry] > 0)
-    out[seen] = present_after[prev[seen]]
+    value = counters[entry] + tl.net
+    bad = (step != 0) & ((value < 0) | (value > cbf.max_count)) & ~was_disabled
+    last_bad = tl.latest(bad)
+    out = (was_disabled | (last_bad >= 0) | (value > 0))[tl.picks[:n_miss]]
 
     # Final filter state: the pre-violation count on disabled entries.
     first_bad = bad.copy()
-    first_bad[1:] &= last_bad[:-1] < group_start[1:]
+    first_bad[1:] &= last_bad[:-1] < tl.start[1:]
     first_bad = np.flatnonzero(first_bad)
-    ends = np.empty_like(starts)                  # each entry's last event
-    ends[:-1] = starts[1:] - 1
-    ends[-1:] = m - 1
-    final = value[ends]
-    final[group_of[first_bad]] = value[first_bad] - step[first_bad]
-    live = ~was_disabled[starts]
-    counters[entry[starts][live]] = final[live]
+    ends = tl.picks[n_miss:]
+    ends = ends[~was_disabled[ends]]
+    counters[entry[ends]] = value[ends]
+    counters[entry[first_bad]] = value[first_bad] - step[first_bad]
     disabled[entry[first_bad]] = True
 
-    fills = int(np.count_nonzero(ev_fill))
+    fills = int(np.count_nonzero(step > 0))
     cbf.inserts += fills
     cbf.deletes += m - fills
     cbf.saturations += len(first_bad)

@@ -1,13 +1,13 @@
 """Vectorized replay: equivalence, eligibility, escape hatches.
 
 The kernels' contract (see :mod:`repro.sim.vector_replay`): for every
-stream and every fixed-period plain-ReDHiP, LevelPred or EHC
-configuration, and every plain CBF, the batched replay is *bit-identical*
-to the sequential loop — same per-L1-miss outputs, same stall cycles, same
-final predictor state, same telemetry — and therefore every derived
-:class:`SchemeResult` field matches.  Predictors that observe per-event
-state (MissMap, gated, adaptive engine) must be declared ineligible and
-keep the sequential path.
+stream and every plain ReDHiP, LevelPred or EHC configuration, with the
+fixed-period or the adaptive (fill-budget) engine, and every plain CBF,
+the batched replay is *bit-identical* to the sequential loop — same
+per-L1-miss outputs, same stall cycles, same final predictor state, same
+telemetry — and therefore every derived :class:`SchemeResult` field
+matches.  Predictors that observe per-event state (MissMap, gated) must be
+declared ineligible and keep the sequential path.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import pytest
 
 from repro import checking, telemetry
 from repro.core.gating import gated_redhip_scheme
+from repro.core.recalibration import AdaptiveRecalibrationEngine
 from repro.core.redhip import ReDHiPController, redhip_scheme
 from repro.hierarchy.events import (
     EVENT_EVICT,
@@ -67,6 +68,9 @@ def scheme_lineup(period):
         cbf_scheme(),
         gated_redhip_scheme(recal_period=period, window=256),
         missmap_scheme(),
+        # A fill budget of 51 lines: several sweeps on these streams.
+        redhip_scheme(recal_period=None, recal_threshold=0.05,
+                      name="ReDHiP-adaptive-fast"),
     ]
 
 
@@ -100,7 +104,7 @@ def _result_facts(res):
 
 
 # ----------------------------------------------------------- equivalence
-@pytest.mark.parametrize("scheme_idx", range(7))
+@pytest.mark.parametrize("scheme_idx", range(8))
 @pytest.mark.parametrize("checked", [False, True])
 def test_vectorized_equals_sequential_scheme_results(seeded, scheme_idx, checked,
                                                      monkeypatch):
@@ -115,11 +119,17 @@ def test_vectorized_equals_sequential_scheme_results(seeded, scheme_idx, checked
 
 
 def test_direct_replay_equivalence_with_sweeps(seeded):
-    """Low-level contract: predictions, stall and final predictor state."""
+    """Low-level contract: predictions, stall and final predictor state,
+    for fixed periods and fill budgets, from fresh controllers and after
+    one or two earlier replays of the stream."""
     cfg, _, stream = seeded
-    for period in (1, 7, 300, None):
-        seq = ReDHiPController(cfg.machine, recal_period=period)
-        vec = ReDHiPController(cfg.machine, recal_period=period)
+    for cadence, warm in itertools.product(
+            (1, 7, 300, None, ("fills", 1), ("fills", 40)), range(3)):
+        seq = _controller("redhip", cfg.machine, cadence)
+        vec = _controller("redhip", cfg.machine, cadence)
+        for _ in range(warm):
+            _replay_predictor_scalar(stream, seq)
+            vector_replay.replay_redhip_vectorized(stream, vec)
         p1, c1, s1 = _replay_predictor_scalar(stream, seq)
         p2, c2, s2 = vector_replay.replay_redhip_vectorized(stream, vec)
         np.testing.assert_array_equal(p1, p2)
@@ -129,10 +139,9 @@ def test_direct_replay_equivalence_with_sweeps(seeded):
         np.testing.assert_array_equal(seq.mirror._counts, vec.mirror._counts)
         assert seq.stats() == vec.stats()
         assert seq.table_updates == vec.table_updates
-        assert seq.engine.l1_misses == vec.engine.l1_misses
-        assert seq.engine.sweeps == vec.engine.sweeps
-        if period is not None:
-            assert vec.engine.sweeps > 0  # the loop actually crossed epochs
+        assert vars(seq.engine) == vars(vec.engine)
+        if cadence is not None:
+            assert vec.engine.sweeps > 0  # the replay actually swept
 
 
 def test_never_recalibrating_replay_keeps_miss_count(seeded):
@@ -153,8 +162,8 @@ def test_eligibility_gate(tiny_machine):
     assert eligible(ReDHiPController(tiny_machine, recal_period=64))
     assert eligible(ReDHiPController(tiny_machine, recal_period=None))
     assert eligible(ReDHiPController(tiny_machine, hash_kind="xor"))
-    # Adaptive engine observes per-event churn: not batchable.
-    assert not eligible(ReDHiPController(tiny_machine, recal_threshold=0.5))
+    # The adaptive engine's sweeps follow from the fill count at each miss.
+    assert eligible(ReDHiPController(tiny_machine, recal_threshold=0.5))
     # The zoo controllers and CBF (either hash) have dedicated kernels.
     assert eligible(LevelPredController(tiny_machine, recal_period=None))
     assert eligible(EHCController(tiny_machine, recal_period=64))
@@ -171,7 +180,7 @@ def test_ineligible_predictor_rejected(seeded, tiny_machine):
         predictor = spec.build_predictor(tiny_machine)
         for kernel in (vector_replay.replay_redhip_vectorized,
                        vector_replay.replay_cbf_vectorized):
-            with pytest.raises(ReproError, match="not epoch-batchable"):
+            with pytest.raises(ReproError, match="not batchable"):
                 kernel(stream, predictor)
 
 
@@ -237,6 +246,22 @@ def test_runner_two_phase_uses_vector_path(seeded, monkeypatch):
 
 # ------------------------------------------------------------ zoo kernels
 ZOO_CONTROLLERS = {"levelpred": LevelPredController, "ehc": EHCController}
+CONTROLLERS = {"redhip": ReDHiPController, **ZOO_CONTROLLERS}
+
+
+def _controller(kind, machine, cadence, *args, l1_misses=0):
+    """A fresh ``kind`` controller.  ``cadence`` is a fixed recalibration
+    period (None: never) or ``("fills", budget)``: the adaptive engine,
+    sweeping at the first miss ``budget`` LLC fills after its last sweep.
+    ``l1_misses`` starts the engine's miss count mid-period."""
+    if isinstance(cadence, tuple):
+        controller = CONTROLLERS[kind](machine, *args, recal_period=None)
+        controller.engine = AdaptiveRecalibrationEngine(
+            threshold=cadence[1], llc_lines=1, cost=controller.engine.cost)
+    else:
+        controller = CONTROLLERS[kind](machine, *args, recal_period=cadence)
+    controller.engine.l1_misses = l1_misses
+    return controller
 
 
 def _zoo_replay(kind, stream, predictor, vector):
@@ -259,8 +284,7 @@ def _zoo_state(kind, predictor) -> dict:
         "mirror": predictor.mirror._counts.copy(),
         "stats": predictor.stats(),
         "table_updates": predictor.table_updates,
-        "l1_misses": predictor.engine.l1_misses,
-        "sweeps": predictor.engine.sweeps,
+        "engine": vars(predictor.engine).copy(),
     }
     if kind == "redhip":
         state.update(bits=predictor.table._bits.copy())
@@ -309,16 +333,24 @@ def _fuzz_periods(rng, n_miss: int) -> tuple:
     return 1, int(rng.integers(2, 17)), uneven, None
 
 
+def _fuzz_budgets(rng, stream) -> tuple:
+    """Adaptive cadences: a sweep at every miss after a fill, and a fill
+    budget a few sweeps fit into."""
+    fills = int(np.count_nonzero(stream.llc_op == EVENT_FILL))
+    return ("fills", 1), ("fills", int(rng.integers(2, max(3, fills // 3))))
+
+
 def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
-    """Random geometry x workload family x recal period x table budget:
-    the batched LevelPred and EHC kernels match the scalar loops in every
+    """Random geometry x workload family x cadence x table budget: the
+    batched LevelPred and EHC kernels match the scalar loops in every
     output and every piece of end-of-run state, from fresh controllers
     and from controllers that already replayed the stream once or twice
     (so a plan built for a fresh predictor is never applied to a trained
-    one).  Half the cases run the level-table wavefront down to
-    single-miss rounds, half finish sparse rounds in the scalar tail.  A
-    divergence writes a seed-replay bundle (the case is regenerated from
-    ``ZOO_FUZZ_SEED`` and its index)."""
+    one).  Cadences are four fixed periods and two fill budgets of the
+    adaptive engine, which ReDHiP also replays.  Half the cases run the
+    level-table wavefront down to single-miss rounds, half finish sparse
+    rounds in the scalar tail.  A divergence writes a seed-replay bundle
+    (the case is regenerated from ``ZOO_FUZZ_SEED`` and its index)."""
     monkeypatch.setenv(checking.REPLAY_DIR_ENV, str(tmp_path))
     for i, rng in cases(seed=ZOO_FUZZ_SEED, n=16):
         machine = random_machine(rng)
@@ -334,10 +366,12 @@ def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
         stream = runner.stream(workload.name)
         n_miss = stream.num_misses
         monkeypatch.setattr(vector_replay, "_WAVE_MIN", wave)
-        for period, kind, warm in itertools.product(
-                _fuzz_periods(rng, n_miss), ZOO_CONTROLLERS, (0, 1, 2)):
-            make = partial(ZOO_CONTROLLERS[kind], machine, budget,
-                           recal_period=period)
+        periods, budgets = _fuzz_periods(rng, n_miss), _fuzz_budgets(rng, stream)
+        runs = itertools.chain(
+            itertools.product(periods + budgets, ZOO_CONTROLLERS),
+            itertools.product(budgets, ["redhip"]))
+        for (period, kind), warm in itertools.product(runs, (0, 1, 2)):
+            make = partial(_controller, kind, machine, period, budget)
             diffs = _zoo_divergences(kind, stream, make, [stream] * warm)
             if not diffs:
                 continue
@@ -438,6 +472,83 @@ def test_zoo_directed_streams(tiny_machine, monkeypatch, kind, period):
             for warm in range(3):
                 assert _zoo_divergences(kind, stream, make,
                                         [stream] * warm) == [], (k, wave, warm)
+
+
+def _edge_stream(rng) -> OutcomeStream:
+    """Blocks A and B share every table entry; C lives elsewhere.  The
+    stream fills and evicts at the access of the miss that causes it (so
+    a sweep after that miss precedes its own events), fills and evicts
+    one entry at a single access in both orders, and drains the entry to
+    zero and refills it several times; L1 hits sit between the misses."""
+    a, b, c = 5, 5 + (1 << 20), 7
+    steps = [  # (hit level, block, events at this access)
+        (0, a, [(EVENT_FILL, a)]), (4, a, []), (1, a, []),
+        (0, b, [(EVENT_EVICT, a), (EVENT_FILL, b)]),
+        (0, a, [(EVENT_FILL, a), (EVENT_EVICT, b)]),
+        (0, c, [(EVENT_FILL, c)]), (2, a, []), (1, c, []),
+        (4, a, [(EVENT_EVICT, a)]), (2, c, []), (0, a, [(EVENT_FILL, a)]),
+        (4, a, []), (0, b, [(EVENT_FILL, b)]),
+        (4, a, [(EVENT_EVICT, b), (EVENT_EVICT, a)]), (4, c, []), (1, a, []),
+        (4, a, []), (0, b, [(EVENT_FILL, b)]), (4, b, [(EVENT_EVICT, b)]),
+        (4, a, []), (0, a, [(EVENT_FILL, a)]), (4, a, []),
+    ]
+    return _with_pcs(rng, _steps_stream(steps))
+
+
+def _steps_stream(steps) -> OutcomeStream:
+    """A synthetic stream from ``(hit level, block, [(op, block)])`` per
+    access."""
+    events = [(i, op, block) for i, (_, _, evs) in enumerate(steps)
+              for op, block in evs]
+    return _synthetic_stream([lvl for lvl, _, _ in steps],
+                             [blk for _, blk, _ in steps], events)
+
+
+def _with_pcs(rng, stream) -> OutcomeStream:
+    pcs = rng.integers(0, 1 << 20, size=stream.num_misses).astype(np.uint64)
+    return dataclasses.replace(stream, pc=pcs)
+
+
+@pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+@pytest.mark.parametrize("cadence", [1, 2, 3, 5, None, ("fills", 1),
+                                     ("fills", 2), ("fills", 3)])
+def test_sweep_edges(tiny_machine, kind, cadence):
+    """Directed sweep placements on every recalibrating kernel and both
+    engines: a sweep at a miss whose own access fills or evicts its
+    entry, an entry drained and refilled between two sweeps, a fill and
+    an eviction on one entry at one access, an eviction at a sweeping
+    miss's access refilled before the next sweep, a replay started
+    mid-period (``l1_misses % period != 0``), a stream with no LLC events
+    and one with no misses — each fresh, after one or two earlier replays
+    of it, and after a replay of another stream that leaves stale state
+    on entries this one never touches."""
+    rng = np.random.default_rng(17)
+    edges = _edge_stream(rng)
+    no_events = dataclasses.replace(
+        edges, llc_when=edges.llc_when[:0], llc_op=edges.llc_op[:0],
+        llc_block=edges.llc_block[:0])
+    a, c = 5, 7  # two LLC hits on a, evicted at the second sweep's access
+    refill = _with_pcs(rng, _steps_stream([
+        (0, a, [(EVENT_FILL, a)]), (4, a, []), (4, a, []),
+        (0, c, [(EVENT_EVICT, a), (EVENT_FILL, c)]),
+        (0, a, [(EVENT_FILL, a)]), (4, c, [])]))
+    # Another stream, then stale bits: blocks filled and evicted after
+    # the last miss, on entries the streams above never touch.
+    blocks = range(20, 30)
+    stale = _steps_stream([(0, blk, [(EVENT_FILL, blk)]) for blk in blocks]
+                          + [(1, 0, [(EVENT_EVICT, blk)]) for blk in blocks])
+    other = [_with_pcs(rng, _random_valid_stream(rng, 300, 40)), _with_pcs(rng, stale)]
+    offsets = range(cadence) if isinstance(cadence, int) else (0,)
+    for stream in (edges, no_events, _all_hits(edges), refill):
+        for offset, warm in itertools.product(
+                offsets, ([], [stream], [stream, stream], other)):
+            make = partial(_controller, kind, tiny_machine, cadence,
+                           l1_misses=offset)
+            assert _zoo_divergences(kind, stream, make, warm) == [], (
+                stream.num_misses, len(stream.llc_when), offset, len(warm))
+    swept = _controller(kind, tiny_machine, cadence)
+    _zoo_replay(kind, edges, swept, vector=True)
+    assert swept.engine.sweeps > 0 or cadence is None
 
 
 @pytest.mark.parametrize("wave", [1, 10**9])
@@ -625,8 +736,10 @@ def test_plan_reuse_is_exact(tmp_path, monkeypatch):
         assert built == 2 and built + reused == 2 * 2 * len(cells) * users // 4, kind
     for plan in vector_replay._PLANS[stream].values():
         for value in vars(plan).values():
-            if isinstance(value, np.ndarray):
-                assert not value.flags.writeable
+            arrays = vars(value).values() if dataclasses.is_dataclass(value) else [value]
+            for array in arrays:
+                if isinstance(array, np.ndarray):
+                    assert not array.flags.writeable
     for cell in cells:
         cold = _plan_outcome(cfg.machine, dataclasses.replace(loaded), *cell)
         assert _same_outcome(hot[cell], cold), cell
