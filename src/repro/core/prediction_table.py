@@ -162,7 +162,7 @@ class PredictionTable:
     @property
     def occupancy(self) -> float:
         """Fraction of bits set — the false-positive-rate proxy."""
-        return float(self._bits.mean())
+        return np.count_nonzero(self._bits) / self._bits.size
 
     def bits_set(self) -> int:
         return int(self._bits.sum())

@@ -15,6 +15,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.energy.params import MachineConfig
 from repro.util.validation import ConfigError
 
@@ -62,6 +64,15 @@ class EnergyLedger:
     def category_nj(self, category: str) -> float:
         """Dynamic energy attributed to one operation category."""
         return float(sum(e for (_, cat), e in self.energy_nj.items() if cat == category))
+
+    def categories_nj(self, categories) -> dict[str, float]:
+        """:meth:`category_nj` of each of ``categories`` in one pass (the
+        same sums, in the same order)."""
+        out = dict.fromkeys(categories, 0)
+        for (_, cat), e in self.energy_nj.items():
+            if cat in out:
+                out[cat] += e
+        return {cat: float(e) for cat, e in out.items()}
 
     def breakdown(self) -> dict[str, float]:
         """Per-component dynamic energy (nJ), sorted by component name."""
@@ -205,9 +216,10 @@ class StaticEnergyModel:
         total += self.machine.prediction_table.leakage_w
         return total
 
-    def static_energy_nj(self, cycles: float, include_pt: bool = True) -> float:
-        """Static energy over ``cycles`` of execution, in nJ."""
-        if cycles < 0:
+    def static_energy_nj(self, cycles, include_pt: bool = True):
+        """Static energy over ``cycles`` of execution, in nJ; ``cycles``
+        may be an array of runs (one energy per run comes back)."""
+        if np.min(cycles) < 0:
             raise ConfigError("cycle count must be non-negative")
         seconds = cycles / self.machine.frequency_hz
         watts = self.total_leakage_w

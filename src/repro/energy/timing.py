@@ -88,24 +88,26 @@ class TimingModel:
         gap_sums: np.ndarray,
         latency_sums: np.ndarray,
         cpis: np.ndarray,
-        stall_cycles: float = 0.0,
-    ) -> TimingResult:
+        stall_cycles=0.0,
+    ):
         """:meth:`run` with the per-core compute gaps and memory
         latencies already summed (float64[cores] each); the evaluator
-        folds them per core from the L1-miss record."""
+        folds them per core from the L1-miss record.  ``latency_sums``
+        may stack one row per run, with ``stall_cycles`` one per row:
+        then one :class:`TimingResult` per row comes back."""
         cores = self.machine.cores
-        shapes = {cpis.shape, gap_sums.shape, latency_sums.shape}
-        if shapes != {(cores,)}:
+        if {cpis.shape, gap_sums.shape, latency_sums.shape[-1:]} != {(cores,)}:
             raise ConfigError(
                 f"cpis, gap_sums and latency_sums must have shape ({cores},)")
-        check_positive("stall_cycles + 1", stall_cycles + 1)
-
         compute = gap_sums * cpis
-        memory = latency_sums
-        total = compute + memory
-        return TimingResult(
-            core_cycles=total,
-            compute_cycles=compute,
-            memory_cycles=memory,
-            stall_cycles=float(stall_cycles),
-        )
+        total = compute + latency_sums
+        if latency_sums.ndim == 1:
+            check_positive("stall_cycles + 1", stall_cycles + 1)
+            return TimingResult(core_cycles=total, compute_cycles=compute,
+                                memory_cycles=latency_sums,
+                                stall_cycles=float(stall_cycles))
+        if len(stall_cycles):
+            check_positive("stall_cycles + 1", min(stall_cycles) + 1)
+        return [TimingResult(core_cycles=core_cycles, compute_cycles=compute,
+                             memory_cycles=memory, stall_cycles=float(stall))
+                for core_cycles, memory, stall in zip(total, latency_sums, stall_cycles)]

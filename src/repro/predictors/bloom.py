@@ -48,7 +48,7 @@ class BloomFilter:
     @property
     def occupancy(self) -> float:
         """Fraction of bits set (false-positive probability proxy)."""
-        return float(self._bits.mean())
+        return np.count_nonzero(self._bits) / self._bits.size
 
 
 class CountingBloomFilter:
@@ -143,8 +143,8 @@ class CountingBloomFilter:
     @property
     def occupancy(self) -> float:
         """Fraction of entries answering "present" (FP-rate proxy)."""
-        return float(((self._counts > 0) | self._disabled).mean())
+        return np.count_nonzero((self._counts > 0) | self._disabled) / self._counts.size
 
     @property
     def disabled_fraction(self) -> float:
-        return float(self._disabled.mean())
+        return np.count_nonzero(self._disabled) / self._disabled.size

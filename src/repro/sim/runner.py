@@ -14,6 +14,7 @@ files did.  Two-phase evaluation never needs them once a stream exists.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro import checking, faults, telemetry
@@ -22,7 +23,7 @@ from repro.hierarchy.inclusion import InclusionPolicy
 from repro.predictors.base import SchemeSpec
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
-from repro.sim.evaluate import SchemeResult, evaluate_scheme
+from repro.sim.evaluate import SchemeResult, evaluate_scheme, evaluate_schemes
 from repro.sim.integrated import IntegratedSimulator, PrefetchConfig
 from repro.sim.streamcache import resolve_cache, stream_key
 from repro.util.validation import ConfigError
@@ -136,6 +137,46 @@ class ExperimentRunner:
             dram=cfg.dram,
             checked=checking.enabled(cfg),
         )
+
+    def run_many(self, workload_name: "str | Workload", schemes,
+                 policy: InclusionPolicy | str | None = None) -> tuple[list, list]:
+        """Two-phase evaluation of several schemes over one stream in one
+        batch (:func:`~repro.sim.evaluate.evaluate_schemes`).
+
+        Returns, per scheme, its :class:`SchemeResult` or the exception
+        that failed it (a predictor scheme under a policy that is no
+        LLC superset fails as :meth:`run` would), and its seconds: its own
+        replay plus an equal share of the batch's shared work, the stream
+        lookup included.
+        """
+        start = time.perf_counter()
+        workload_name = self._resolve(workload_name)
+        cfg = self.config if policy is None else self.config.with_policy(policy)
+        schemes = list(schemes)
+        if not schemes:
+            return [], []
+        results: list = [None] * len(schemes)
+        batch = []
+        for k, scheme in enumerate(schemes):
+            if scheme.consults_table and not cfg.policy.llc_is_superset:
+                results[k] = ConfigError(
+                    "two-phase evaluation of predictor schemes needs an "
+                    "LLC-superset (inclusive/hybrid) policy")
+            else:
+                batch.append(k)
+        walls = [0.0] * len(schemes)
+        if batch:
+            stream = self.stream(workload_name, policy=cfg.policy)
+            done, spent = evaluate_schemes(
+                stream, cfg.machine, [schemes[k] for k in batch], workload_name,
+                fill_energy_weight=cfg.fill_energy_weight,
+                memory_latency=cfg.memory_latency,
+                memory_energy_nj=cfg.memory_energy_nj, mlp=cfg.mlp, dram=cfg.dram,
+                checked=checking.enabled(cfg))
+            for k, result, wall in zip(batch, done, spent):
+                results[k], walls[k] = result, wall
+        share = (time.perf_counter() - start - sum(walls)) / len(schemes)
+        return results, [wall + share for wall in walls]
 
     # ------------------------------------------------------------ one-phase
     def run_integrated(
