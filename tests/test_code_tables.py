@@ -35,7 +35,7 @@ from repro.sim import charging
 from repro.sim.charging import PROBE_PHASED, ChargingKernel, code_table
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
-from repro.sim.evaluate import evaluate_scheme
+from repro.sim.evaluate import evaluate_scheme, result_facts
 from repro.sim.runner import ExperimentRunner
 from repro.workloads import get_workload
 
@@ -166,11 +166,11 @@ def test_code_table_equals_scalar_walk(machine_stream, key):
                              np.random.default_rng(sum(map(ord, key))))
     want_lat, want = scalar_walk(kernel, flow, scheme, stream, outputs)
 
-    codes, histogram = table.histogram(stream, *outputs)
-    totals = table.totals(histogram)
+    codes, histograms = table.histograms(stream, [table.decide(*outputs)])
+    [totals] = table.totals(histograms).tolist()
     got = EnergyLedger()
-    lat, codes = table.charge(got, stream, codes, totals)
-    expanded = np.repeat(lat, machine.cores)[codes]
+    table.charge_ledger(got, stream.num_accesses, totals)
+    expanded = np.repeat(table.latencies(None), machine.cores)[codes[0]]
     assert expanded.tobytes() == want_lat.tobytes()
     assert dict(got.counts) == dict(want.counts)
     for line, energy in want.energy_nj.items():
@@ -179,20 +179,7 @@ def test_code_table_equals_scalar_walk(machine_stream, key):
     for level in range(2, levels + 1):
         name = machine.level(level).name
         probes = want.counts.get((name, "probe"), 0) + want.counts.get((name, "tag"), 0)
-        assert table.tally(totals, f"reach{level}") == probes
-
-
-def fingerprint(result) -> tuple:
-    """Every SchemeResult field, floats by their bytes."""
-    timing = result.timing
-    return (result.scheme, timing.core_cycles.tobytes(),
-            timing.compute_cycles.tobytes(), timing.memory_cycles.tobytes(),
-            list(result.ledger.counts.items()),
-            [(k, float(v).hex()) for k, v in result.ledger.energy_nj.items()],
-            float(result.static_nj).hex(), result.hit_rates,
-            result.level_lookups, result.level_hits, result.l1_misses,
-            result.skips, result.false_positives, result.true_misses,
-            result.recal_stall_cycles, result.predictor_stats)
+        assert totals[table.tally_rows[f"reach{level}"]] == probes
 
 
 def clear_memos() -> None:
@@ -231,7 +218,7 @@ def test_memos_never_leak_between_schemes():
 
     def run(cell):
         machine, stream, key = cell
-        return fingerprint(evaluate_scheme(stream, machine, MEMO_SCHEMES[key],
+        return result_facts(evaluate_scheme(stream, machine, MEMO_SCHEMES[key],
                                            "soplex"))
 
     cold = {}

@@ -89,19 +89,24 @@ def test_run_timing_equals_per_access_fold(walked, scheme_key, dram, mlp,
         result = real_fold(self, stream_, latencies, stall_cycles, codes,
                            histogram)
         lat = np.array(latencies, dtype=np.float64)
+        timing, stall, row = result, stall_cycles, None
         if codes is not None:
-            # One latency per decision code; a miss's code ends in its core.
+            # A stack of one cell: one latency per decision code, and a
+            # miss's code ends in its core.
             cores = self.machine.cores
-            assert histogram.tobytes() == np.bincount(
-                codes, minlength=lat.size * cores).tobytes()
-            assert np.array_equal(codes % cores, stream_.core)
-            lat = np.repeat(lat, cores)[codes]
-        folds.append((self, lat, stall_cycles, codes, result))
+            [timing], [stall], row = result, stall_cycles, codes[0]
+            assert len(codes) == len(histogram) == 1
+            assert histogram[0].tobytes() == np.bincount(
+                row, minlength=lat.size * cores).tobytes()
+            assert np.array_equal(row % cores, stream_.core)
+            lat = np.repeat(lat, cores)[row]
+        folds.append((self, lat, stall, row, timing))
         return result
 
     def spy_exact(*args):
-        exact.append(real_exact(*args))
-        return exact[-1]
+        answer = real_exact(*args)
+        exact.append(bool(np.squeeze(answer)))     # one row, or one bool
+        return answer
 
     monkeypatch.setattr(ChargingKernel, "run_timing", spy_fold)
     monkeypatch.setattr(charging, "_exact_in_any_order", spy_exact)
