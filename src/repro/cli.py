@@ -172,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--workloads", default="mcf,lbm",
                     help="comma-separated workloads (default: mcf,lbm)")
     ch.add_argument("--workers", type=int, default=2,
-                    help="prewarm pool width (default: 2; the pool is "
-                         "where worker faults fire)")
+                    help="worker processes for the cold pass through "
+                         "the sweep pool (default: 2; the pool is where "
+                         "worker faults fire)")
     ch.add_argument("--out", type=Path, default=Path(".repro-chaos"),
                     help="directory for both runs' artifacts + manifests "
                          "(default: .repro-chaos)")
@@ -193,8 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--workers", type=int, default=None,
                     help="worker processes (default: cpu-derived; 1 = serial)")
     sw.add_argument("--timeout", type=float, default=None,
-                    help="per-shard worker timeout in seconds "
-                         "(default: REPRO_WORKER_TIMEOUT or 300)")
+                    help="per-shard worker timeout in seconds, > 0; inf "
+                         "never times out (default: REPRO_WORKER_TIMEOUT "
+                         "or 600)")
     sw.add_argument("--max-cells", type=int, default=None,
                     help="stop after this many pending cells (resume "
                          "later; used by CI to exercise the resume path)")

@@ -18,8 +18,11 @@ the canonical store rows.  A config the cell vocabulary cannot express
 set on the config) is refused with a :class:`ConfigError`.  Pass
 ``store=<path>`` to keep the results store (a second run resumes from it);
 by default each run uses a private temporary store, recomputing cells but
-sharing content walks through a process-wide stream cache.  ``build``
-specs have no store, and refuse ``store=``.
+sharing content walks through a process-wide stream cache.  The grid's
+shards run in the scheduler's process pool (``workers=``, else
+``REPRO_PARALLEL`` when set, else one process).  ``build`` specs have
+no store and no pool: they refuse ``store=`` and ``workers=``, and walk
+serially in this process.
 
 * **telemetry** — each run is wrapped in an ``experiment`` span and bumps
   the ``experiments.runs`` counter;
@@ -28,10 +31,7 @@ specs have no store, and refuse ``store=``.
   for specs that never construct a runner;
 * **runner memoization** — the context's :attr:`ExperimentContext.runner`
   is the shared memoized runner for the resolved config, so specs that
-  run back-to-back share content walks;
-* **parallel prewarm** — when the user opts in via ``REPRO_PARALLEL``,
-  the spec's workload list is walked through the process pool before the
-  build starts evaluating schemes.
+  run back-to-back share content walks.
 
 The registry (:mod:`repro.experiments.registry`) maps artifact ids to
 specs; the per-figure modules keep thin ``run(config=None, **kwargs)``
@@ -81,7 +81,7 @@ class ExperimentSpec:
     figure: str = "—"
     #: "paper" | "extension" | "ablation".
     kind: str = "paper"
-    #: Registry workload names the default run evaluates (prewarm list).
+    #: Registry workload names the default run evaluates.
     workloads: tuple[str, ...] = ()
     #: Scheme names the artifact compares (display metadata).
     schemes: tuple[str, ...] = ()
@@ -121,34 +121,6 @@ class ExperimentContext:
     @property
     def runner(self):
         return get_runner(self.config)
-
-
-def _maybe_prewarm(ctx: ExperimentContext, workloads) -> None:
-    """Fan the spec's content walks over a process pool — only when the
-    user opted in with ``REPRO_PARALLEL`` (the serial default stays the
-    default), and only for registry-named workloads.
-
-    Non-string entries (explicit :class:`Workload` objects, which cannot
-    be rebuilt by name inside a worker) stay on the serial path; dropping
-    them is correct but must not be silent — a sweep that expected a
-    parallel prewarm and got none needs the event to explain why.
-    """
-    if not workloads or not os.environ.get("REPRO_PARALLEL"):
-        return
-    from repro.sim.parallel import prewarm_streams
-
-    workloads = list(workloads)
-    names = [w for w in workloads if isinstance(w, str)]
-    if len(names) < len(workloads):
-        telemetry.event(
-            "prewarm.skipped_workloads",
-            experiment=ctx.spec.experiment_id,
-            skipped=len(workloads) - len(names),
-            total=len(workloads),
-            reason="non-registry workload objects cannot prewarm by name",
-        )
-    if len(names) > 1:
-        prewarm_streams(ctx.runner, names)
 
 
 #: Process-shared stream-cache directory for grid runs without an explicit
@@ -213,11 +185,11 @@ def _off_grid(cfg: SimConfig) -> list[str]:
 
 
 def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
-              store: "str | Path | None", kwargs: dict) -> ExperimentResult:
+              store: "str | Path | None", workers: "int | None",
+              kwargs: dict) -> ExperimentResult:
     """Execute a grid spec through the sweep substrate."""
     from repro.results.store import ResultsStore
-    from repro.sim.parallel import default_workers
-    from repro.sweep.scheduler import run_cells
+    from repro.sweep.scheduler import default_workers, run_cells
 
     off_grid = _off_grid(cfg)
     if off_grid:
@@ -238,7 +210,8 @@ def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
             fingerprint_of[cell] = cell.fingerprint()
         by_fingerprint.setdefault(fingerprint_of[cell], cell)
     cells, fingerprints = list(by_fingerprint.values()), list(by_fingerprint)
-    workers = default_workers() if os.environ.get("REPRO_PARALLEL") else 1
+    if workers is None:
+        workers = default_workers() if os.environ.get("REPRO_PARALLEL") else 1
     with _grid_store(store, spec.experiment_id) as store_path:
         stream_cache = _grid_stream_cache(cfg)
         run = partial(run_cells, cells, spec.experiment_id, store_path,
@@ -265,7 +238,8 @@ def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
 
 def run_spec(
     spec: ExperimentSpec, config: SimConfig | None = None,
-    smoke: bool = False, store: "str | Path | None" = None, **kwargs,
+    smoke: bool = False, store: "str | Path | None" = None,
+    workers: "int | None" = None, **kwargs,
 ) -> ExperimentResult:
     """Run one spec: the single entry point for every experiment.
 
@@ -273,14 +247,20 @@ def run_spec(
     caller's kwargs (explicit arguments win), which is how the CLI's
     ``repro experiments smoke`` and CI keep a registry-wide pass cheap.
     ``store`` persists the results store at that path so an interrupted
-    figure resumes instead of recomputing; a ``build`` spec has no store
-    and raises :class:`ConfigError` for it.
+    figure resumes instead of recomputing.  ``workers`` is the width of
+    the scheduler pool the grid's shards run in (``None``: the
+    ``REPRO_PARALLEL`` width when that is set, else one process).  A
+    ``build`` spec has neither a store nor a pool and raises
+    :class:`ConfigError` for either.
     """
-    if store is not None and spec.build is not None:
-        raise ConfigError(
-            f"experiment {spec.experiment_id} is not a grid experiment and "
-            f"keeps no results store; drop store=/--store"
-        )
+    if spec.build is not None:
+        for value, flag in ((store, "store=/--store"), (workers, "workers=")):
+            if value is not None:
+                raise ConfigError(
+                    f"experiment {spec.experiment_id} is not a grid "
+                    f"experiment and keeps no results store or worker "
+                    f"pool; drop {flag}"
+                )
     cfg = config if config is not None else default_config()
     if smoke:
         kwargs = {**dict(spec.smoke_kwargs), **kwargs}
@@ -288,7 +268,5 @@ def run_spec(
         telemetry.count("experiments.runs", experiment=spec.experiment_id)
         faults.ensure(cfg)
         if spec.build is None:
-            return _run_grid(spec, cfg, store, kwargs)
-        ctx = ExperimentContext(spec, cfg)
-        _maybe_prewarm(ctx, kwargs.get("workloads", spec.workloads))
-        return spec.build(ctx, **kwargs)
+            return _run_grid(spec, cfg, store, workers, kwargs)
+        return spec.build(ExperimentContext(spec, cfg), **kwargs)

@@ -9,7 +9,7 @@ Each entry is an :class:`~repro.experiments.driver.ExperimentSpec`
 declaring the artifact's figure anchor, sweep axes, scheme line-up and
 workloads; :func:`~repro.experiments.driver.run_spec` is the shared
 execution path (telemetry span + counter, fault-plan activation, runner
-memoization, optional parallel prewarm).  ``repro experiments ls``
+memoization, the grid's scheduler pool).  ``repro experiments ls``
 renders this table without running anything.
 """
 

@@ -1,7 +1,7 @@
 """Deterministic fault injection with survivable recovery policies.
 
-The stateful surfaces this repo grew in PRs 2–3 — an on-disk stream
-cache, a multiprocess prewarm pool, trace-file I/O — are exactly the
+The stateful surfaces this repo grew — an on-disk stream cache, the
+sweep scheduler's process pool, trace-file I/O — are exactly the
 parts that misbehave in production.  This package makes misbehaviour a
 *first-class, reproducible input*: a seeded :class:`FaultPlan` declares
 which sites fail, how, and when; the pipeline's recovery policies
@@ -18,8 +18,8 @@ Activation mirrors the stream cache and telemetry:
     ``cache_key()`` and config comparisons, exactly like ``checked``);
 ``REPRO_FAULTS=plan.json``
     environment-wide (empty/``0``/``false``/``off``/``no`` disables) —
-    this is also how a fork-spawned prewarm worker finds the plan when
-    it did not inherit the installed injector;
+    this is also how a sweep worker finds the plan when it did not
+    inherit the installed injector;
 :func:`scope`
     scoped programmatic installation (what ``repro chaos`` and the test
     suite use).

@@ -3,9 +3,13 @@
 This is the checkable form of the repo's robustness claim.  A chaos run
 executes one experiment twice — once with injection forced off, once
 under a :class:`~repro.faults.plan.FaultPlan` — through the *full*
-production path (parallel prewarm pool, persistent stream cache, figure
-regeneration), each against its own isolated cache directory, and then
-holds the faulted run to three standards:
+production path, each against its own isolated cache directory.  Each
+run is two passes of the same experiment: a cold pass whose shards run
+in the sweep scheduler's process pool (where worker crash/hang/pool
+faults and stream-cache saves fire), then the measured warm pass, which
+loads every stream from the cache the cold pass filled (where
+stream-cache load faults fire).  The faulted run is held to three
+standards:
 
 1. **bit-identical artifact**: the rendered figure (table, notes and the
    raw series as JSON) must match the clean run byte for byte;
@@ -73,26 +77,21 @@ def render_artifact(result) -> str:
 
 def _one_run(experiment_id: str, config, workloads, out_dir: Path, label: str,
              plan: "FaultPlan | None", workers: int) -> tuple[str, dict]:
-    """One full pipeline pass; returns (artifact text, manifest dict)."""
-    from repro.experiments import clear_cache, run_experiment
-    from repro.sim.parallel import prewarm_streams
-    from repro.sim.runner import ExperimentRunner
+    """One run, cold pass then warm pass; returns (artifact text of the
+    warm pass, manifest dict of both)."""
+    from repro.experiments import clear_cache, get_spec, run_experiment
 
     run_dir = out_dir / label
     cfg = replace(config, stream_cache=str(run_dir / "cache"), faults=None)
+    kwargs = {"workloads": tuple(workloads)} if workloads else {}
+    # A build-only spec has no pool: both of its passes walk serially.
+    pool = {"workers": workers} if get_spec(experiment_id).build is None else {}
     clear_cache()
     try:
         with faults.scope(plan):
             with telemetry.session(force=True, label=f"chaos-{label}") as sess:
-                names = tuple(workloads) if workloads else None
-                if names is None or len(names) > 1:
-                    # Cold prewarm through the pool: this is where worker
-                    # crash/hang/pool faults get their chance to fire.
-                    runner = ExperimentRunner(cfg)
-                    prewarm_streams(
-                        runner, names or _experiment_workloads(), workers=workers
-                    )
-                kwargs = {"workloads": names} if names else {}
+                run_experiment(experiment_id, cfg, **pool, **kwargs)
+                clear_cache()  # the warm pass reads streams from disk
                 result = run_experiment(experiment_id, cfg, **kwargs)
             manifest_path = telemetry.write_manifest(
                 run_dir, sess, config=cfg, experiments=[experiment_id]
@@ -102,12 +101,6 @@ def _one_run(experiment_id: str, config, workloads, out_dir: Path, label: str,
     artifact = render_artifact(result)
     (run_dir / "artifact.md").write_text(artifact)
     return artifact, telemetry.load_manifest(manifest_path)
-
-
-def _experiment_workloads():
-    from repro.workloads import PAPER_WORKLOADS
-
-    return PAPER_WORKLOADS
 
 
 def _counter_problems(clean: dict, faulted: dict) -> "list[str]":

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.util.validation import ConfigError
+from repro.util.validation import ConfigError, check_positive
 
 __all__ = ["SITES", "FaultSpec", "FaultPlan", "RetryPolicy", "load_plan"]
 
@@ -44,7 +44,7 @@ SITES: dict[str, frozenset] = {
     # Persistent stream cache (repro.sim.streamcache)
     "streamcache.load": frozenset({"corrupt", "short_read", "io_error"}),
     "streamcache.save": frozenset({"enospc", "partial_write"}),
-    # Prewarm process pool (repro.sim.parallel)
+    # Sweep scheduler process pool (repro.sweep.scheduler)
     "parallel.worker": frozenset({"crash", "hang", "exception"}),
     "parallel.pool": frozenset({"spawn_fail"}),
     # Saved trace files (repro.workloads.tracefile)
@@ -159,12 +159,15 @@ class FaultPlan:
 
     faults: tuple = ()
     seed: int = 0
-    #: Per-worker prewarm timeout override (None = site default).
+    #: Per-shard worker timeout override in seconds (None = site
+    #: default); must be positive, ``inf`` never times out.
     worker_timeout_s: "float | None" = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
+        if self.worker_timeout_s is not None:
+            check_positive("worker_timeout_s", self.worker_timeout_s)
 
     def to_dict(self) -> dict:
         out: dict = {

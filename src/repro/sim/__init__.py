@@ -6,7 +6,6 @@ from repro.sim.config import SimConfig, bench_config, default_recal_period
 from repro.sim.content import ContentSimulator, merge_order
 from repro.sim.evaluate import SchemeResult, evaluate_scheme, replay_predictor
 from repro.sim.integrated import IntegratedSimulator, PrefetchConfig
-from repro.sim.parallel import default_workers, prewarm_streams
 from repro.sim.streamcache import StreamCache, resolve_cache, stream_key
 from repro.sim.vector_replay import replay_redhip_vectorized
 from repro.sim.report import (
@@ -32,8 +31,6 @@ __all__ = [
     "add_average",
     "bench_config",
     "default_recal_period",
-    "default_workers",
-    "prewarm_streams",
     "dynamic_energy_table",
     "evaluate_scheme",
     "format_table",

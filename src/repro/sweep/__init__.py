@@ -4,10 +4,10 @@ The simulation-as-a-service backbone.  A :class:`SweepSpec`
 (:mod:`repro.sweep.spec`) expands a declarative grid — machine x scheme x
 workload x PT size x recalibration period x probe mode — into concrete
 cells with stable content-addressed fingerprints; the scheduler
-(:mod:`repro.sweep.scheduler`) shards the cells over worker processes
-(sharing the persistent stream cache, inheriting
-:mod:`repro.sim.parallel`'s worker-loss/timeout/serial-fallback policies)
-and lands every completed cell as one row in an append-only SQLite store
+(:mod:`repro.sweep.scheduler`) shards the cells over the repo's one
+process pool (sharing the persistent stream cache, with one worker-loss/
+timeout/serial-fallback budget) and lands every completed cell as one
+row in an append-only SQLite store
 (:mod:`repro.results.store`).  A killed sweep restarts and skips every
 fingerprint already in the store; ``repro sweep`` / ``repro query`` are
 the CLI verbs.

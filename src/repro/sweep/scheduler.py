@@ -5,11 +5,13 @@ workload) — are grouped into one *shard*: the shard's worker walks the
 trajectory once (through the shared persistent stream cache) and
 evaluates every scheme cell against it, exactly how a memoized
 :class:`ExperimentRunner` amortizes walks inside one process.
-Shards fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-with the same misbehaviour budget as :func:`repro.sim.parallel.
-prewarm_streams`: a worker that crashes, hangs past the timeout, or
-raises loses only its own shard, which re-executes serially in the
-parent; a pool that cannot spawn at all degrades to the serial path.
+Shards fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
+the repo's one process pool, with one misbehaviour budget: a worker that
+crashes, hangs past the timeout, or raises loses only its own shard,
+which re-executes serially in the parent; a pool that cannot spawn at
+all degrades to the serial path.  The ``parallel.worker`` and
+``parallel.pool`` fault sites and the ``parallel.*`` counters name that
+budget.
 
 Results land in the append-only store *as each shard completes*, one
 transaction per shard (the parent is the only writer), so killing a
@@ -48,14 +50,10 @@ from types import SimpleNamespace
 from repro import faults, telemetry
 from repro.results.store import CellRow, ResultsStore
 from repro.sim.charging import ENERGY_CATEGORIES
-from repro.sim.parallel import (
-    _worker_faults,
-    default_worker_timeout,
-    default_workers,
-)
 from repro.sim.runner import ExperimentRunner
 from repro.sim.streamcache import CACHE_ENV
 from repro.hierarchy.inclusion import InclusionPolicy
+from repro.util.validation import check_positive
 from repro.sweep.journal import JOURNAL_SCHEMA, SweepJournal, journal_path
 from repro.sweep.spec import (
     CellSpec,
@@ -68,6 +66,8 @@ __all__ = [
     "HEARTBEAT_ENV",
     "SweepReport",
     "default_stream_cache",
+    "default_worker_timeout",
+    "default_workers",
     "heartbeat_interval",
     "run_cells",
     "run_sweep",
@@ -83,6 +83,87 @@ DEFAULT_HEARTBEAT_S = 2.0
 
 #: How often the parent drains heartbeats while waiting on a future.
 _POLL_S = 0.2
+
+#: Environment override for the per-shard worker timeout (seconds).
+WORKER_TIMEOUT_ENV = "REPRO_WORKER_TIMEOUT"
+
+#: Generous default: a shard is minutes at most; a worker silent for this
+#: long is treated as lost and its shard re-runs serially.
+DEFAULT_WORKER_TIMEOUT_S = 600.0
+
+
+def default_workers() -> int:
+    """Pool width: ``REPRO_PARALLEL`` if set, else cores-1 (min 1).
+
+    A non-integer ``REPRO_PARALLEL`` (``"auto"``, ``"4x"``, …) is not an
+    error — a misconfigured shell must not abort a long run — it warns
+    and falls back to the cores-1 default.
+    """
+    env = os.environ.get("REPRO_PARALLEL")
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            telemetry.event("parallel.bad_env", value=env)
+            warnings.warn(
+                f"ignoring non-integer REPRO_PARALLEL={env!r}; "
+                f"falling back to cores-1",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+    return max(1, (os.cpu_count() or 2) - 1)
+
+
+def default_worker_timeout() -> float:
+    """Per-shard result timeout: active fault plan, env, else the default.
+
+    A fault plan's ``worker_timeout_s`` wins (chaos tests shrink it so a
+    ``hang`` fault converts to a timeout in seconds, not minutes), then
+    ``REPRO_WORKER_TIMEOUT``, then :data:`DEFAULT_WORKER_TIMEOUT_S`.  An
+    env value that is not a positive number of seconds (non-numeric,
+    zero, negative, NaN) warns and falls back, same contract as
+    ``REPRO_PARALLEL``; ``inf`` means never time out.
+    """
+    injector = faults.current()
+    if injector is not None and injector.plan.worker_timeout_s is not None:
+        return injector.plan.worker_timeout_s
+    env = os.environ.get(WORKER_TIMEOUT_ENV)
+    if env:
+        try:
+            value = float(env)
+        except ValueError:
+            value = float("nan")
+        if value > 0:
+            return value
+        telemetry.event("parallel.bad_env", value=env)
+        warnings.warn(
+            f"ignoring {WORKER_TIMEOUT_ENV}={env!r} (not a positive number "
+            f"of seconds); falling back to {DEFAULT_WORKER_TIMEOUT_S:.0f}s",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return DEFAULT_WORKER_TIMEOUT_S
+
+
+def _worker_faults(workload_name: str) -> None:
+    """The ``parallel.worker`` fault site, applied at worker entry.
+
+    ``crash`` dies without cleanup (``os._exit`` — the pool reports a
+    broken executor, exactly like an OOM-killed worker), ``hang`` stalls
+    past the parent's timeout, ``exception`` raises.  All three must be
+    absorbed by :func:`_run_pooled`'s serial fallback.
+    """
+    fired = faults.check("parallel.worker", key=workload_name)
+    if fired is None:
+        return
+    if fired.kind == "crash":
+        os._exit(23)
+    elif fired.kind == "hang":
+        time.sleep(float(fired.spec.param("sleep_s", 60.0)))
+    elif fired.kind == "exception":
+        raise faults.InjectedWorkerError(
+            f"injected worker exception for {workload_name!r}"
+        )
 
 
 def heartbeat_interval() -> float:
@@ -428,9 +509,9 @@ def run_shard(payloads: list, fingerprints: list, sweep_name: str,
               interval: float = DEFAULT_HEARTBEAT_S) -> tuple:
     """Worker entry point (module-level, picklable).
 
-    Cells travel as dicts and are rebuilt here — same rationale as
-    :func:`repro.sim.parallel.walk_one` — next to the fingerprints the
-    parent already computed.  The worker always runs its own
+    Cells travel as dicts and are rebuilt here (the workload generators
+    are deterministic: shipping a few ints beats pickling trace arrays),
+    next to the fingerprints the parent already computed.  The worker always runs its own
     telemetry session so per-cell fault summaries exist even when the
     parent is untraced; the parent merges the snapshot only when tracing.
     The ``parallel.worker`` fault site fires at entry, keyed by the
@@ -541,7 +622,10 @@ def run_cells(
     defaults to the store-adjacent directory (unless an explicit
     ``REPRO_STREAM_CACHE`` claims it).  ``fingerprints`` are the cells'
     fingerprints in order, when the caller already has them; each cell is
-    otherwise hashed exactly once here.
+    otherwise hashed exactly once here.  ``workers`` defaults to
+    :func:`default_workers`, ``timeout_s`` to
+    :func:`default_worker_timeout`; an explicit ``timeout_s`` must be a
+    positive number of seconds (``inf`` never times out).
     """
     store_path = Path(store_path)
     _ensure_plan(faults_plan)
@@ -556,6 +640,9 @@ def run_cells(
     if stream_cache is None:
         stream_cache = default_stream_cache(store_path)
     nworkers = workers if workers is not None else default_workers()
+    check_positive("workers", nworkers)
+    if timeout_s is not None:
+        check_positive("timeout_s", timeout_s)
     timeout = timeout_s if timeout_s is not None else default_worker_timeout()
 
     t0 = time.perf_counter()
@@ -728,10 +815,10 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
     """Fan ``(cells, fingerprints)`` shards over a process pool,
     absorbing every worker loss.
 
-    Same policy stack as :func:`prewarm_streams`: spawn failure degrades
-    to all-serial; a timeout/crash/exception costs only that shard, which
-    re-runs serially in the parent (skipping the worker-entry fault site,
-    so an injected crash does not re-fire in the fallback)."""
+    Spawn failure degrades to all-serial; a timeout/crash/exception
+    costs only that shard, which re-runs serially in the parent (skipping
+    the worker-entry fault site, so an injected crash does not re-fire in
+    the fallback)."""
     try:
         fired = faults.check("parallel.pool")
         if fired is not None and fired.kind == "spawn_fail":
@@ -758,9 +845,7 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                         else (None, None))
     # Stall threshold: several missed beats, but always strictly before
     # the timeout fallback so the journal explains what is about to die.
-    stall_after = max(3 * interval, 1.0)
-    if timeout > 0:
-        stall_after = min(stall_after, 0.5 * timeout)
+    stall_after = min(max(3 * interval, 1.0), 0.5 * timeout)
     watches: dict = {}
     lost: list = []
     abandoned = False

@@ -28,7 +28,7 @@ Instrumented code calls the module-level helpers (:func:`span`,
 explicit (:func:`start` / :func:`session`) and is performed by the CLI
 (``repro run --telemetry``), by :class:`ExperimentRunner
 <repro.sim.runner.ExperimentRunner>` when its config asks for telemetry,
-by the bench harness, and inside prewarm workers.  ``SimConfig(telemetry=
+by the bench harness, and inside sweep workers.  ``SimConfig(telemetry=
 True)`` or ``REPRO_TELEMETRY=1`` declare the intent; :func:`enabled`
 reads both.
 

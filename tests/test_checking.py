@@ -121,20 +121,6 @@ def test_fingerprint_stable_and_sensitive():
     assert fp4 != fp1
 
 
-def test_prewarm_streams_parallel_matches_serial_fingerprints(tiny_config):
-    """Satellite: the process-pool path must reproduce the serial streams
-    bit for bit — fingerprints are the equality witness."""
-    from repro.sim.parallel import prewarm_streams
-    from repro.sim.runner import ExperimentRunner
-
-    names = ["mcf", "bwaves"]
-    serial = ExperimentRunner(tiny_config)
-    serial_fps = {n: serial.stream(n).fingerprint() for n in names}
-    parallel = ExperimentRunner(tiny_config)
-    out = prewarm_streams(parallel, names, workers=2)
-    assert {n: out[n].fingerprint() for n in names} == serial_fps
-
-
 # -------------------------------------------------------- replay bundles
 def test_bundle_roundtrip(tmp_path):
     bundle = ReplayBundle(
@@ -334,7 +320,7 @@ def test_cli_check_detects_mutation(monkeypatch, capsys):
 def test_default_workers_non_integer_env_falls_back(monkeypatch):
     """Satellite regression: REPRO_PARALLEL='4x'/'auto' must warn, not
     raise, and fall back to the cores-1 default."""
-    from repro.sim.parallel import default_workers
+    from repro.sweep.scheduler import default_workers
 
     monkeypatch.delenv("REPRO_PARALLEL", raising=False)
     fallback = default_workers()

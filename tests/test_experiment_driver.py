@@ -131,29 +131,26 @@ def test_scheme_comparison_table_rows_and_zeros(tiny_runner):
     assert "0" in lookup_row
 
 
-# ------------------------------------------------------------- prewarm
-def test_prewarm_reports_dropped_workload_objects(monkeypatch, tiny_machine):
-    """Regression: non-string workload entries (explicit Workload
-    objects, which cannot be rebuilt by name inside a worker) were
-    silently dropped from the parallel prewarm; now the drop emits a
-    structured ``prewarm.skipped_workloads`` event."""
+# ------------------------------------------------------------- workers
+def test_workers_reach_the_grid_pool_only(tmp_path, monkeypatch):
+    """``workers=`` sizes the scheduler pool a grid runs in, and changes
+    nothing in the artifact; a build-only spec has no pool: it refuses
+    ``workers=`` and walks in this process whatever ``REPRO_PARALLEL``
+    says."""
     from repro import telemetry
-    from repro.experiments.driver import ExperimentContext, _maybe_prewarm
-    from repro.workloads import get_workload
 
-    spec = get_spec("fig6")
-    cfg = SimConfig(machine=tiny_machine, refs_per_core=1000, seed=1)
-    ctx = ExperimentContext(spec, cfg)
-    explicit = get_workload("mcf", tiny_machine, 1000, 1)
-    monkeypatch.setenv("REPRO_PARALLEL", "1")
-    prewarmed = []
-    monkeypatch.setattr("repro.sim.parallel.prewarm_streams",
-                        lambda runner, names, **kw: prewarmed.append(names))
+    cfg = SimConfig(machine=get_machine("tiny"), refs_per_core=800, seed=7)
+    fig6 = get_spec("fig6")
+    kwargs = {"workloads": ("mcf", "lbm")}
     with telemetry.session(force=True, label="test") as sess:
-        _maybe_prewarm(ctx, ["mcf", explicit])
-        events = [e for e in sess.events
-                  if e["name"] == "prewarm.skipped_workloads"]
-    assert len(events) == 1
-    assert events[0]["skipped"] == 1 and events[0]["total"] == 2
-    assert "cannot prewarm by name" in events[0]["reason"]
-    assert prewarmed == []  # one name left -> nothing worth a pool
+        pooled = run_spec(fig6, cfg, workers=2, **kwargs)
+        assert sess.registry.snapshot()["counters"]["parallel.pools"] == 1
+    inline = run_spec(fig6, cfg, workers=1, **kwargs)
+    assert pooled.table == inline.table and pooled.series == inline.series
+
+    with pytest.raises(ConfigError, match="experiment ext-nine .*workers="):
+        run_spec(get_spec("ext-nine"), cfg, smoke=True, workers=2)
+    monkeypatch.setenv("REPRO_PARALLEL", "2")
+    with telemetry.session(force=True, label="test") as sess:
+        run_spec(get_spec("ext-nine"), cfg, smoke=True)
+        assert "parallel.pools" not in sess.registry.snapshot()["counters"]

@@ -34,9 +34,9 @@ from repro.faults import (
     RetryPolicy,
 )
 from repro.sim.config import SimConfig
-from repro.sim.parallel import default_worker_timeout, prewarm_streams
 from repro.sim.runner import ExperimentRunner
 from repro.sim.streamcache import StreamCache, resolve_cache, stream_key
+from repro.sweep.scheduler import default_worker_timeout
 from repro.util.validation import ConfigError
 from repro.workloads import get_workload
 from repro.workloads.tracefile import load_workload, save_workload
@@ -333,90 +333,118 @@ class TestStreamCacheFaults:
         assert loaded is not None and loaded.fingerprint() == clean_fp
 
 
-# ==================================================== prewarm fault sites
-class TestPrewarmFaults:
-    WORKLOADS = ["mcf", "lbm"]
+# ================================================= scheduler pool sites
+class TestPoolFaults:
+    """The ``parallel.*`` sites of the sweep scheduler's pool.  Crash and
+    hang are covered end to end in ``tests/test_sweep.py`` and
+    ``tests/test_sweep_journal.py``."""
 
-    def _serial_fingerprints(self, config):
-        runner = ExperimentRunner(config)
-        return {n: runner.stream(n).fingerprint() for n in self.WORKLOADS}
+    @staticmethod
+    def _cells():
+        from repro.sweep import SweepSpec
 
-    def _assert_prewarm_matches_serial(self, config, plan, timeout_s=None):
-        baseline = self._serial_fingerprints(
-            SimConfig(machine=config.machine,
-                      refs_per_core=config.refs_per_core, seed=config.seed)
-        )
-        runner = ExperimentRunner(config)
+        return SweepSpec(name="pool", machines=("tiny",),
+                         workloads=("mcf", "lbm"), schemes=("base", "redhip"),
+                         refs_per_core=1200).cells()
+
+    def _pooled_vs_serial(self, tmp_path, plan):
+        """Run the grid pooled under ``plan`` and serially without it;
+        return (telemetry session, journal records) of the pooled run."""
+        from repro.sweep import journal_path, read_journal, run_cells
+
+        cells = self._cells()
+        cache = str(tmp_path / "cache")
+        serial = run_cells(cells, "pool", tmp_path / "serial.sqlite",
+                           workers=1, stream_cache=cache)
+        store = tmp_path / "pooled.sqlite"
         with faults.scope(plan), telemetry.session(force=True) as sess:
-            out = prewarm_streams(runner, self.WORKLOADS, workers=2,
-                                  timeout_s=timeout_s)
-        assert {n: s.fingerprint() for n, s in out.items()} == baseline
-        return sess
+            pooled = run_cells(cells, "pool", store, workers=2,
+                               stream_cache=cache)
+        assert serial.ok and pooled.ok
+        assert pooled.digest == serial.digest
+        records, bad = read_journal(journal_path(store))
+        assert not bad
+        return sess, records
 
-    def test_worker_crash_degrades_to_serial(self, cached_config):
-        """A worker killed mid-prewarm (os._exit, as the OOM killer would)
-        loses only its shard: the parent re-walks it serially and the
-        result is bit-identical to an all-serial prewarm."""
-        plan = plan_of(FaultSpec(site="parallel.worker", kind="crash",
-                                 match="mcf", hits=[1]))
-        sess = self._assert_prewarm_matches_serial(cached_config, plan)
-        handled = [e for e in sess.events if e["name"] == "faults.handled"]
-        assert any(e["site"] == "parallel.worker"
-                   and e["action"] == "serial_fallback" for e in handled)
-        counters = sess.registry.snapshot()["counters"]
-        assert counters["parallel.worker_lost"] >= 1
-
-    def test_worker_exception_degrades_to_serial(self, cached_config):
+    def test_worker_exception_degrades_to_serial(self, tmp_path):
         plan = plan_of(FaultSpec(site="parallel.worker", kind="exception",
                                  match="lbm", hits=[1]))
-        sess = self._assert_prewarm_matches_serial(cached_config, plan)
-        handled = [e for e in sess.events if e["name"] == "faults.handled"]
-        reasons = [e["reason"] for e in handled
-                   if e["site"] == "parallel.worker"]
-        assert any("InjectedWorkerError" in r for r in reasons)
+        sess, records = self._pooled_vs_serial(tmp_path, plan)
+        handled = [e for e in sess.events if e["name"] == "faults.handled"
+                   and e["site"] == "parallel.worker"]
+        assert [e["action"] for e in handled] == ["serial_fallback"]
+        assert "InjectedWorkerError" in handled[0]["reason"]
+        lost = [r for r in records if r["event"] == "worker_lost"]
+        assert [r["workload"] for r in lost] == ["lbm"]
+        fallback = [r for r in records if r["event"] == "fallback_serial"]
+        assert [r["scope"] for r in fallback] == ["shard"]
+        assert sess.registry.snapshot()["counters"]["parallel.worker_lost"] == 1
 
-    def test_worker_hang_times_out_into_serial(self, cached_config):
-        plan = plan_of(
-            FaultSpec(site="parallel.worker", kind="hang", match="mcf",
-                      hits=[1], params={"sleep_s": 5.0}),
-            worker_timeout_s=0.5,
-        )
-        assert default_worker_timeout() != 0.5  # plan override only in scope
-        sess = self._assert_prewarm_matches_serial(cached_config, plan)
-        handled = [e for e in sess.events if e["name"] == "faults.handled"]
-        reasons = [e["reason"] for e in handled
-                   if e["site"] == "parallel.worker"]
-        assert any("timed out" in r for r in reasons)
-
-    def test_pool_spawn_failure_runs_everything_serially(self, cached_config,
+    def test_pool_spawn_failure_runs_everything_serially(self, tmp_path,
                                                          monkeypatch):
         plan = plan_of(FaultSpec(site="parallel.pool", kind="spawn_fail",
                                  hits=[1]))
         # Belt and braces: the pool must not even be constructed.
         monkeypatch.setattr(
-            "repro.sim.parallel.ProcessPoolExecutor",
+            "repro.sweep.scheduler.ProcessPoolExecutor",
             lambda *a, **k: (_ for _ in ()).throw(
                 AssertionError("pool constructed despite spawn_fail")),
         )
-        baseline = self._serial_fingerprints(
-            SimConfig(machine=cached_config.machine,
-                      refs_per_core=cached_config.refs_per_core,
-                      seed=cached_config.seed)
-        )
-        runner = ExperimentRunner(cached_config)
-        with faults.scope(plan), telemetry.session(force=True) as sess:
-            out = prewarm_streams(runner, self.WORKLOADS, workers=4)
-        assert {n: s.fingerprint() for n, s in out.items()} == baseline
+        sess, records = self._pooled_vs_serial(tmp_path, plan)
         handled = [e for e in sess.events if e["name"] == "faults.handled"]
-        assert any(e["site"] == "parallel.pool" and e["action"] == "serial_all"
-                   for e in handled)
+        assert [(e["site"], e["action"]) for e in handled] == \
+            [("parallel.pool", "serial_all")]
+        assert not [r for r in records if r["event"] == "worker_lost"]
+        fallback = [r for r in records if r["event"] == "fallback_serial"]
+        assert [r["scope"] for r in fallback] == ["pool"]
+        assert "parallel.pools" not in sess.registry.snapshot()["counters"]
 
     def test_worker_timeout_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "12.5")
         assert default_worker_timeout() == 12.5
-        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "soon")
-        with pytest.warns(RuntimeWarning, match="non-numeric"):
-            assert default_worker_timeout() == 600.0
+        monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "inf")
+        assert default_worker_timeout() == float("inf")
+        for bad in ("soon", "0", "-5", "nan"):
+            monkeypatch.setenv("REPRO_WORKER_TIMEOUT", bad)
+            with pytest.warns(RuntimeWarning, match="not a positive number"):
+                assert default_worker_timeout() == 600.0
+        # A fault plan's override wins, and only while it is installed.
+        with faults.scope(plan_of(worker_timeout_s=0.5)):
+            assert default_worker_timeout() == 0.5
+        assert default_worker_timeout() == 600.0
+
+    @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
+    def test_explicit_worker_timeout_must_be_positive(self, tmp_path, bad):
+        from repro.sweep import run_cells
+
+        with pytest.raises(ConfigError, match="timeout_s"):
+            run_cells(self._cells(), "pool", tmp_path / "s.sqlite",
+                      workers=2, timeout_s=bad)
+        assert not (tmp_path / "s.sqlite").exists()
+        with pytest.raises(ConfigError, match="worker_timeout_s"):
+            plan_of(worker_timeout_s=bad)
+        with pytest.raises(ConfigError, match="worker_timeout_s"):
+            FaultPlan.from_dict({"worker_timeout_s": bad})
+
+    def test_infinite_worker_timeout_never_times_out(self, tmp_path):
+        from repro.sweep import run_cells
+
+        cells = self._cells()
+        report = run_cells(cells, "pool", tmp_path / "s.sqlite", workers=2,
+                           timeout_s=float("inf"),
+                           stream_cache=str(tmp_path / "cache"))
+        assert report.ok and report.completed == len(cells)
+        assert plan_of(worker_timeout_s=float("inf")).worker_timeout_s \
+            == float("inf")
+
+    def test_cli_sweep_rejects_nonpositive_timeout(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = GOLDEN_DIR / "sweep_smoke.json"
+        rc = main(["sweep", str(spec), "--store", str(tmp_path / "s.sqlite"),
+                   "--workers", "2", "--timeout", "0"])
+        assert rc == 1
+        assert "timeout_s must be positive" in capsys.readouterr().err
 
 
 # =================================================== trace-file fault site

@@ -121,36 +121,8 @@ def test_format_table_rendering():
 
 
 # ---------------------------------------------------------------- parallel
-def test_prewarm_streams_serial_path(tiny_config):
-    from repro.sim.parallel import prewarm_streams
-    from repro.sim.runner import ExperimentRunner
-    runner = ExperimentRunner(tiny_config)
-    out = prewarm_streams(runner, ["mcf"], workers=1)
-    assert "mcf" in out
-    # The cache is warm: stream() returns the same object.
-    assert runner.stream("mcf") is out["mcf"]
-
-
-def test_prewarm_streams_parallel_matches_serial(tiny_config):
-    import numpy as np
-    from repro.sim.parallel import prewarm_streams, walk_one
-    from repro.sim.runner import ExperimentRunner
-
-    serial = ExperimentRunner(tiny_config)
-    s_mcf = serial.stream("mcf")
-    parallel = ExperimentRunner(tiny_config)
-    out = prewarm_streams(parallel, ["mcf", "bwaves"], workers=2)
-    assert set(out) == {"mcf", "bwaves"}
-    assert (out["mcf"].hit_level == s_mcf.hit_level).all()
-    assert parallel.stream("mcf") is out["mcf"]
-    # Worker entry point is directly callable and deterministic.
-    name, pol, stream = walk_one(tiny_config, "mcf")
-    assert name == "mcf" and pol == "inclusive"
-    assert (stream.hit_level == s_mcf.hit_level).all()
-
-
 def test_default_workers_env(monkeypatch):
-    from repro.sim.parallel import default_workers
+    from repro.sweep.scheduler import default_workers
     monkeypatch.setenv("REPRO_PARALLEL", "3")
     assert default_workers() == 3
     monkeypatch.delenv("REPRO_PARALLEL")

@@ -3,8 +3,7 @@
 The contract under test (see :mod:`repro.sim.streamcache`): a loaded
 stream is bit-identical to the walk that produced it — anything else
 (corrupt zip, tampered arrays, wrong key, stale schema) is discarded with
-a warning and the walk re-runs.  Plus the prewarm regression: a warm
-prewarm must not spawn a pool or re-walk anything.
+a warning and the walk re-runs.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
-from repro.sim.parallel import prewarm_streams
 from repro.sim import runner as runner_module
 from repro.sim.runner import ExperimentRunner
 from repro.sim.streamcache import (
@@ -307,37 +305,6 @@ def test_different_config_different_entry(cached_config):
         stream_cache=cached_config.stream_cache,
     )
     assert cache.load(stream_key("mcf", other)) is None  # seed is in the key
-
-
-# ---------------------------------------------------------------- prewarm
-def test_warm_prewarm_spawns_no_pool(cached_config, monkeypatch):
-    """Regression: prewarm used to re-walk workloads already in the cache."""
-    runner = ExperimentRunner(cached_config)
-    names = ["mcf", "bwaves"]
-    first = prewarm_streams(runner, names, workers=1)
-    assert set(first) == set(names)
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("warm prewarm spawned a process pool")
-
-    monkeypatch.setattr("repro.sim.parallel.ProcessPoolExecutor", no_pool)
-    _no_walk(monkeypatch)
-    second = prewarm_streams(runner, names, workers=4)
-    assert {n: s.fingerprint() for n, s in second.items()} == \
-        {n: s.fingerprint() for n, s in first.items()}
-
-
-def test_prewarm_loads_from_disk_into_fresh_runner(cached_config, monkeypatch):
-    prewarm_streams(ExperimentRunner(cached_config), ["mcf", "bwaves"], workers=1)
-    fresh = ExperimentRunner(cached_config)
-    monkeypatch.setattr(
-        "repro.sim.parallel.ProcessPoolExecutor",
-        lambda *a, **k: (_ for _ in ()).throw(AssertionError("pool spawned")),
-    )
-    _no_walk(monkeypatch)
-    out = prewarm_streams(fresh, ["mcf", "bwaves"], workers=4)
-    assert set(out) == {"mcf", "bwaves"}
-    assert len(fresh._streams) == 2
 
 
 # -------------------------------------------------------------------- CLI
