@@ -14,9 +14,10 @@ standards:
 1. **bit-identical artifact**: the rendered figure (table, notes and the
    raw series as JSON) must match the clean run byte for byte;
 2. **every fault handled**: each injected fault — and each deterministic
-   plan spec, which covers worker crashes whose in-worker records die
-   with the worker — must be matched by a ``faults.handled`` recovery
-   event at the same site in the run manifest;
+   plan spec, which covers faults whose in-worker records die with a
+   crashed worker — must be matched by a ``faults.handled`` recovery
+   event at the same site in the run manifest.  A worker crash itself is
+   drawn, and recorded, in the parent at the shard's dispatch;
 3. **equal evaluation counters**: the replay-path counters and the
    invariant ``violations``/``result_checks`` of the two manifests must
    be identical — chaos may cost extra walks and retries, but it may

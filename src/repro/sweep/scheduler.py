@@ -5,17 +5,17 @@ workload) — are grouped into one *shard*: the shard's worker walks the
 trajectory once (through the shared persistent stream cache) and
 evaluates every scheme cell against it, exactly how a memoized
 :class:`ExperimentRunner` amortizes walks inside one process.
-Shards fan out over a :class:`~concurrent.futures.ProcessPoolExecutor`,
-the repo's one process pool, with one misbehaviour budget: a worker that
-crashes, hangs past the timeout, or raises loses only its own shard,
-which re-executes serially in the parent; a pool that cannot spawn at
-all degrades to the serial path.  The ``parallel.worker`` and
-``parallel.pool`` fault sites and the ``parallel.*`` counters name that
-budget.
+Shards fan out over ``min(workers, shards)`` long-lived worker
+processes, the repo's one process pool, with one misbehaviour budget: a
+worker that crashes, raises, or holds its shard past the timeout
+(counted from dispatch; the parent kills it) loses only that shard,
+which re-executes serially in the parent while a fresh worker takes its
+place; a pool that cannot spawn at all degrades to the serial path.
+The ``parallel.*`` fault sites and counters name that budget.
 
-Results land in the append-only store *as each shard completes*, one
-transaction per shard (the parent is the only writer), so killing a
-sweep at any point preserves every finished shard; restarting the same
+Results land in the append-only store *as each shard completes*, in shard
+order, one transaction per shard (the parent is the only writer), so a
+killed sweep keeps every finished shard; restarting the same
 :class:`SweepSpec` skips every fingerprint already recorded and the
 final canonical store content is identical to an uninterrupted run's.
 
@@ -26,8 +26,8 @@ cell.
 Observability (see :mod:`repro.sweep.journal`): the parent journals
 every lifecycle event to ``<store-stem>.journal.ndjson`` regardless of
 telemetry activation, and pooled workers send periodic heartbeats
-(current cell, cells done, accesses replayed, rss) over a manager queue
-so the parent can tell a hung worker from a long cell — journalling
+(current cell, cells done, accesses replayed, rss) over their pipe to
+the parent so it can tell a hung worker from a long cell — journalling
 ``worker_stalled`` *before* the ``REPRO_WORKER_TIMEOUT`` serial
 fallback fires.  Journal writes happen only in the scheduler parent,
 never on the per-cell simulation path.
@@ -37,13 +37,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as queue_mod
 import threading
 import time
 import warnings
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import asdict, dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,12 +74,13 @@ __all__ = [
 ]
 
 #: Environment override for the worker heartbeat period in seconds
-#: (``0`` disables heartbeats; stall detection then rests on dispatch
-#: time alone).
+#: (``0`` disables heartbeats and with them stall detection; the
+#: timeout still fires).
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
 DEFAULT_HEARTBEAT_S = 2.0
 
-#: How often the parent drains heartbeats while waiting on a future.
+#: How long the parent waits on its workers' pipes between checks of
+#: deadlines and stalls.
 _POLL_S = 0.2
 
 #: Environment override for the per-shard worker timeout (seconds).
@@ -145,15 +144,16 @@ def default_worker_timeout() -> float:
     return DEFAULT_WORKER_TIMEOUT_S
 
 
-def _worker_faults(workload_name: str) -> None:
-    """The ``parallel.worker`` fault site, applied at worker entry.
+def _worker_faults(fired, workload_name: str) -> None:
+    """Act out the ``parallel.worker`` fault the parent drew for this
+    shard at dispatch (drawn there so its hit counters count per run, not
+    per worker process).
 
-    ``crash`` dies without cleanup (``os._exit`` — the pool reports a
-    broken executor, exactly like an OOM-killed worker), ``hang`` stalls
-    past the parent's timeout, ``exception`` raises.  All three must be
-    absorbed by :func:`_run_pooled`'s serial fallback.
+    ``crash`` dies without cleanup (``os._exit``, like an OOM-killed
+    worker), ``hang`` stalls past the parent's timeout, ``exception``
+    raises.  All three must be absorbed by :func:`_run_pooled`'s serial
+    fallback.
     """
-    fired = faults.check("parallel.worker", key=workload_name)
     if fired is None:
         return
     if fired.kind == "crash":
@@ -224,14 +224,6 @@ def sweep_stream_cache(spec: SweepSpec, store_path: Path) -> "str | None":
     if spec.stream_cache:
         return spec.stream_cache
     return default_stream_cache(store_path)
-
-
-def _ensure_plan(faults_plan: "str | None") -> None:
-    """Activate an explicitly passed fault plan (unless one is already
-    installed) — so plan-driven faults fire even at sites reached before
-    the first :class:`ExperimentRunner` exists (worker entry, pool spawn)."""
-    if faults_plan:
-        faults.ensure(SimpleNamespace(faults=str(faults_plan)))
 
 
 def shard_cells(cells) -> list:
@@ -331,20 +323,19 @@ def _rss_kb() -> int:
 
 
 class _Beacon:
-    """Worker-side heartbeat sender: a daemon thread ticks the manager
-    queue every ``interval`` seconds, plus an immediate tick at every
-    cell or batch start so the parent always knows the current work.
+    """Worker-side heartbeat sender: from construction, a daemon thread
+    posts a tick every ``interval`` seconds, plus an immediate tick at
+    every cell or batch start so the parent always knows the current work.
 
-    Queue sends are fire-and-forget — a dead manager (parent already
-    gone) must never take the shard down with it.
+    Sends are fire-and-forget — a closed pipe (parent already gone) must
+    never take the shard down with it.
     """
 
-    def __init__(self, channel, shard: int, workload: str, total: int,
+    def __init__(self, post, shard: int, workload: str, total: int,
                  interval: float) -> None:
-        self._channel = channel
+        self._post = post
         self._shard = shard
-        self._workload = workload
-        self._total = total
+        self._fixed = {"shard": shard, "workload": workload, "cells": total}
         self._interval = interval
         self._stop = threading.Event()
         self._cell = ""
@@ -352,10 +343,7 @@ class _Beacon:
         self._thread = threading.Thread(
             target=self._loop, name="sweep-heartbeat", daemon=True
         )
-
-    def start(self) -> None:
-        if self._interval > 0:
-            self._thread.start()
+        self._thread.start()
 
     def progress(self, cell_label: str, done: int) -> None:
         self._cell = cell_label
@@ -368,19 +356,11 @@ class _Beacon:
             int(sess.registry.counter_total("content.accesses"))
             if sess is not None else 0
         )
-        payload = {
-            "t": round(time.time(), 3),
-            "shard": self._shard,
-            "workload": self._workload,
-            "pid": os.getpid(),
-            "cell": self._cell,
-            "done": self._done,
-            "cells": self._total,
-            "accesses": accesses,
-            "rss_kb": _rss_kb(),
-        }
+        payload = {"t": round(time.time(), 3), **self._fixed,
+                   "pid": os.getpid(), "cell": self._cell, "done": self._done,
+                   "accesses": accesses, "rss_kb": _rss_kb()}
         try:
-            self._channel.put_nowait(payload)
+            self._post(("beat", self._shard, payload))
         except Exception:
             pass
 
@@ -390,6 +370,7 @@ class _Beacon:
 
     def stop(self) -> None:
         self._stop.set()
+        self._thread.join()
         self.tick()
 
 
@@ -505,28 +486,26 @@ def _execute_cells(cells, fingerprints, sweep_name: str,
 
 def run_shard(payloads: list, fingerprints: list, sweep_name: str,
               stream_cache: "str | None", faults_plan: "str | None",
-              heartbeats=None, shard: int = 0,
-              interval: float = DEFAULT_HEARTBEAT_S) -> tuple:
-    """Worker entry point (module-level, picklable).
+              post=None, shard: int = 0,
+              interval: float = DEFAULT_HEARTBEAT_S, fault=None) -> tuple:
+    """Run one shard in a pool worker: ``(rows, failures, stages,
+    snapshot)``.
 
     Cells travel as dicts and are rebuilt here (the workload generators
     are deterministic: shipping a few ints beats pickling trace arrays),
-    next to the fingerprints the parent already computed.  The worker always runs its own
-    telemetry session so per-cell fault summaries exist even when the
-    parent is untraced; the parent merges the snapshot only when tracing.
-    The ``parallel.worker`` fault site fires at entry, keyed by the
-    shard's workload, so existing crash/hang plans apply unchanged.
-    ``heartbeats`` is a manager queue proxy (or None on the serial path).
+    next to the fingerprints the parent already computed.  The worker
+    always runs its own telemetry session so per-cell fault summaries
+    exist even when the parent is untraced, which then drops the
+    snapshot.  ``fault`` is the ``parallel.worker`` fault the parent drew
+    at dispatch, acted out here; ``post`` carries heartbeats to the parent.
     """
     cells = [CellSpec(**p) for p in payloads]
-    _ensure_plan(faults_plan)
-    _worker_faults(cells[0].workload)
+    _worker_faults(fault, cells[0].workload)
     with telemetry.session(force=True, label=f"sweep-{cells[0].workload}") as sess:
         beacon = None
-        if heartbeats is not None:
-            beacon = _Beacon(heartbeats, shard, cells[0].workload,
+        if post is not None and interval > 0:
+            beacon = _Beacon(post, shard, cells[0].workload,
                              len(cells), interval)
-            beacon.start()
         try:
             rows, failures, stages = _execute_cells(
                 cells, fingerprints, sweep_name, stream_cache, faults_plan,
@@ -628,7 +607,10 @@ def run_cells(
     positive number of seconds (``inf`` never times out).
     """
     store_path = Path(store_path)
-    _ensure_plan(faults_plan)
+    if faults_plan:
+        # Install the plan now: the pool sites fire before any runner
+        # (which would install it) exists.
+        faults.ensure(SimpleNamespace(faults=str(faults_plan)))
     cells = list(cells)
     if fingerprints is None:
         fingerprints = [cell.fingerprint() for cell in cells]
@@ -715,191 +697,211 @@ def _run_inline(shards, name, store, report, stream_cache, faults_plan,
         _ingest(store, rows, failures, report, journal, stages)
 
 
-def _heartbeat_channel() -> tuple:
-    """A (manager, queue) pair for worker heartbeats, or (None, None).
+def _worker_main(conn, interval: float) -> None:
+    """A pool worker: run ``(shard, args, fault)`` tasks from ``conn``
+    until ``None``, posting heartbeats and each ``("done" | "lost", shard,
+    payload)`` outcome back; exit when idle if the parent died."""
+    parent, lock = os.getppid(), threading.Lock()
 
-    A plain ``multiprocessing.Queue`` cannot travel through
-    ``ProcessPoolExecutor.submit``; a manager proxy can.  The manager is
-    one extra parent-owned process for the sweep's duration — failure to
-    spawn it degrades to no heartbeats, never to a failed sweep.
-    """
-    try:
-        manager = multiprocessing.Manager()
-        return manager, manager.Queue()
-    except Exception as exc:
-        warnings.warn(
-            f"heartbeat manager failed to start ({exc.__class__.__name__}: "
-            f"{exc}); sweep runs without worker heartbeats",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None, None
+    def post(message) -> None:
+        with lock:
+            conn.send(message)
+
+    while True:
+        while not conn.poll(1.0):
+            if os.getppid() != parent:
+                return
+        try:
+            task = conn.recv()
+        except EOFError:
+            return
+        if task is None:
+            return
+        shard, args, fault = task
+        try:
+            post(("done", shard, run_shard(*args, post=post, shard=shard,
+                                           interval=interval, fault=fault)))
+        except Exception as exc:
+            post(("lost", shard, f"raised {exc.__class__.__name__}: {exc}"))
 
 
-class _ShardWatch:
-    """Parent-side liveness bookkeeping for one dispatched shard."""
+class _Worker:
+    """Parent-side handle on one pool worker: its process, its pipe, and
+    the shard it holds (None when idle) with its deadline and liveness."""
 
-    __slots__ = ("workload", "last_beat", "last_cell", "stalled", "done")
+    def __init__(self, interval: float) -> None:
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(
+            target=_worker_main, args=(child, interval), name="sweep-worker",
+            daemon=True)
+        try:
+            self.process.start()
+        finally:
+            child.close()  # the worker holds the only copy: its death is EOF
+        self.alive, self.shard = True, None
 
-    def __init__(self, workload: str) -> None:
-        self.workload = workload
+    def dispatch(self, index: int, workload: str, timeout: float,
+                 args: tuple) -> None:
+        """Hand over a shard and its ``parallel.worker`` fault draw."""
+        self.shard, self.workload, self.cell, self.stalled = \
+            index, workload, "", False
         self.last_beat = time.monotonic()
-        self.last_cell = ""
-        self.stalled = False
-        self.done = False
+        self.deadline = self.last_beat + timeout
+        self.send((index, args, faults.check("parallel.worker", key=workload)))
 
-
-def _drain_heartbeats(channel, journal: SweepJournal, watches: dict,
-                      traced: bool) -> None:
-    """Relay every queued worker tick into the journal (non-blocking)."""
-    if channel is None:
-        return
-    while True:
+    def send(self, message) -> None:
         try:
-            beat = channel.get_nowait()
-        except queue_mod.Empty:
-            return
-        except Exception:
-            return
+            self.conn.send(message)
+        except OSError:       # died idle; reaped with its shard next pass
+            self.alive = False
+
+    def receive(self) -> list:
+        """Every message waiting; EOF (after the last one) marks it dead."""
+        messages = []
+        try:
+            while self.conn.poll():
+                messages.append(self.conn.recv())
+        except (EOFError, OSError):
+            self.alive = False
+        return messages
+
+    def heard(self, beat: dict, journal: SweepJournal) -> None:
+        """Relay one heartbeat of the held shard into the journal."""
         journal.append("heartbeat", **beat)
-        if traced:
-            telemetry.count("sweep.heartbeat")
-        watch = watches.get(beat.get("shard"))
-        if watch is not None:
-            watch.last_beat = time.monotonic()
-            watch.last_cell = str(beat.get("cell", ""))
-            if watch.stalled:
-                watch.stalled = False
-                journal.append("worker_recovered", shard=beat.get("shard"),
-                               workload=watch.workload)
+        telemetry.count("sweep.heartbeat")
+        self.last_beat, self.cell = time.monotonic(), str(beat.get("cell", ""))
+        if self.stalled:
+            self.stalled = False
+            journal.append("worker_recovered", shard=self.shard,
+                           workload=self.workload)
 
+    def check_stall(self, stall_after: float, journal: SweepJournal) -> None:
+        """Journal ``worker_stalled`` once per silence episode of the held
+        shard — always before its timeout fires."""
+        if self.shard is None or self.stalled:
+            return
+        silent = time.monotonic() - self.last_beat
+        if silent < stall_after:
+            return
+        self.stalled = True
+        journal.append("worker_stalled", shard=self.shard,
+                       workload=self.workload, silent_s=round(silent, 3),
+                       cell=self.cell)
+        telemetry.count("sweep.worker_stalled")
+        telemetry.event("sweep.worker_stalled", shard=self.shard,
+                        workload=self.workload, silent_s=round(silent, 3))
 
-def _check_stalls(journal: SweepJournal, watches: dict, stall_after: float,
-                  traced: bool) -> None:
-    """Journal ``worker_stalled`` for every silent-too-long live shard —
-    once per silence episode, and always before the timeout fallback."""
-    now = time.monotonic()
-    for index, watch in watches.items():
-        if watch.done or watch.stalled:
-            continue
-        silent = now - watch.last_beat
-        if silent >= stall_after:
-            watch.stalled = True
-            journal.append("worker_stalled", shard=index,
-                           workload=watch.workload,
-                           silent_s=round(silent, 3), cell=watch.last_cell)
-            if traced:
-                telemetry.count("sweep.worker_stalled")
-                telemetry.event("sweep.worker_stalled", shard=index,
-                                workload=watch.workload,
-                                silent_s=round(silent, 3))
-
-
-def _await_shard(fut, timeout: float, tick) -> tuple:
-    """Wait on one shard future with the same per-future timeout budget
-    as a bare ``result(timeout=...)``, draining heartbeats via ``tick``
-    between short polls so the journal stays live while we block."""
-    deadline = time.monotonic() + timeout
-    while True:
-        remaining = deadline - time.monotonic()
-        if remaining <= 0:
-            raise FutureTimeoutError()
-        try:
-            return fut.result(timeout=min(_POLL_S, remaining))
-        except FutureTimeoutError:
-            tick()
+    def stop(self) -> None:
+        """Let an idle worker exit; kill a busy, hung or unresponsive one."""
+        if self.alive and self.shard is None:
+            self.send(None)
+            self.process.join(1.0)
+        self.process.kill()             # a no-op once it has exited
+        self.process.join()
+        self.conn.close()
 
 
 def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                 nworkers, timeout, journal: SweepJournal) -> None:
-    """Fan ``(cells, fingerprints)`` shards over a process pool,
-    absorbing every worker loss.
+    """Fan ``(cells, fingerprints)`` shards over ``min(nworkers, shards)``
+    long-lived worker processes, ingesting outcomes in shard order.
 
-    Spawn failure degrades to all-serial; a timeout/crash/exception
-    costs only that shard, which re-runs serially in the parent (skipping
-    the worker-entry fault site, so an injected crash does not re-fire in
-    the fallback)."""
+    The ``parallel.worker`` site is drawn here at dispatch.  Spawn failure
+    degrades to all-serial.  A worker that dies, raises, or still holds
+    its shard ``timeout`` seconds after dispatch (it is killed) loses only
+    that shard, which re-runs serially once the pool drains (past the
+    worker-entry fault site, so an injected crash does not re-fire); a
+    fresh worker replaces it while shards still wait."""
+    interval = heartbeat_interval()
+    width = min(nworkers, len(shards))
+    workers: list = []
     try:
         fired = faults.check("parallel.pool")
         if fired is not None and fired.kind == "spawn_fail":
             raise faults.InjectedFault(11, "injected pool spawn failure")
-        pool = ProcessPoolExecutor(max_workers=min(nworkers, len(shards)))
+        while len(workers) < width:
+            workers.append(_Worker(interval))
     except OSError as exc:
+        for worker in workers:
+            worker.stop()
         faults.handled("parallel.pool", "serial_all", workloads=len(shards),
                        error=f"{exc.__class__.__name__}: {exc}")
         journal.append("fallback_serial", scope="pool",
                        reason=f"{exc.__class__.__name__}: {exc}")
-        warnings.warn(
-            f"sweep pool failed to spawn ({exc}); running "
-            f"{len(shards)} shard(s) serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"sweep pool failed to spawn ({exc}); running "
+                      f"{len(shards)} shard(s) serially", RuntimeWarning,
+                      stacklevel=3)
         _run_inline(shards, name, store, report, stream_cache, faults_plan,
                     journal)
         return
     telemetry.count("parallel.pools")
-    traced = telemetry.active() is not None
-    interval = heartbeat_interval()
-    manager, channel = (_heartbeat_channel() if interval > 0
-                        else (None, None))
     # Stall threshold: several missed beats, but always strictly before
     # the timeout fallback so the journal explains what is about to die.
     stall_after = min(max(3 * interval, 1.0), 0.5 * timeout)
-    watches: dict = {}
+    settled: dict = {}        # shard index -> worker outcome, None if lost
     lost: list = []
-    abandoned = False
+    dispatched = ingested = 0
 
-    def tick() -> None:
-        if channel is None:
-            # No heartbeat channel: silence is indistinguishable from
-            # health, so stall detection stays off (timeout still fires).
-            return
-        _drain_heartbeats(channel, journal, watches, traced)
-        _check_stalls(journal, watches, stall_after, traced)
+    def lose(index: int, reason: str) -> None:
+        settled[index] = None
+        lost.append((index, *shards[index], reason))
 
     try:
-        futures = []
-        for index, (shard, fps) in enumerate(shards):
-            fut = pool.submit(run_shard, [asdict(c) for c in shard], fps,
-                              name, stream_cache, faults_plan,
-                              channel, index, interval)
-            watches[index] = _ShardWatch(shard[0].workload)
-            journal.append("shard_dispatched", shard=index,
-                           workload=shard[0].workload, cells=len(shard),
-                           fingerprints=fps)
-            futures.append((index, shard, fps, fut))
-        for index, shard, fps, fut in futures:
+        while ingested < len(shards):
+            for worker in workers:
+                if worker.shard is None and dispatched < len(shards):
+                    shard, fps = shards[dispatched]
+                    journal.append("shard_dispatched", shard=dispatched,
+                                   workload=shard[0].workload,
+                                   cells=len(shard), fingerprints=fps)
+                    worker.dispatch(dispatched, shard[0].workload, timeout, (
+                        [asdict(c) for c in shard], fps, name, stream_cache,
+                        faults_plan))
+                    dispatched += 1
+            ready = wait([worker.conn for worker in workers], _POLL_S)
+            for worker in list(workers):
+                for kind, index, payload in (
+                        worker.receive() if worker.conn in ready else ()):
+                    if kind == "beat":
+                        worker.heard(payload, journal)
+                        continue
+                    worker.shard = None
+                    if kind == "done":
+                        settled[index] = payload
+                    else:
+                        lose(index, payload)
+                if worker.alive and (worker.shard is None
+                                     or time.monotonic() < worker.deadline):
+                    if interval > 0:
+                        worker.check_stall(stall_after, journal)
+                    continue
+                timed_out = worker.alive
+                worker.stop()
+                workers.remove(worker)
+                if worker.shard is not None:
+                    lose(worker.shard, f"timed out after {timeout:g}s"
+                         if timed_out else "died without returning a result "
+                         f"(exit code {worker.process.exitcode})")
             try:
-                rows, failures, stages, snapshot = _await_shard(
-                    fut, timeout, tick)
-            except FutureTimeoutError:
-                lost.append((index, shard, fps,
-                             f"timed out after {timeout:g}s"))
-                abandoned = True
-                continue
-            except BrokenExecutor:
-                lost.append((index, shard, fps,
-                             "died without returning a result "
-                             "(process pool broken)"))
-                abandoned = True
-                continue
-            except Exception as exc:
-                lost.append((index, shard, fps,
-                             f"raised {exc.__class__.__name__}: {exc}"))
-                continue
-            finally:
-                watches[index].done = True
-            tick()
-            if traced:
-                telemetry.merge_snapshot(snapshot)
-            _ingest(store, rows, failures, report, journal, stages)
+                while len(workers) < width and dispatched < len(shards):
+                    workers.append(_Worker(interval))
+            except OSError as exc:
+                if not workers:   # nothing left to run the waiting shards
+                    for index in range(dispatched, len(shards)):
+                        lose(index, "was never dispatched: no worker could "
+                             f"be respawned ({exc.__class__.__name__}: {exc})")
+                    dispatched = len(shards)
+            while ingested in settled:
+                outcome = settled.pop(ingested)
+                ingested += 1
+                if outcome is not None:
+                    rows, failures, stages, snapshot = outcome
+                    telemetry.merge_snapshot(snapshot)
+                    _ingest(store, rows, failures, report, journal, stages)
     finally:
-        tick()
-        pool.shutdown(wait=not abandoned, cancel_futures=True)
-        if manager is not None:
-            manager.shutdown()
-    for index, shard, fps, reason in lost:
+        for worker in workers:
+            worker.stop()
+    for index, shard, fps, reason in sorted(lost, key=lambda item: item[0]):
         telemetry.count("parallel.worker_lost")
         journal.append("worker_lost", shard=index,
                        workload=shard[0].workload, reason=reason)
@@ -907,12 +909,9 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                        reason=reason)
         faults.handled("parallel.worker", "serial_fallback",
                        workload=shard[0].workload, reason=reason)
-        warnings.warn(
-            f"sweep worker for {shard[0].workload!r} {reason}; "
-            f"re-running the shard serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"sweep worker for {shard[0].workload!r} {reason}; "
+                      f"re-running the shard serially", RuntimeWarning,
+                      stacklevel=3)
         rows, failures, stages = _execute_cells(shard, fps, name,
                                                 stream_cache, faults_plan)
         _ingest(store, rows, failures, report, journal, stages)

@@ -384,9 +384,9 @@ class TestPoolFaults:
                                                          monkeypatch):
         plan = plan_of(FaultSpec(site="parallel.pool", kind="spawn_fail",
                                  hits=[1]))
-        # Belt and braces: the pool must not even be constructed.
+        # Belt and braces: no pool worker may even be constructed.
         monkeypatch.setattr(
-            "repro.sweep.scheduler.ProcessPoolExecutor",
+            "repro.sweep.scheduler._Worker",
             lambda *a, **k: (_ for _ in ()).throw(
                 AssertionError("pool constructed despite spawn_fail")),
         )
@@ -398,6 +398,45 @@ class TestPoolFaults:
         fallback = [r for r in records if r["event"] == "fallback_serial"]
         assert [r["scope"] for r in fallback] == ["pool"]
         assert "parallel.pools" not in sess.registry.snapshot()["counters"]
+
+    def test_failed_respawn_runs_the_waiting_shards_serially(self, tmp_path,
+                                                             monkeypatch):
+        """A lost worker whose replacement cannot spawn: the surviving
+        worker carries on, and once none is left the shards still waiting
+        re-run serially like lost ones."""
+        from repro.sweep import SweepSpec, journal_path, read_journal, run_cells
+        from repro.sweep import scheduler
+
+        real, spawned = scheduler._Worker, []
+
+        def two_workers(interval):
+            if len(spawned) == 2:
+                raise OSError(11, "injected respawn failure")
+            spawned.append(real(interval))
+            return spawned[-1]
+
+        monkeypatch.setattr(scheduler, "_Worker", two_workers)
+        # Shards run mcf/1, mcf/2, lbm/1, lbm/2; each workload's first
+        # shard crashes its worker.
+        cells = SweepSpec(name="pool", machines=("tiny",),
+                          workloads=("mcf", "lbm"), schemes=("base", "redhip"),
+                          refs_per_core=1200, seeds=(1, 2)).cells()
+        cache = str(tmp_path / "cache")
+        serial = run_cells(cells, "pool", tmp_path / "serial.sqlite",
+                           workers=1, stream_cache=cache)
+        store = tmp_path / "pooled.sqlite"
+        plan = plan_of(FaultSpec(site="parallel.worker", kind="crash",
+                                 hits=[1]))
+        with faults.scope(plan):
+            pooled = run_cells(cells, "pool", store, workers=2,
+                               stream_cache=cache)
+        assert pooled.ok and pooled.digest == serial.digest
+        records, bad = read_journal(journal_path(store))
+        assert not bad
+        lost = [r for r in records if r["event"] == "worker_lost"]
+        assert [r["shard"] for r in lost] == [0, 2, 3]
+        assert "exit code 23" in lost[0]["reason"]
+        assert "never dispatched" in lost[2]["reason"]
 
     def test_worker_timeout_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_TIMEOUT", "12.5")

@@ -30,8 +30,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 @pytest.fixture(autouse=True)
 def _clean_faults():
-    """A sweep's explicitly passed plan installs process-wide (so worker-
-    entry sites fire); never let one leak into the next test."""
+    """A sweep's explicitly passed plan installs process-wide (so the pool
+    sites fire before any runner exists); never let one leak into the
+    next test."""
     from repro import faults
 
     yield
@@ -379,6 +380,30 @@ def test_worker_crash_falls_back_to_serial(tmp_path):
     assert report.ok and report.completed == report.total == 4
     clean = run_sweep(spec, tmp_path / "clean.sqlite", workers=1)
     assert report.digest == clean.digest
+
+
+def test_worker_crash_loses_only_its_own_shard(tmp_path):
+    """One crashed worker costs one shard: the other in-flight shard
+    finishes in its own worker instead of re-running serially."""
+    from repro.sweep import journal_path, read_journal, run_cells
+
+    cells = tiny_spec(seeds=(1, 2)).cells()
+    cache = str(tmp_path / "cache")
+    serial = run_cells(cells, "t", tmp_path / "serial.sqlite", workers=1,
+                       stream_cache=cache)
+    plan = _plan(tmp_path, {"site": "parallel.worker", "kind": "crash",
+                            "match": "mcf", "hits": [1]})
+    store = tmp_path / "s.sqlite"
+    report = run_cells(cells, "t", store, workers=2, timeout_s=60.0,
+                       faults_plan=plan, stream_cache=cache)
+    assert report.shards == 4 and report.ok
+    assert report.digest == serial.digest
+    records, bad = read_journal(journal_path(store))
+    assert not bad
+    lost = [r for r in records if r["event"] == "worker_lost"]
+    assert [r["workload"] for r in lost] == ["mcf"]
+    assert "exit code 23" in lost[0]["reason"]
+    assert len([r for r in records if r["event"] == "fallback_serial"]) == 1
 
 
 def test_failing_cell_is_skipped_then_retried_next_run(tmp_path):

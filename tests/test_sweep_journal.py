@@ -240,6 +240,40 @@ def test_worker_loss_journals_stall_then_fallback(tmp_path, monkeypatch):
     assert any(f["scope"] == "shard" for f in fallbacks)
 
 
+def test_one_hit_hang_costs_one_shard_and_its_worker(tmp_path, capfd):
+    """A one-hit hang fires once per run, not once per worker process:
+    one shard times out, its worker is killed rather than abandoned, the
+    run ends long before the hang would, and stderr carries no traceback."""
+    import multiprocessing
+    import time
+
+    from repro.sweep import run_cells
+
+    spec = tiny_spec(seeds=(1, 2), stream_cache=str(tmp_path / "cache"))
+    sleep_s = 30.0
+    plan = _plan(tmp_path, {"site": "parallel.worker", "kind": "hang",
+                            "match": "mcf", "hits": [1],
+                            "params": {"sleep_s": sleep_s}})
+    store = tmp_path / "s.sqlite"
+    t0 = time.monotonic()
+    report = run_cells(spec.cells(), spec.name, store, workers=2,
+                       timeout_s=2.0, faults_plan=plan,
+                       stream_cache=spec.stream_cache)
+    elapsed = time.monotonic() - t0
+    assert report.ok and report.shards == 4
+    assert elapsed < sleep_s / 2
+    assert multiprocessing.active_children() == []
+    records, _ = read_journal(journal_path(store))
+    _assert_valid(records)
+    losses = _events(records, "worker_lost")
+    assert [r["workload"] for r in losses] == ["mcf"]
+    assert "timed out" in losses[0]["reason"]
+    assert len(_events(records, "fallback_serial")) == 1
+    kinds = [r["event"] for r in records]
+    assert kinds.index("worker_stalled") < kinds.index("worker_lost")
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_pooled_heartbeats_reach_the_journal(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_HEARTBEAT", "0.02")
     spec = tiny_spec(seeds=(1, 2), stream_cache=str(tmp_path / "cache"))
