@@ -44,6 +44,7 @@ from repro.faults.plan import SITES, FaultPlan, FaultSpec, RetryPolicy, load_pla
 from repro.faults.retry import (
     RetryExhausted,
     add_listener,
+    clear_listeners,
     handled,
     remove_listener,
     run_with_retries,
@@ -62,6 +63,7 @@ __all__ = [
     "RetryPolicy",
     "add_listener",
     "check",
+    "clear_listeners",
     "current",
     "damage_file",
     "ensure",

@@ -21,13 +21,14 @@ from repro import telemetry
 from repro.faults.plan import RetryPolicy
 
 __all__ = ["RetryExhausted", "run_with_retries", "handled",
-           "add_listener", "remove_listener"]
+           "add_listener", "remove_listener", "clear_listeners"]
 
 #: Process-local observers of :func:`handled`, called as
 #: ``listener(site, action, fields)``.  The sweep scheduler parent
 #: registers one to journal every recovery path unconditionally —
-#: unlike the telemetry mirror, which no-ops untraced.  Worker processes
-#: start with an empty list, so journal writes stay parent-only.
+#: unlike the telemetry mirror, which no-ops untraced.  Its pool workers
+#: clear the list they inherit by fork (:func:`clear_listeners`), so
+#: journal writes stay parent-only.
 _LISTENERS: list = []
 
 
@@ -43,6 +44,11 @@ def remove_listener(listener) -> None:
         _LISTENERS.remove(listener)
     except ValueError:
         pass
+
+
+def clear_listeners() -> None:
+    """Drop every observer (a forked worker's first step)."""
+    _LISTENERS.clear()
 
 
 class RetryExhausted(Exception):

@@ -210,7 +210,7 @@ class OutcomeStream:
         for name, dtype in RECORD_FIELDS:
             arr = np.ascontiguousarray(getattr(self, name), dtype=dtype)
             digest.update(np.int64(len(arr)).tobytes())
-            digest.update(arr.tobytes())
+            digest.update(arr)      # the contiguous buffer itself, no copy
         return digest.hexdigest()
 
     def level_lookups(self, level: int) -> int:

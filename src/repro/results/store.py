@@ -108,9 +108,15 @@ def _canon_number(value) -> "str | float | int | None":
     return value
 
 
+#: Built once: ``json.dumps`` with non-default arguments constructs a
+#: fresh encoder on every call.  The sweep journal encodes its record
+#: lines through :func:`canonical_json` too.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(doc: dict) -> str:
     """Sorted-key, tight-separator JSON: the store's canonical encoding."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(doc)
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ Design rules:
 * **parent-only, append-only** — workers never touch the file; records
   are only ever appended, so resuming a killed sweep appends a new
   ``run_started`` without rewriting history;
-* **crash-safe by line** — each record is one ``write()`` of one
-  ``\\n``-terminated line followed by a flush, so killing the parent
-  leaves at most one truncated trailing line.  On open, an unterminated
-  tail (from a previous crash) is terminated before anything new is
-  appended, and :func:`read_journal` skips unparseable lines instead of
-  failing.  The file is fsynced on ``run_finished`` (and on close);
+* **crash-safe by line** — each batch of records (one record, or one
+  shard's outcomes) is one ``write()`` of ``\\n``-terminated lines
+  followed by a flush, so killing the parent leaves at most one
+  truncated trailing line.  On open, an unterminated tail (from a
+  previous crash) is terminated before anything new is appended, and
+  :func:`read_journal` skips unparseable lines instead of failing.  The
+  file is fsynced on ``run_finished`` (and on close);
 * **best-effort** — a journal write failure (full disk, revoked
   permissions) degrades to a warning: observability must never take
   down the sweep it observes.
@@ -36,6 +37,8 @@ import os
 import time
 import warnings
 from pathlib import Path
+
+from repro.results.store import canonical_json
 
 __all__ = [
     "JOURNAL_SCHEMA",
@@ -96,9 +99,10 @@ def journal_path(store_path: "str | Path") -> Path:
 class SweepJournal:
     """Append-only NDJSON writer for one sweep store's lifecycle events.
 
-    Only the scheduler parent holds one; every :meth:`append` is a single
-    line-atomic write + flush, so readers (``repro watch``) see complete
-    records mid-run and a killed parent corrupts at most the final line.
+    Only the scheduler parent holds one; every :meth:`append_many` (and
+    :meth:`append`, its one-record case) is a single write + flush of
+    whole lines, so readers (``repro watch``) see complete records mid-run
+    and a killed parent corrupts at most the final line.
     """
 
     def __init__(self, path: "str | Path") -> None:
@@ -143,12 +147,20 @@ class SweepJournal:
     def append(self, event: str, **fields) -> None:
         """Append one record; ``t`` defaults to now (callers may override
         it with the originating process's wall clock, e.g. heartbeats)."""
+        self.append_many([(event, fields)])
+
+    def append_many(self, records) -> None:
+        """Append ``(event, fields)`` records, in order, in one write and
+        one flush; each record's ``t`` defaults to now, as in :meth:`append`."""
         if self._fh is None:
             return
-        record = {"event": event, "t": round(time.time(), 3), **fields}
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        text = "".join(
+            canonical_json({"event": event, "t": round(time.time(), 3), **fields})
+            + "\n"
+            for event, fields in records
+        )
         try:
-            self._fh.write(line + "\n")
+            self._fh.write(text)
             self._fh.flush()
         except OSError as exc:
             self._warn_once(exc)

@@ -494,10 +494,11 @@ def run_shard(payloads: list, fingerprints: list, sweep_name: str,
     Cells travel as dicts and are rebuilt here (the workload generators
     are deterministic: shipping a few ints beats pickling trace arrays),
     next to the fingerprints the parent already computed.  The worker
-    always runs its own telemetry session so per-cell fault summaries
-    exist even when the parent is untraced, which then drops the
-    snapshot.  ``fault`` is the ``parallel.worker`` fault the parent drew
-    at dispatch, acted out here; ``post`` carries heartbeats to the parent.
+    always runs its own telemetry session so per-cell fault summaries and
+    handled faults reach the parent even when it is untraced (it then
+    journals the handled faults and drops the rest of the snapshot).
+    ``fault`` is the ``parallel.worker`` fault the parent drew at
+    dispatch, acted out here; ``post`` carries heartbeats to the parent.
     """
     cells = [CellSpec(**p) for p in payloads]
     _worker_faults(fault, cells[0].workload)
@@ -518,25 +519,29 @@ def run_shard(payloads: list, fingerprints: list, sweep_name: str,
 
 
 def _ingest(store: ResultsStore, rows, failures, report: SweepReport,
-            journal: SweepJournal, stages: "dict | None" = None) -> None:
+            journal: SweepJournal, stages: "dict | None" = None,
+            handled: tuple = ()) -> None:
     """Record one shard's outcome (parent-side single writer).
 
     The shard's rows commit in one store transaction, and only then is
-    each outcome journalled, so a journalled ``cell_completed`` is always
-    durable in the store.  Every outcome is journalled *unconditionally*;
-    the ``sweep.cell`` telemetry events and ``sweep.cells.*`` counters
-    mirror it only when a session is active.
+    the shard journalled, in one write: its worker's ``handled`` fault
+    records first, then each cell's outcome — so a journalled
+    ``cell_completed`` is always durable in the store.  Every outcome is
+    journalled *unconditionally*; the ``sweep.cell`` telemetry events and
+    ``sweep.cells.*`` counters mirror it only when a session is active.
     """
     stages = stages or {}
     with store.transaction():
         accepted = [store.append(row) for row in rows]
+    records = list(handled)
     for row, added in zip(rows, accepted):
         if added:
             report.completed += 1
-            journal.append("cell_completed", fingerprint=row.fingerprint,
-                           cell=f"{row.workload}/{row.scheme}",
-                           wall_s=round(row.wall_s, 6), faults=row.faults,
-                           stages=stages.get(row.fingerprint, {}))
+            records.append(("cell_completed", {
+                "fingerprint": row.fingerprint,
+                "cell": f"{row.workload}/{row.scheme}",
+                "wall_s": round(row.wall_s, 6), "faults": row.faults,
+                "stages": stages.get(row.fingerprint, {})}))
             telemetry.count("sweep.cells.completed")
             telemetry.event("sweep.cell", fingerprint=row.fingerprint,
                             cell=f"{row.workload}/{row.scheme}",
@@ -546,16 +551,30 @@ def _ingest(store: ResultsStore, rows, failures, report: SweepReport,
             # resumes racing): append-only means first write wins and
             # ours — bit-identical by construction — is dropped.
             report.resumed += 1
-            journal.append("cell_resumed", fingerprint=row.fingerprint,
-                           raced=True)
+            records.append(("cell_resumed", {"fingerprint": row.fingerprint,
+                                             "raced": True}))
             telemetry.count("sweep.cells.resumed")
     for fingerprint, label, reason in failures:
         report.failed.append((fingerprint, label, reason))
-        journal.append("cell_failed", fingerprint=fingerprint, cell=label,
-                       reason=reason)
+        records.append(("cell_failed", {"fingerprint": fingerprint,
+                                        "cell": label, "reason": reason}))
         telemetry.count("sweep.cells.failed")
         telemetry.event("sweep.cell_failed", fingerprint=fingerprint,
                         cell=label, reason=reason)
+    journal.append_many(records)
+
+
+def _handled_records(snapshot: dict) -> list:
+    """A pool worker's ``faults.handled`` events (from its telemetry
+    snapshot) as ``fault_handled`` journal records, stamped with the
+    worker's wall clock — the parent journals them for the worker."""
+    return [
+        ("fault_handled", {"t": round(snapshot["epoch_unix"] + event["t_s"], 3),
+                           **{k: v for k, v in event.items()
+                              if k not in ("name", "t_s")}})
+        for event in snapshot["events"]
+        if event["name"] == "faults.handled"
+    ]
 
 
 def run_sweep(
@@ -648,13 +667,14 @@ def run_cells(
         report.shards = len(shards)
         report.workers = min(nworkers, len(shards)) if shards else 0
 
-        journal.append("run_started", sweep=name, schema=JOURNAL_SCHEMA,
-                       store=str(store_path), pid=os.getpid(),
-                       total=len(cells), pending=len(pending),
-                       resumed=report.resumed, shards=len(shards),
-                       workers=report.workers)
-        for fp in resumed_fps:
-            journal.append("cell_resumed", fingerprint=fp)
+        journal.append_many([
+            ("run_started", {"sweep": name, "schema": JOURNAL_SCHEMA,
+                             "store": str(store_path), "pid": os.getpid(),
+                             "total": len(cells), "pending": len(pending),
+                             "resumed": report.resumed, "shards": len(shards),
+                             "workers": report.workers}),
+            *(("cell_resumed", {"fingerprint": fp}) for fp in resumed_fps),
+        ])
 
         def _on_handled(site, action, fields):
             journal.append("fault_handled", site=site, action=action, **fields)
@@ -700,7 +720,12 @@ def _run_inline(shards, name, store, report, stream_cache, faults_plan,
 def _worker_main(conn, interval: float) -> None:
     """A pool worker: run ``(shard, args, fault)`` tasks from ``conn``
     until ``None``, posting heartbeats and each ``("done" | "lost", shard,
-    payload)`` outcome back; exit when idle if the parent died."""
+    payload)`` outcome back; exit when idle if the parent died.
+
+    The parent's ``faults.handled`` listeners (its journal) are dropped on
+    entry: the worker's recoveries reach the journal through the parent,
+    from the telemetry snapshot that travels with each outcome."""
+    faults.clear_listeners()
     parent, lock = os.getppid(), threading.Lock()
 
     def post(message) -> None:
@@ -897,7 +922,8 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                 if outcome is not None:
                     rows, failures, stages, snapshot = outcome
                     telemetry.merge_snapshot(snapshot)
-                    _ingest(store, rows, failures, report, journal, stages)
+                    _ingest(store, rows, failures, report, journal, stages,
+                            _handled_records(snapshot))
     finally:
         for worker in workers:
             worker.stop()

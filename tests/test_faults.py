@@ -35,7 +35,8 @@ from repro.faults import (
 )
 from repro.sim.config import SimConfig
 from repro.sim.runner import ExperimentRunner
-from repro.sim.streamcache import StreamCache, resolve_cache, stream_key
+from repro.sim.streamcache import (ENTRY_SUFFIX, StreamCache, resolve_cache,
+                                  stream_key)
 from repro.sweep.scheduler import default_worker_timeout
 from repro.util.validation import ConfigError
 from repro.workloads import get_workload
@@ -535,15 +536,15 @@ class TestCli:
 
         ExperimentRunner(cached_config).stream("mcf")
         cache_dir = str(cached_config.stream_cache)
-        junk = Path(cache_dir) / "junk.npz"
-        junk.write_bytes(b"not a zip")
+        junk = Path(cache_dir) / f"junk{ENTRY_SUFFIX}"
+        junk.write_bytes(b"not a stream-cache entry")
         # Without --discard: flags it, exits 1, leaves it.
         assert main(["cache", "verify", "--dir", cache_dir]) == 1
         assert junk.exists()
         # With --discard: removes it and still exits 1 (CI must notice).
         assert main(["cache", "verify", "--dir", cache_dir, "--discard"]) == 1
         out = capsys.readouterr().out
-        assert "discarded junk.npz" in out
+        assert f"discarded junk{ENTRY_SUFFIX}" in out
         assert not junk.exists()
         assert main(["cache", "verify", "--dir", cache_dir]) == 0
 

@@ -2,13 +2,12 @@
 
 The contract under test (see :mod:`repro.sim.streamcache`): a loaded
 stream is bit-identical to the walk that produced it — anything else
-(corrupt zip, tampered arrays, wrong key, stale schema) is discarded with
-a warning and the walk re-runs.
+(bad header, cut file, tampered arrays, wrong key, stale schema) is
+discarded with a warning and the walk re-runs.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +17,14 @@ from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
 from repro.sim import runner as runner_module
 from repro.sim.runner import ExperimentRunner
+from repro.hierarchy.events import RECORD_FIELDS, OutcomeStream
 from repro.sim.streamcache import (
     CACHE_ENV,
+    ENTRY_SUFFIX,
     StreamCache,
+    _header_bytes,
+    _parse_record,
+    _write_record,
     resolve_cache,
     stream_key,
 )
@@ -153,30 +157,33 @@ def test_corrupt_entry_discarded_with_warning(cached_config):
     assert path.exists()
 
 
+def _entry(path: Path) -> tuple:
+    """``(meta, arrays)`` of a cache entry, through the module's reader."""
+    return _parse_record(path.read_bytes())
+
+
+def _rewrite(path: Path, meta: "dict | None" = None, **changes) -> None:
+    """Rewrite a cache entry through the module's writer with some arrays
+    (or the metadata) replaced: a well-formed entry whose stored record
+    digest no longer matches what it holds."""
+    old_meta, arrays = _entry(path)
+    arrays = {**arrays, **changes}
+    with open(path, "wb") as fh:
+        _write_record(fh, old_meta if meta is None else meta, arrays)
+
+
 def test_tampered_arrays_fail_fingerprint(cached_config):
-    """A stale/tampered entry whose zip is valid still fails verification."""
+    """A stale/tampered entry whose layout is valid still fails verification."""
     _walk(cached_config)
     cache = resolve_cache(cached_config)
     key = stream_key("mcf", cached_config)
     path = cache.path_for(key)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays["hit_level"] = arrays["hit_level"].copy()
-    arrays["hit_level"][0] ^= 1  # flip one outcome
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+    hit_level = _entry(path)[1]["hit_level"].copy()
+    hit_level[0] ^= 1  # flip one outcome
+    _rewrite(path, hit_level=hit_level)
     with pytest.warns(RuntimeWarning, match="record digest mismatch"):
         assert cache.load(key) is None
     assert not path.exists()
-
-
-def _rewrite(path: Path, **changes) -> None:
-    """Rewrite a cache entry with some arrays replaced (a valid zip)."""
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    arrays.update(changes)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
 
 
 @pytest.mark.parametrize("field", ["pc", "cpis", "at"])
@@ -187,8 +194,7 @@ def test_tampered_record_array_discarded_and_rewalked(cached_config, field,
     stream = _walk(cached_config)
     cache = resolve_cache(cached_config)
     path = cache.path_for(stream_key("mcf", cached_config))
-    with np.load(path) as data:
-        tampered = data[field].copy()
+    tampered = _entry(path)[1][field].copy()
     tampered[-1] = tampered[-1] + 1
     _rewrite(path, **{field: tampered})
     walks = []
@@ -207,7 +213,7 @@ def test_schema_v1_entry_not_addressed(cached_config, monkeypatch):
     entry saved under version 1 is never loaded for the current key."""
     from repro.sim import streamcache
 
-    assert streamcache.SCHEMA_VERSION == 2
+    assert streamcache.SCHEMA_VERSION == 3
     stream = _walk(cached_config)
     cache = resolve_cache(cached_config)
     key = stream_key("mcf", cached_config)
@@ -226,19 +232,37 @@ def test_schema_v1_entry_not_addressed(cached_config, monkeypatch):
 
 def test_entries_read_only_the_metadata(cached_config, monkeypatch):
     """``repro cache ls`` takes ``num_accesses`` and the size from the
-    entry's metadata and file size, never from an array."""
+    entry's metadata and file size, never from an array: it reads the
+    16 fixed bytes and the header, and nothing after them."""
     _walk(cached_config)
     cache = resolve_cache(cached_config)
+    [path] = cache.directory.glob(f"*{ENTRY_SUFFIX}")
+    header_len = int.from_bytes(path.read_bytes()[8:16], "little")
     read = []
-    real_getitem = np.lib.npyio.NpzFile.__getitem__
+    real_open = Path.open
 
-    def spy(self, name):
-        read.append(name)
-        return real_getitem(self, name)
+    class Spy:
+        def __init__(self, fh):
+            self._fh = fh
 
-    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+        def read(self, size=-1):
+            data = self._fh.read(size)
+            read.append(len(data))
+            return data
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+    monkeypatch.setattr(Path, "open",
+                        lambda self, *a, **k: Spy(real_open(self, *a, **k)))
+    monkeypatch.setattr(Path, "read_bytes", lambda self: pytest.fail(
+        "entries() read a whole entry"))
     [entry] = cache.entries()
-    assert read == ["meta"]
+    assert read == [16, header_len]
+    assert sum(read) < entry.size_bytes
     assert entry.num_accesses == cached_config.total_refs
     assert entry.size_bytes == entry.path.stat().st_size
 
@@ -248,15 +272,126 @@ def test_wrong_key_inside_file_rejected(cached_config):
     cache = resolve_cache(cached_config)
     key = stream_key("mcf", cached_config)
     path = cache.path_for(key)
-    with np.load(path) as data:
-        arrays = {name: data[name] for name in data.files}
-    meta = json.loads(bytes(arrays["meta"]).decode())
+    meta = _entry(path)[0]
     meta["key"][0] = "other-workload"
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
+    _rewrite(path, meta=meta)
     with pytest.warns(RuntimeWarning, match="different key"):
         assert cache.load(key) is None
+
+
+@pytest.mark.parametrize("where", ["header", "arrays"])
+def test_truncated_entry_discarded_and_rewalked(cached_config, where,
+                                                monkeypatch):
+    """A cut inside the header or inside the arrays is a bounds error:
+    the entry is discarded and the walk re-runs."""
+    stream = _walk(cached_config)
+    cache = resolve_cache(cached_config)
+    key = stream_key("mcf", cached_config)
+    path = cache.path_for(key)
+    data = path.read_bytes()
+    start = 16 + int.from_bytes(data[8:16], "little")
+    cut = 16 + (start - 16) // 2 if where == "header" else (start + len(data)) // 2
+    path.write_bytes(data[:cut])
+    walks = []
+    real_run = ContentSimulator.run
+    monkeypatch.setattr(ContentSimulator, "run",
+                        lambda self, *a, **k: walks.append(1) or real_run(self, *a, **k))
+    with pytest.warns(RuntimeWarning, match="out of bounds|ends past the file"):
+        again = ExperimentRunner(cached_config).stream("mcf")
+    assert walks == [1]
+    assert again.record_digest() == stream.record_digest()
+    assert path.read_bytes() == data          # re-saved, byte for byte
+
+
+@pytest.mark.parametrize("field,column,change", [
+    ("at", 1, "<u8"),                 # a pinned dtype swapped
+    ("llc_op", 1, "<i8"),
+    ("at", 2, -1),                    # one element fewer
+    ("final_llc_blocks", 2, +1),      # one element past the end
+])
+def test_header_field_changes_rejected_before_digest(cached_config, field,
+                                                     column, change,
+                                                     monkeypatch):
+    """A header that re-types or re-counts a pinned array is a layout
+    error, caught before the record digest is computed."""
+    _walk(cached_config)
+    cache = resolve_cache(cached_config)
+    key = stream_key("mcf", cached_config)
+    path = cache.path_for(key)
+    data = path.read_bytes()
+    start = 16 + int.from_bytes(data[8:16], "little")
+    meta = _entry(path)[0]
+    row = next(r for r in meta["arrays"] if r[0] == field)
+    row[column] = change if column == 1 else row[column] + change
+    path.write_bytes(_header_bytes(meta) + data[start:])
+    digests = []
+    real = OutcomeStream.record_digest
+    monkeypatch.setattr(OutcomeStream, "record_digest",
+                        lambda self: digests.append(1) or real(self))
+    with pytest.warns(RuntimeWarning, match="unreadable"):
+        assert cache.load(key) is None
+    assert digests == []
+    assert not path.exists()
+
+
+def test_loaded_arrays_read_only_and_bit_identical(cached_config):
+    """Every persisted field comes back read-only, with its pinned dtype,
+    holding exactly the bytes the walk produced."""
+    stream = _walk(cached_config)
+    loaded = resolve_cache(cached_config).load(stream_key("mcf", cached_config))
+    assert loaded is not None
+    assert {dtype for _, dtype in RECORD_FIELDS} == \
+        {"<i8", "i1", "<u8", "<u2", "<f8"}
+    for name, dtype in RECORD_FIELDS:
+        got = getattr(loaded, name)
+        want = np.ascontiguousarray(getattr(stream, name), dtype=dtype)
+        assert got.dtype == np.dtype(dtype), name
+        assert not got.flags.writeable, name
+        assert got.tobytes() == want.tobytes(), name
+        with pytest.raises(ValueError):
+            got[:1] = 0
+
+
+def test_every_flipped_byte_is_rejected(cached_config):
+    """One flipped byte anywhere — header, padding or array — fails the
+    parse, the layout check or the record digest; none loads."""
+    _walk(cached_config)
+    cache = resolve_cache(cached_config)
+    path = cache.path_for(stream_key("mcf", cached_config))
+    data = path.read_bytes()
+    meta = _entry(path)[0]
+    start = 16 + int.from_bytes(data[8:16], "little")
+    offsets = set(range(start))                  # every fixed and header byte
+    for _name, dtype, count, offset in meta["arrays"]:
+        end = start + offset + count * np.dtype(dtype).itemsize
+        offsets.update(range(start + offset, min(end, start + offset + 2)))
+        offsets.update(range(max(end - 2, start + offset), end + 8))
+    offsets = sorted(o for o in offsets if o < len(data))
+    for offset in offsets:
+        mangled = bytearray(data)
+        mangled[offset] ^= 0xFF
+        try:
+            got_meta, arrays = _parse_record(bytes(mangled))
+        except (ValueError, KeyError, TypeError):
+            continue
+        stream = OutcomeStream(**arrays, num_levels=int(got_meta["num_levels"]),
+                               content_fingerprint=str(got_meta["fingerprint"]))
+        assert stream.record_digest() != got_meta["record_digest"], offset
+
+
+def test_clear_removes_schema2_npz_entries(cached_config):
+    """``clear`` also reclaims the ``.npz`` entries (and temp leftovers)
+    that schema 2 wrote and no key addresses any more."""
+    _walk(cached_config)
+    cache = resolve_cache(cached_config)
+    old = [cache.directory / "mcf-tiny-2-abc.npz",
+           cache.directory / "mcf-tiny-2-abc.npz.tmp-123",
+           cache.directory / f"bwaves-tiny-3-def{ENTRY_SUFFIX}.tmp-456"]
+    for path in old:
+        path.write_bytes(b"PK\x03\x04 a schema-2 zip")
+    assert [e.path.suffix for e in cache.entries()] == [ENTRY_SUFFIX]
+    assert cache.clear() == 4
+    assert list(cache.directory.iterdir()) == []
 
 
 def test_verify_flags_bad_entries_without_deleting(cached_config):
@@ -264,8 +399,8 @@ def test_verify_flags_bad_entries_without_deleting(cached_config):
     cache = resolve_cache(cached_config)
     ok, bad = cache.verify()
     assert len(ok) == 1 and not bad
-    junk = cache.directory / "junk.npz"
-    junk.write_bytes(b"not a zip at all")
+    junk = cache.directory / f"junk{ENTRY_SUFFIX}"
+    junk.write_bytes(b"not a stream-cache entry at all")
     ok, bad = cache.verify()
     assert len(ok) == 1 and bad == [junk]
     assert junk.exists()  # verify is read-only
@@ -279,7 +414,7 @@ def test_env_var_enables_cache(tiny_machine, tmp_path, monkeypatch):
     cfg = SimConfig(machine=tiny_machine, refs_per_core=2000, seed=7)
     assert resolve_cache(cfg).directory == Path(tmp_path / "envcache")
     ExperimentRunner(cfg).stream("mcf")
-    assert list((tmp_path / "envcache").glob("*.npz"))
+    assert list((tmp_path / "envcache").glob(f"*{ENTRY_SUFFIX}"))
     _no_walk(monkeypatch)
     ExperimentRunner(cfg).stream("mcf")  # warm from the env-named cache
 
@@ -317,13 +452,12 @@ def test_cache_cli_ls_verify_clear(cached_config, capsys):
     assert "1 entries" in capsys.readouterr().out
     assert main(["cache", "verify", "--dir", cache_dir]) == 0
     assert "1 ok, 0 corrupt" in capsys.readouterr().out
-    entry = next(Path(cache_dir).glob("*.npz"))
-    with np.load(entry) as data:
-        pcs = data["pc"] ^ np.uint64(4)
-    _rewrite(entry, pc=pcs)  # a valid zip, but not the record it claims
+    entry = next(Path(cache_dir).glob(f"*{ENTRY_SUFFIX}"))
+    pcs = _entry(entry)[1]["pc"] ^ np.uint64(4)
+    _rewrite(entry, pc=pcs)  # a valid layout, but not the record it claims
     assert main(["cache", "verify", "--dir", cache_dir]) == 1
     assert "1 corrupt" in capsys.readouterr().out
-    (Path(cache_dir) / "junk.npz").write_bytes(b"garbage")
+    (Path(cache_dir) / f"junk{ENTRY_SUFFIX}").write_bytes(b"garbage")
     assert main(["cache", "verify", "--dir", cache_dir]) == 1
     assert "2 corrupt" in capsys.readouterr().out
     assert main(["cache", "clear", "--dir", cache_dir]) == 0
@@ -351,16 +485,16 @@ def test_save_survives_uncreatable_directory(cached_config, tmp_path):
 def test_save_skips_on_non_io_error_without_tmp_leak(
     cached_config, monkeypatch
 ):
-    """Regression: a non-OSError inside ``np.savez`` (bad dtype, pickling
-    failure) escaped ``save`` entirely *and* leaked the ``*.npz.tmp-*``
-    temp file.  Now: warn, return None, leave no droppings."""
+    """Regression: a non-OSError inside the entry writer (bad dtype, an
+    unconvertible array) escaped ``save`` entirely *and* leaked the
+    ``*.tmp-*`` temp file.  Now: warn, return None, leave no droppings."""
     stream = _walk(cached_config)
     cache = resolve_cache(cached_config)
 
-    def bad_savez(*args, **kwargs):
-        raise ValueError("cannot pickle object arrays")
+    def bad_write(*args, **kwargs):
+        raise ValueError("cannot convert object arrays")
 
-    monkeypatch.setattr("repro.sim.streamcache.np.savez", bad_savez)
+    monkeypatch.setattr("repro.sim.streamcache._write_record", bad_write)
     key = stream_key("bwaves", cached_config)
     with pytest.warns(RuntimeWarning, match="continuing uncached"):
         assert cache.save(key, _walk(cached_config, "bwaves")) is None

@@ -212,13 +212,15 @@ def _ingest_shard(tmp_path, rows, store=None, on_journal=None):
     path = tmp_path / "s.journal.ndjson"
     with SweepJournal(path) as journal:
         if on_journal is not None:
-            real = journal.append
+            real = journal.append_many
 
-            def append(event, **fields):
-                on_journal(event)
-                real(event, **fields)
+            def append_many(records):
+                records = list(records)
+                for event, _fields in records:
+                    on_journal(event)
+                real(records)
 
-            journal.append = append
+            journal.append_many = append_many
         _ingest(store, rows, [("f9", "tiny/mcf/lbm", "boom")], report, journal)
     return store, report, read_journal(path)[0]
 

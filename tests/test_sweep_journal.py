@@ -212,6 +212,60 @@ def test_failures_and_handled_faults_are_journalled(tmp_path):
     assert _events(records, "run_finished")[0]["failed"] == 2
 
 
+def test_worker_handled_faults_are_journalled_by_the_parent(tmp_path,
+                                                           monkeypatch):
+    """A pool worker's recoveries reach the journal through the parent:
+    the worker drops the ``faults.handled`` listener it inherits by fork,
+    and the parent journals the worker's handled faults from the shard's
+    telemetry snapshot — the same ``skipped_save`` records as before."""
+    import os
+
+    from repro.faults import retry
+    from repro.sweep import load_sweep, scheduler
+
+    spec = load_sweep(GOLDEN / "sweep_smoke.json")
+    plan = _plan(tmp_path, {"site": "streamcache.save", "kind": "enospc",
+                            "match": "lbm", "probability": 1.0})
+    seen = tmp_path / "seen.txt"
+    real_execute = scheduler._execute_cells
+    real_append = SweepJournal.append_many
+
+    def note(line):
+        with open(seen, "a") as fh:
+            fh.write(f"{os.getpid()} {line}\n")
+
+    def execute(*args, **kwargs):
+        note(f"listeners {len(retry._LISTENERS)}")
+        return real_execute(*args, **kwargs)
+
+    def append_many(self, records):
+        records = list(records)
+        for event, _fields in records:
+            if event == "fault_handled":
+                note("journalled")
+        real_append(self, records)
+
+    monkeypatch.setattr(scheduler, "_execute_cells", execute)
+    monkeypatch.setattr(SweepJournal, "append_many", append_many)
+    store = tmp_path / "s.sqlite"
+    report = run_sweep(spec, store, workers=2, faults_plan=plan)
+    assert report.ok and report.workers == 2
+    records, bad = read_journal(journal_path(store))
+    assert bad == []
+    _assert_valid(records)
+    handled = _events(records, "fault_handled")
+    assert {(r["site"], r["action"]) for r in handled} == \
+        {("streamcache.save", "skipped_save")}
+    assert sorted(r["entry"].split("-")[0] for r in handled) == ["lbm", "lbm"]
+    assert len({r["entry"] for r in handled}) == 2     # one per lbm shard
+    lines = [line.split(" ", 1) for line in seen.read_text().splitlines()]
+    parent = str(os.getpid())
+    workers = [what for pid, what in lines if pid != parent]
+    assert workers and set(workers) == {"listeners 0"}
+    assert [pid for pid, what in lines if what == "journalled"] == [parent] * 2
+    assert len(retry._LISTENERS) == 0       # the parent's listener is gone too
+
+
 def test_worker_loss_journals_stall_then_fallback(tmp_path, monkeypatch):
     """A hung worker is journalled twice: ``worker_stalled`` when its
     heartbeats stop (before the timeout) and ``worker_lost`` +
