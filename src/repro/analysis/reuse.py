@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.energy.params import BLOCK_SIZE, MachineConfig
 from repro.util.validation import check_positive
 from repro.workloads.trace import Trace
 
@@ -96,19 +95,6 @@ class ReuseProfile:
             return 0.0
         hits = ((self.distances >= 0) & (self.distances < capacity_blocks)).sum()
         return float(hits / self.num_accesses)
-
-    def hit_rates_for_machine(self, machine: MachineConfig) -> dict[int, float]:
-        """Analytic *cumulative* hit rates at each level's capacity.
-
-        These are fully-associative upper bounds for a single core owning
-        the whole structure; useful for explaining (not matching) the
-        simulated set-associative multi-core numbers.
-        """
-        out = {}
-        for lvl in range(1, machine.num_levels + 1):
-            capacity = machine.level(lvl).size // BLOCK_SIZE
-            out[lvl] = self.hit_rate(capacity)
-        return out
 
     def working_set_blocks(self, coverage: float = 0.9) -> int:
         """Smallest LRU capacity achieving ``coverage`` of the achievable

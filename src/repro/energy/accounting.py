@@ -164,16 +164,8 @@ class CostTable:
         return self.machine.level(level).data_delay
 
     @property
-    def pt_lookup_energy(self) -> float:
-        return self.machine.prediction_table.access_energy
-
-    @property
     def pt_update_energy(self) -> float:
         return self.machine.prediction_table.access_energy
-
-    @property
-    def pt_lookup_delay(self) -> int:
-        return self.machine.prediction_table.lookup_delay
 
     @property
     def recal_set_energy(self) -> float:

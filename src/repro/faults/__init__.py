@@ -41,14 +41,7 @@ from repro.faults.injector import (
     InjectedWorkerError,
 )
 from repro.faults.plan import SITES, FaultPlan, FaultSpec, RetryPolicy, load_plan
-from repro.faults.retry import (
-    RetryExhausted,
-    add_listener,
-    clear_listeners,
-    handled,
-    remove_listener,
-    run_with_retries,
-)
+from repro.faults.retry import RetryExhausted, collect, handled, run_with_retries
 
 __all__ = [
     "FAULTS_ENV",
@@ -61,16 +54,14 @@ __all__ = [
     "InjectedWorkerError",
     "RetryExhausted",
     "RetryPolicy",
-    "add_listener",
     "check",
-    "clear_listeners",
+    "collect",
     "current",
     "damage_file",
     "ensure",
     "handled",
     "install",
     "load_plan",
-    "remove_listener",
     "retry_policy",
     "run_with_retries",
     "scope",

@@ -114,8 +114,5 @@ class FaultInjector:
         return None
 
     # ---------------------------------------------------------- reporting
-    def fired_sites(self) -> set:
-        return {rec["site"] for rec in self.log}
-
     def fired_kinds(self) -> set:
         return {rec["kind"] for rec in self.log}

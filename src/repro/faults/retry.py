@@ -10,45 +10,41 @@ degrade gracefully (discard + re-walk, or skip the cache write).
 
 Every retry is counted (``faults.retries``) and every recovery that ends
 in success is recorded as a ``faults.handled`` event, so the manifest of
-a run that survived misbehaving I/O says exactly how it did.
+a run that survived misbehaving I/O says exactly how it did.  Inside a
+:func:`collect` scope each recovery is also kept as a plain record,
+traced or not: the sweep scheduler runs every shard in one, and the
+shard's recoveries travel with its outcome to the parent's journal.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 from repro import telemetry
 from repro.faults.plan import RetryPolicy
 
-__all__ = ["RetryExhausted", "run_with_retries", "handled",
-           "add_listener", "remove_listener", "clear_listeners"]
+__all__ = ["RetryExhausted", "collect", "handled", "run_with_retries"]
 
-#: Process-local observers of :func:`handled`, called as
-#: ``listener(site, action, fields)``.  The sweep scheduler parent
-#: registers one to journal every recovery path unconditionally —
-#: unlike the telemetry mirror, which no-ops untraced.  Its pool workers
-#: clear the list they inherit by fork (:func:`clear_listeners`), so
-#: journal writes stay parent-only.
-_LISTENERS: list = []
+#: The record lists of this process's open :func:`collect` scopes.
+_COLLECTORS: list = []
 
 
-def add_listener(listener) -> None:
-    """Register a recovery-path observer (idempotent per object)."""
-    if listener not in _LISTENERS:
-        _LISTENERS.append(listener)
+@contextmanager
+def collect():
+    """Keep every :func:`handled` call made in the scope.
 
-
-def remove_listener(listener) -> None:
-    """Unregister; unknown listeners are ignored."""
+    Yields a list that gains one ``{"t", "site", "action", **fields}``
+    record per recovery (``t`` is this process's wall clock), whether or
+    not a telemetry session is active.  Scopes nest; each open scope
+    gets every record.
+    """
+    records: list = []
+    _COLLECTORS.append(records)
     try:
-        _LISTENERS.remove(listener)
-    except ValueError:
-        pass
-
-
-def clear_listeners() -> None:
-    """Drop every observer (a forked worker's first step)."""
-    _LISTENERS.clear()
+        yield records
+    finally:
+        _COLLECTORS.pop()
 
 
 class RetryExhausted(Exception):
@@ -61,7 +57,8 @@ class RetryExhausted(Exception):
 
 
 def handled(site: str, action: str, **fields) -> None:
-    """Record one executed recovery path (telemetry event + counter).
+    """Record one executed recovery path: a telemetry event and counter,
+    and a record in every open :func:`collect` scope.
 
     Emitted by *every* recovery branch — retry-then-success, discard and
     re-walk, serial fallback, skipped cache write — whether the fault was
@@ -70,13 +67,11 @@ def handled(site: str, action: str, **fields) -> None:
     """
     telemetry.count("faults.handled", site=site)
     telemetry.event("faults.handled", site=site, action=action, **fields)
-    for listener in list(_LISTENERS):
-        try:
-            listener(site, action, fields)
-        except Exception:
-            # An observer must never turn a *handled* fault into a new
-            # failure; drop it and keep recovering.
-            pass
+    if _COLLECTORS:
+        record = {"t": round(time.time(), 3), "site": site, "action": action,
+                  **fields}
+        for records in _COLLECTORS:
+            records.append(record)
 
 
 def run_with_retries(site: str, fn, policy: RetryPolicy,

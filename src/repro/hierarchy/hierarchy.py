@@ -95,12 +95,6 @@ class CacheHierarchy:
             return self.llc
         return self.private[level - 1][core]
 
-    def level_caches(self, level: int) -> list[BaseCache]:
-        """All cache instances at a level (one per core, or just the LLC)."""
-        if level == self.num_levels:
-            return [self.llc]
-        return self.private[level - 1]
-
     def _notify_fill(self, level: int, block: int) -> None:
         if self.on_fill is not None and level >= 2:
             self.on_fill(level, block)

@@ -430,6 +430,7 @@ def evaluate_schemes(
     mlp: float = 1.0,
     dram=None,
     checked: "bool | None" = None,
+    stages: "dict | None" = None,
 ) -> tuple[list, list]:
     """Evaluate ``schemes`` over one stream together, as
     :func:`evaluate_scheme` evaluates one.
@@ -449,7 +450,8 @@ def evaluate_schemes(
     alone — and its seconds: its own replay plus an equal share of the
     batch's shared work (the code tables and the charging pass).  In
     checked mode every cell of a batch of several is also evaluated alone
-    and must match exactly.
+    and must match exactly.  ``stages``, when given, gains the seconds of
+    the batch's replays (``replay``) and of its charging pass (``charge``).
     """
     start = time.perf_counter()
     if not schemes:
@@ -472,12 +474,18 @@ def evaluate_schemes(
             cell.result = exc
         cell.predictor = None
         cell.replay_s = time.perf_counter() - began
+    charging = time.perf_counter()
     _charge(stream, machine, [cell for cell in cells if cell.result is None],
             workload_name, checked, fill_energy_weight=fill_energy_weight,
             memory_latency=memory_latency, memory_energy_nj=memory_energy_nj,
             mlp=mlp, dram=dram)
+    done = time.perf_counter()
+    replay_s = sum(cell.replay_s for cell in cells)
+    if stages is not None:
+        stages["replay"] = stages.get("replay", 0.0) + replay_s
+        stages["charge"] = stages.get("charge", 0.0) + done - charging
     results = [cell.result for cell in cells]
-    shared = time.perf_counter() - start - sum(cell.replay_s for cell in cells)
+    shared = done - start - replay_s
     walls = [cell.replay_s + shared / len(cells) for cell in cells]
     if checked and len(cells) > 1:
         for k, scheme in enumerate(schemes):

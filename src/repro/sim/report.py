@@ -88,17 +88,6 @@ def format_table(
     return "\n".join(lines)
 
 
-def _matrix(results: dict[str, dict[str, SchemeResult]]):
-    """Benchmarks and scheme columns present in a result matrix."""
-    benchmarks = list(results)
-    schemes: list[str] = []
-    for row in results.values():
-        for s in row:
-            if s not in schemes:
-                schemes.append(s)
-    return benchmarks, schemes
-
-
 def speedup_table(
     results: dict[str, dict[str, SchemeResult]], base_name: str = "Base"
 ) -> dict[str, dict[str, float]]:

@@ -38,6 +38,10 @@ class ExperimentRunner:
     """Caches workloads and content streams; runs scheme evaluations."""
 
     config: SimConfig
+    #: Seconds spent per stage, traced or not: ``walk`` (the content walks
+    #: of :meth:`stream`), ``replay`` and ``charge`` (:meth:`run_many`'s
+    #: replay and charging passes).  The sweep scheduler journals them.
+    stage_s: dict[str, float] = field(default_factory=dict, repr=False)
     _workloads: dict[tuple, Workload] = field(default_factory=dict, repr=False)
     _streams: dict[tuple, OutcomeStream] = field(default_factory=dict, repr=False)
 
@@ -97,7 +101,11 @@ class ExperimentRunner:
                 with telemetry.span("cache_load", workload=workload_name):
                     stream = disk.load(stream_key(workload_name, cfg))
             if stream is None:
-                stream = ContentSimulator(cfg).run(self.workload(workload_name))
+                workload = self.workload(workload_name)
+                began = time.perf_counter()
+                stream = ContentSimulator(cfg).run(workload)
+                self.stage_s["walk"] = (self.stage_s.get("walk", 0.0)
+                                        + time.perf_counter() - began)
                 if disk is not None:
                     with telemetry.span("cache_save", workload=workload_name):
                         disk.save(stream_key(workload_name, cfg), stream)
@@ -172,7 +180,7 @@ class ExperimentRunner:
                 fill_energy_weight=cfg.fill_energy_weight,
                 memory_latency=cfg.memory_latency,
                 memory_energy_nj=cfg.memory_energy_nj, mlp=cfg.mlp, dram=cfg.dram,
-                checked=checking.enabled(cfg))
+                checked=checking.enabled(cfg), stages=self.stage_s)
             for k, result, wall in zip(batch, done, spent):
                 results[k], walls[k] = result, wall
         share = (time.perf_counter() - start - sum(walls)) / len(schemes)

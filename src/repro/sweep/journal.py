@@ -82,7 +82,8 @@ REQUIRED_FIELDS: dict = {
     "worker_lost": ("t", "shard", "workload", "reason"),
     # the pool (scope=pool) or one shard (scope=shard) degraded to serial
     "fallback_serial": ("t", "scope", "reason"),
-    # a fault-recovery path executed in the parent (repro.faults.handled)
+    # one executed fault-recovery path (repro.faults.handled), in a shard
+    # or in the parent
     "fault_handled": ("t", "site", "action"),
     # one per run_sweep invocation that ran to completion
     "run_finished": ("t", "completed", "resumed", "failed", "wall_s",

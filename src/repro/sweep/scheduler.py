@@ -23,24 +23,36 @@ A failing cell (a bug, or an injected ``sweep.cell`` fault) is skipped
 and reported — never written — so the next run re-attempts exactly that
 cell.
 
+Every shard runs through :func:`run_shard` — inline, in a pool worker,
+on the serial path of a pool that could not spawn, and when a lost shard
+re-runs in the parent — and returns the same record: its rows and
+failures, its walk/replay/charge seconds (plain clock pairs taken where
+the work happens) and the recoveries its ``faults.handled`` calls made.
+A telemetry session is opened for a shard only when a pool worker runs
+it for a traced parent.
+
 Observability (see :mod:`repro.sweep.journal`): the parent journals
 every lifecycle event to ``<store-stem>.journal.ndjson`` regardless of
-telemetry activation, and pooled workers send periodic heartbeats
-(current cell, cells done, accesses replayed, rss) over their pipe to
-the parent so it can tell a hung worker from a long cell — journalling
-``worker_stalled`` *before* the ``REPRO_WORKER_TIMEOUT`` serial
-fallback fires.  Journal writes happen only in the scheduler parent,
-never on the per-cell simulation path.
+telemetry activation — each shard's handled faults and per-cell stage
+seconds, and its own recoveries (pool spawn failure, lost-shard
+fallback) where it makes them.  Pooled workers send periodic heartbeats
+(current cell, cells done, rss) over their pipe to the parent so it can
+tell a hung worker from a long cell — journalling ``worker_stalled``
+*before* the ``REPRO_WORKER_TIMEOUT`` serial fallback fires.  Journal
+writes happen only in the scheduler parent, never on the per-cell
+simulation path.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import threading
 import time
 import warnings
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,9 +85,7 @@ __all__ = [
     "sweep_stream_cache",
 ]
 
-#: Environment override for the worker heartbeat period in seconds
-#: (``0`` disables heartbeats and with them stall detection; the
-#: timeout still fires).
+#: Environment override for the worker heartbeat period in seconds.
 HEARTBEAT_ENV = "REPRO_HEARTBEAT"
 DEFAULT_HEARTBEAT_S = 2.0
 
@@ -113,35 +123,43 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
+def _env_seconds(name: str, default: float, most: float = math.inf) -> float:
+    """``name``'s value in seconds, else ``default``.  A value that is not
+    a positive number of seconds up to ``most`` (non-numeric, zero,
+    negative, NaN, too large) warns and falls back, same contract as
+    ``REPRO_PARALLEL``."""
+    env = os.environ.get(name, "").strip()
+    if not env:
+        return default
+    try:
+        value = float(env)
+    except ValueError:
+        value = float("nan")
+    if 0 < value <= most:
+        return value
+    telemetry.event("parallel.bad_env", value=env)
+    bound = f" up to {most:g}" if most < math.inf else ""
+    warnings.warn(
+        f"ignoring {name}={env!r} (not a positive number of seconds{bound}); "
+        f"falling back to {default:g}s",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return default
+
+
 def default_worker_timeout() -> float:
     """Per-shard result timeout: active fault plan, env, else the default.
 
     A fault plan's ``worker_timeout_s`` wins (chaos tests shrink it so a
     ``hang`` fault converts to a timeout in seconds, not minutes), then
-    ``REPRO_WORKER_TIMEOUT``, then :data:`DEFAULT_WORKER_TIMEOUT_S`.  An
-    env value that is not a positive number of seconds (non-numeric,
-    zero, negative, NaN) warns and falls back, same contract as
-    ``REPRO_PARALLEL``; ``inf`` means never time out.
+    ``REPRO_WORKER_TIMEOUT``, then :data:`DEFAULT_WORKER_TIMEOUT_S`;
+    ``inf`` means never time out.
     """
     injector = faults.current()
     if injector is not None and injector.plan.worker_timeout_s is not None:
         return injector.plan.worker_timeout_s
-    env = os.environ.get(WORKER_TIMEOUT_ENV)
-    if env:
-        try:
-            value = float(env)
-        except ValueError:
-            value = float("nan")
-        if value > 0:
-            return value
-        telemetry.event("parallel.bad_env", value=env)
-        warnings.warn(
-            f"ignoring {WORKER_TIMEOUT_ENV}={env!r} (not a positive number "
-            f"of seconds); falling back to {DEFAULT_WORKER_TIMEOUT_S:.0f}s",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return DEFAULT_WORKER_TIMEOUT_S
+    return _env_seconds(WORKER_TIMEOUT_ENV, DEFAULT_WORKER_TIMEOUT_S)
 
 
 def _worker_faults(fired, workload_name: str) -> None:
@@ -167,20 +185,11 @@ def _worker_faults(fired, workload_name: str) -> None:
 
 
 def heartbeat_interval() -> float:
-    """Heartbeat period: ``REPRO_HEARTBEAT`` seconds, else 2.0."""
-    raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-    if not raw:
-        return DEFAULT_HEARTBEAT_S
-    try:
-        return max(0.0, float(raw))
-    except ValueError:
-        warnings.warn(
-            f"ignoring non-numeric {HEARTBEAT_ENV}={raw!r}; "
-            f"using {DEFAULT_HEARTBEAT_S:g}s",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_HEARTBEAT_S
+    """Heartbeat period: ``REPRO_HEARTBEAT`` seconds, else 2.0.  A value
+    that is not a positive number of seconds, or too long for a thread to
+    wait (``inf``), warns and falls back."""
+    return _env_seconds(HEARTBEAT_ENV, DEFAULT_HEARTBEAT_S,
+                        most=threading.TIMEOUT_MAX)
 
 
 @dataclass
@@ -261,57 +270,6 @@ def _metrics(result, num_levels: int) -> dict:
     return out
 
 
-def _counters() -> dict:
-    sess = telemetry.active()
-    return dict(sess.registry.counters) if sess is not None else {}
-
-
-_FAULT_PREFIXES = ("faults.", "stream_cache.", "parallel.")
-
-
-def _fault_delta(before: dict) -> dict:
-    """Per-cell fault/cache counter movement (the row's fault summary)."""
-    sess = telemetry.active()
-    if sess is None:
-        return {}
-    out = {}
-    for key, value in sess.registry.counters.items():
-        if not key.startswith(_FAULT_PREFIXES):
-            continue
-        delta = value - before.get(key, 0)
-        if delta:
-            out[key] = delta
-    return out
-
-
-#: Span name -> journal/histogram stage key for per-cell stage timings.
-_STAGE_SPANS = {
-    "content_walk": "walk",
-    "replay": "replay",
-    "energy_accounting": "charge",
-}
-
-
-def _span_mark() -> "int | None":
-    """Current span-record count, or None when untraced — the cheap way
-    to attribute subsequent spans to one cell without rescanning all."""
-    sess = telemetry.active()
-    return len(sess.tracer.records) if sess is not None else None
-
-
-def _stage_delta(mark: "int | None") -> dict:
-    """Per-stage seconds for the spans recorded since ``mark``."""
-    sess = telemetry.active()
-    if sess is None or mark is None:
-        return {}
-    out: dict = {}
-    for rec in sess.tracer.records[mark:]:
-        stage = _STAGE_SPANS.get(rec.name)
-        if stage is not None:
-            out[stage] = out.get(stage, 0.0) + rec.duration_s
-    return out
-
-
 # ------------------------------------------------------------ heartbeats
 def _rss_kb() -> int:
     """Peak resident set size of this process in KiB (0 if unknowable)."""
@@ -351,14 +309,9 @@ class _Beacon:
         self.tick()
 
     def tick(self) -> None:
-        sess = telemetry.active()
-        accesses = (
-            int(sess.registry.counter_total("content.accesses"))
-            if sess is not None else 0
-        )
         payload = {"t": round(time.time(), 3), **self._fixed,
                    "pid": os.getpid(), "cell": self._cell, "done": self._done,
-                   "accesses": accesses, "rss_kb": _rss_kb()}
+                   "rss_kb": _rss_kb()}
         try:
             self._post(("beat", self._shard, payload))
         except Exception:
@@ -374,28 +327,23 @@ class _Beacon:
         self.tick()
 
 
-def _execute_cells(cells, fingerprints, sweep_name: str,
-                   stream_cache: "str | None", faults_plan: "str | None",
-                   progress=None) -> tuple:
-    """Run one shard's cells (with their ``fingerprints``, in the same
-    order) in this process.
+def _evaluate(cells, stream_cache: "str | None", faults_plan: "str | None",
+              progress=None) -> tuple:
+    """Evaluate one shard's cells in this process: ``(outcomes, runner)``.
 
-    Returns ``(rows, failures, stages)`` where ``stages`` maps each
-    completed fingerprint to its per-stage seconds (walk/replay/charge,
-    empty when untraced).  One runner per shard: the content walk happens
-    once (via the shared disk cache when enabled), and every two-phase
-    cell is evaluated in one batch against it
+    ``outcomes`` holds, per cell in order, its result or the exception
+    that failed it, and its seconds.  One runner per shard: the content
+    walk happens once (via the shared disk cache when enabled), and every
+    two-phase cell is evaluated in one batch against it
     (:meth:`ExperimentRunner.run_many`); exclusive ReDHiP cells run the
-    integrated simulator one by one.  A cell that trips the
-    ``sweep.cell`` fault site, or fails in the batch, fails alone.  A
-    row's ``wall_s`` is its batch share (its replay plus an equal share of
-    the batch's shared work).  The shard's fault-counter movement lands
-    on its first row; its traced stage seconds are shared equally among
-    its rows.  ``progress`` (the worker beacon's ``progress``) is called
-    before each exclusive cell and before the batch, with (the cell's or
-    the batch's label, cells settled so far).
+    integrated simulator one by one.  A cell that trips the ``sweep.cell``
+    fault site, or fails in the batch, fails alone.  A cell's seconds are
+    its batch share (its replay plus an equal share of the batch's shared
+    work).  The runner's ``stage_s`` holds the shard's walk/replay/charge
+    seconds.  ``progress`` (the worker beacon's ``progress``) is called before each
+    exclusive cell and before the batch, with (the cell's or the batch's
+    label, cells settled so far).
     """
-    rows, failures, stages = [], [], {}
     cfg = cells[0].sim_config(stream_cache=stream_cache, faults=faults_plan)
     runner = ExperimentRunner(cfg)
     outcomes: dict = {}
@@ -417,8 +365,6 @@ def _execute_cells(cells, fingerprints, sweep_name: str,
                 batch.append(index)
         except Exception as exc:
             outcomes[index] = (exc, 0.0)
-    before = _counters()
-    mark = _span_mark()
     for index in exclusive:
         cell = cells[index]
         if progress is not None:
@@ -441,81 +387,86 @@ def _execute_cells(cells, fingerprints, sweep_name: str,
         except Exception as exc:
             results, walls = [exc] * len(batch), [0.0] * len(batch)
         outcomes.update(zip(batch, zip(results, walls)))
-    delta = _fault_delta(before)
-    completed = sum(not isinstance(result, Exception) for result, _ in outcomes.values())
-    shared_stages = {stage: round(secs / completed, 6)
-                     for stage, secs in _stage_delta(mark).items()} if completed else {}
-    for index, (cell, fingerprint) in enumerate(zip(cells, fingerprints)):
-        result, wall = outcomes[index]
-        if isinstance(result, Exception):
-            label = cell.label()
-            reason = f"{result.__class__.__name__}: {result}"
-            faults.handled("sweep.cell", "cell_skipped", cell=label, error=reason)
-            warnings.warn(
-                f"sweep cell {label} failed ({reason}); skipped — "
-                f"rerun the sweep to retry it",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            failures.append((fingerprint, label, reason))
-            continue
-        stages[fingerprint] = shared_stages
-        telemetry.observe("sweep.cell_wall_s", wall)
-        for stage, secs in shared_stages.items():
-            telemetry.observe("sweep.stage_s", secs, stage=stage)
-        canon = cell.canonical()
-        rows.append(CellRow(
-            fingerprint=fingerprint,
-            sweep=sweep_name,
-            machine=canon.machine,
-            workload=canon.workload,
-            scheme=canon.scheme,
-            policy=canon.policy,
-            refs_per_core=canon.refs_per_core,
-            seed=canon.seed,
-            pt_kb=canon.pt_kb,
-            recal_multiple=canon.recal_multiple,
-            probe_mode=canon.probe_mode,
-            metrics=_metrics(result, cfg.machine.num_levels),
-            energy=result.ledger.categories_nj(ENERGY_CATEGORIES),
-            wall_s=wall,
-            faults=delta if len(rows) == 0 else {},
-        ))
-    return rows, failures, stages
+    return [outcomes[index] for index in range(len(cells))], runner
 
 
-def run_shard(payloads: list, fingerprints: list, sweep_name: str,
+def run_shard(cells: list, fingerprints: list, sweep_name: str,
               stream_cache: "str | None", faults_plan: "str | None",
-              post=None, shard: int = 0,
+              traced: bool = False, post=None, shard: int = 0,
               interval: float = DEFAULT_HEARTBEAT_S, fault=None) -> tuple:
-    """Run one shard in a pool worker: ``(rows, failures, stages,
-    snapshot)``.
+    """Run one shard's cells (with their ``fingerprints``, in the same
+    order): ``(rows, failures, stages, handled, snapshot)``.
 
-    Cells travel as dicts and are rebuilt here (the workload generators
-    are deterministic: shipping a few ints beats pickling trace arrays),
-    next to the fingerprints the parent already computed.  The worker
-    always runs its own telemetry session so per-cell fault summaries and
-    handled faults reach the parent even when it is untraced (it then
-    journals the handled faults and drops the rest of the snapshot).
-    ``fault`` is the ``parallel.worker`` fault the parent drew at
-    dispatch, acted out here; ``post`` carries heartbeats to the parent.
+    Every shard runs here, inline or in a pool worker.  ``stages`` is the
+    per-stage seconds every completed row carries: the shard's walk,
+    replay and charge totals shared equally among its completed rows.
+    ``handled`` holds the shard's ``faults.handled`` records, collected
+    whether or not telemetry is on; the shard's first row carries their
+    count per ``site:action`` as its ``faults``.  ``traced`` says the
+    parent runs a telemetry session that this process does not share (a
+    pool worker's parent): the shard then records into a session of its
+    own and returns its ``snapshot`` for the parent to merge, else
+    ``snapshot`` is None and an inline shard records straight into its
+    process's session, if any.  ``fault`` is the ``parallel.worker``
+    fault the parent drew at dispatch, acted out here; ``post`` carries
+    heartbeats to the parent every ``interval`` seconds.
     """
-    cells = [CellSpec(**p) for p in payloads]
     _worker_faults(fault, cells[0].workload)
-    with telemetry.session(force=True, label=f"sweep-{cells[0].workload}") as sess:
+    rows, failures = [], []
+    with telemetry.session(force=traced, label=f"sweep-{cells[0].workload}") as sess, \
+            faults.collect() as handled:
         beacon = None
-        if post is not None and interval > 0:
-            beacon = _Beacon(post, shard, cells[0].workload,
-                             len(cells), interval)
+        if post is not None:
+            beacon = _Beacon(post, shard, cells[0].workload, len(cells), interval)
         try:
-            rows, failures, stages = _execute_cells(
-                cells, fingerprints, sweep_name, stream_cache, faults_plan,
+            outcomes, runner = _evaluate(
+                cells, stream_cache, faults_plan,
                 progress=beacon.progress if beacon is not None else None)
         finally:
             if beacon is not None:
                 beacon.stop()
-        snapshot = sess.snapshot()
-    return rows, failures, stages, snapshot
+        for cell, fingerprint, (result, _wall) in zip(cells, fingerprints, outcomes):
+            if isinstance(result, Exception):
+                label = cell.label()
+                reason = f"{result.__class__.__name__}: {result}"
+                faults.handled("sweep.cell", "cell_skipped", cell=label, error=reason)
+                warnings.warn(
+                    f"sweep cell {label} failed ({reason}); skipped — "
+                    f"rerun the sweep to retry it",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                failures.append((fingerprint, label, reason))
+        completed = len(cells) - len(failures)
+        stages = {stage: round(secs / completed, 6)
+                  for stage, secs in runner.stage_s.items()} if completed else {}
+        shard_faults = dict(Counter(f"{r['site']}:{r['action']}" for r in handled))
+        for cell, fingerprint, (result, wall) in zip(cells, fingerprints, outcomes):
+            if isinstance(result, Exception):
+                continue
+            telemetry.observe("sweep.cell_wall_s", wall)
+            for stage, secs in stages.items():
+                telemetry.observe("sweep.stage_s", secs, stage=stage)
+            canon = cell.canonical()
+            rows.append(CellRow(
+                fingerprint=fingerprint,
+                sweep=sweep_name,
+                machine=canon.machine,
+                workload=canon.workload,
+                scheme=canon.scheme,
+                policy=canon.policy,
+                refs_per_core=canon.refs_per_core,
+                seed=canon.seed,
+                pt_kb=canon.pt_kb,
+                recal_multiple=canon.recal_multiple,
+                probe_mode=canon.probe_mode,
+                metrics=_metrics(result, runner.config.machine.num_levels),
+                energy=result.ledger.categories_nj(ENERGY_CATEGORIES),
+                wall_s=wall,
+                faults=shard_faults if not rows else {},
+            ))
+        snapshot = sess.snapshot() if sess is not None else None
+    return rows, failures, stages, handled, snapshot
 
 
 def _ingest(store: ResultsStore, rows, failures, report: SweepReport,
@@ -524,16 +475,17 @@ def _ingest(store: ResultsStore, rows, failures, report: SweepReport,
     """Record one shard's outcome (parent-side single writer).
 
     The shard's rows commit in one store transaction, and only then is
-    the shard journalled, in one write: its worker's ``handled`` fault
-    records first, then each cell's outcome — so a journalled
-    ``cell_completed`` is always durable in the store.  Every outcome is
-    journalled *unconditionally*; the ``sweep.cell`` telemetry events and
+    the shard journalled, in one write: its ``handled`` fault records
+    first, then each cell's outcome, every completed cell with the
+    shard's per-cell ``stages`` — so a journalled ``cell_completed`` is
+    always durable in the store.  Every outcome is journalled
+    *unconditionally*; the ``sweep.cell`` telemetry events and
     ``sweep.cells.*`` counters mirror it only when a session is active.
     """
     stages = stages or {}
     with store.transaction():
         accepted = [store.append(row) for row in rows]
-    records = list(handled)
+    records = [("fault_handled", record) for record in handled]
     for row, added in zip(rows, accepted):
         if added:
             report.completed += 1
@@ -541,7 +493,7 @@ def _ingest(store: ResultsStore, rows, failures, report: SweepReport,
                 "fingerprint": row.fingerprint,
                 "cell": f"{row.workload}/{row.scheme}",
                 "wall_s": round(row.wall_s, 6), "faults": row.faults,
-                "stages": stages.get(row.fingerprint, {})}))
+                "stages": stages}))
             telemetry.count("sweep.cells.completed")
             telemetry.event("sweep.cell", fingerprint=row.fingerprint,
                             cell=f"{row.workload}/{row.scheme}",
@@ -564,17 +516,20 @@ def _ingest(store: ResultsStore, rows, failures, report: SweepReport,
     journal.append_many(records)
 
 
-def _handled_records(snapshot: dict) -> list:
-    """A pool worker's ``faults.handled`` events (from its telemetry
-    snapshot) as ``fault_handled`` journal records, stamped with the
-    worker's wall clock — the parent journals them for the worker."""
-    return [
-        ("fault_handled", {"t": round(snapshot["epoch_unix"] + event["t_s"], 3),
-                           **{k: v for k, v in event.items()
-                              if k not in ("name", "t_s")}})
-        for event in snapshot["events"]
-        if event["name"] == "faults.handled"
-    ]
+def _settle(store: ResultsStore, outcome: tuple, report: SweepReport,
+            journal: SweepJournal) -> None:
+    """Ingest one :func:`run_shard` outcome, merging its worker snapshot."""
+    rows, failures, stages, handled, snapshot = outcome
+    if snapshot is not None:
+        telemetry.merge_snapshot(snapshot)
+    _ingest(store, rows, failures, report, journal, stages, handled)
+
+
+def _recovered(journal: SweepJournal, site: str, action: str, **fields) -> None:
+    """A recovery the parent itself made: ``faults.handled`` and its
+    ``fault_handled`` journal record."""
+    faults.handled(site, action, **fields)
+    journal.append("fault_handled", site=site, action=action, **fields)
 
 
 def run_sweep(
@@ -676,24 +631,17 @@ def run_cells(
             *(("cell_resumed", {"fingerprint": fp}) for fp in resumed_fps),
         ])
 
-        def _on_handled(site, action, fields):
-            journal.append("fault_handled", site=site, action=action, **fields)
-
-        faults.add_listener(_on_handled)
-        try:
-            with telemetry.span("sweep", sweep=name, cells=len(cells),
-                                pending=len(pending), shards=len(shards)):
-                telemetry.count("sweep.runs")
-                telemetry.count("sweep.cells.planned", len(cells))
-                if shards:
-                    if nworkers == 1 or len(shards) == 1:
-                        _run_inline(shards, name, store, report,
-                                    stream_cache, faults_plan, journal)
-                    else:
-                        _run_pooled(shards, name, store, report, stream_cache,
-                                    faults_plan, nworkers, timeout, journal)
-        finally:
-            faults.remove_listener(_on_handled)
+        with telemetry.span("sweep", sweep=name, cells=len(cells),
+                            pending=len(pending), shards=len(shards)):
+            telemetry.count("sweep.runs")
+            telemetry.count("sweep.cells.planned", len(cells))
+            if shards:
+                if nworkers == 1 or len(shards) == 1:
+                    _run_inline(shards, name, store, report,
+                                stream_cache, faults_plan, journal)
+                else:
+                    _run_pooled(shards, name, store, report, stream_cache,
+                                faults_plan, nworkers, timeout, journal)
         report.wall_s = time.perf_counter() - t0
         report.digest = store.digest()
         journal.append("run_finished", completed=report.completed,
@@ -712,20 +660,14 @@ def _run_inline(shards, name, store, report, stream_cache, faults_plan,
         journal.append("shard_dispatched", shard=index,
                        workload=shard[0].workload, cells=len(shard),
                        inline=True, fingerprints=fps)
-        rows, failures, stages = _execute_cells(
-            shard, fps, name, stream_cache, faults_plan)
-        _ingest(store, rows, failures, report, journal, stages)
+        _settle(store, run_shard(shard, fps, name, stream_cache, faults_plan),
+                report, journal)
 
 
 def _worker_main(conn, interval: float) -> None:
     """A pool worker: run ``(shard, args, fault)`` tasks from ``conn``
     until ``None``, posting heartbeats and each ``("done" | "lost", shard,
-    payload)`` outcome back; exit when idle if the parent died.
-
-    The parent's ``faults.handled`` listeners (its journal) are dropped on
-    entry: the worker's recoveries reach the journal through the parent,
-    from the telemetry snapshot that travels with each outcome."""
-    faults.clear_listeners()
+    payload)`` outcome back; exit when idle if the parent died."""
     parent, lock = os.getppid(), threading.Lock()
 
     def post(message) -> None:
@@ -836,8 +778,10 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
     its shard ``timeout`` seconds after dispatch (it is killed) loses only
     that shard, which re-runs serially once the pool drains (past the
     worker-entry fault site, so an injected crash does not re-fire); a
-    fresh worker replaces it while shards still wait."""
+    fresh worker replaces it while shards still wait.  Workers of a traced
+    parent record into sessions of their own, merged here per shard."""
     interval = heartbeat_interval()
+    traced = telemetry.active() is not None
     width = min(nworkers, len(shards))
     workers: list = []
     try:
@@ -849,8 +793,8 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
     except OSError as exc:
         for worker in workers:
             worker.stop()
-        faults.handled("parallel.pool", "serial_all", workloads=len(shards),
-                       error=f"{exc.__class__.__name__}: {exc}")
+        _recovered(journal, "parallel.pool", "serial_all", workloads=len(shards),
+                   error=f"{exc.__class__.__name__}: {exc}")
         journal.append("fallback_serial", scope="pool",
                        reason=f"{exc.__class__.__name__}: {exc}")
         warnings.warn(f"sweep pool failed to spawn ({exc}); running "
@@ -880,8 +824,7 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                                    workload=shard[0].workload,
                                    cells=len(shard), fingerprints=fps)
                     worker.dispatch(dispatched, shard[0].workload, timeout, (
-                        [asdict(c) for c in shard], fps, name, stream_cache,
-                        faults_plan))
+                        shard, fps, name, stream_cache, faults_plan, traced))
                     dispatched += 1
             ready = wait([worker.conn for worker in workers], _POLL_S)
             for worker in list(workers):
@@ -897,8 +840,7 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                         lose(index, payload)
                 if worker.alive and (worker.shard is None
                                      or time.monotonic() < worker.deadline):
-                    if interval > 0:
-                        worker.check_stall(stall_after, journal)
+                    worker.check_stall(stall_after, journal)
                     continue
                 timed_out = worker.alive
                 worker.stop()
@@ -920,10 +862,7 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                 outcome = settled.pop(ingested)
                 ingested += 1
                 if outcome is not None:
-                    rows, failures, stages, snapshot = outcome
-                    telemetry.merge_snapshot(snapshot)
-                    _ingest(store, rows, failures, report, journal, stages,
-                            _handled_records(snapshot))
+                    _settle(store, outcome, report, journal)
     finally:
         for worker in workers:
             worker.stop()
@@ -933,11 +872,10 @@ def _run_pooled(shards, name, store, report, stream_cache, faults_plan,
                        workload=shard[0].workload, reason=reason)
         journal.append("fallback_serial", scope="shard", shard=index,
                        reason=reason)
-        faults.handled("parallel.worker", "serial_fallback",
-                       workload=shard[0].workload, reason=reason)
+        _recovered(journal, "parallel.worker", "serial_fallback",
+                   workload=shard[0].workload, reason=reason)
         warnings.warn(f"sweep worker for {shard[0].workload!r} {reason}; "
                       f"re-running the shard serially", RuntimeWarning,
                       stacklevel=3)
-        rows, failures, stages = _execute_cells(shard, fps, name,
-                                                stream_cache, faults_plan)
-        _ingest(store, rows, failures, report, journal, stages)
+        _settle(store, run_shard(shard, fps, name, stream_cache, faults_plan),
+                report, journal)

@@ -152,13 +152,6 @@ class ArrayBlockStream:
             chunk_refs=self._chunk_refs,
         )
 
-    def with_chunk_refs(self, chunk_refs: int) -> "ArrayBlockStream":
-        """Same stream content, different chunking."""
-        return ArrayBlockStream(
-            self._core, self._block, self._write, self._gap,
-            chunk_refs=chunk_refs,
-        )
-
     def __iter__(self) -> Iterator[BlockChunk]:
         step = self._chunk_refs
         for start in range(0, self.num_refs, step):

@@ -453,6 +453,16 @@ class TestPoolFaults:
             assert default_worker_timeout() == 0.5
         assert default_worker_timeout() == 600.0
 
+    def test_heartbeat_env_fallback(self, monkeypatch):
+        from repro.sweep.scheduler import heartbeat_interval
+
+        monkeypatch.setenv("REPRO_HEARTBEAT", "0.5")
+        assert heartbeat_interval() == 0.5
+        for bad in ("0", "-1", "soon", "nan", "inf", "1e12"):
+            monkeypatch.setenv("REPRO_HEARTBEAT", bad)
+            with pytest.warns(RuntimeWarning, match="not a positive number"):
+                assert heartbeat_interval() == 2.0
+
     @pytest.mark.parametrize("bad", [0.0, -5.0, float("nan")])
     def test_explicit_worker_timeout_must_be_positive(self, tmp_path, bad):
         from repro.sweep import run_cells

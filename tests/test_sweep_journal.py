@@ -215,37 +215,28 @@ def test_failures_and_handled_faults_are_journalled(tmp_path):
 def test_worker_handled_faults_are_journalled_by_the_parent(tmp_path,
                                                            monkeypatch):
     """A pool worker's recoveries reach the journal through the parent:
-    the worker drops the ``faults.handled`` listener it inherits by fork,
-    and the parent journals the worker's handled faults from the shard's
-    telemetry snapshot — the same ``skipped_save`` records as before."""
+    they travel, untraced, with the shard's outcome, only the parent
+    writes them, and the shard's first row counts them — the same
+    ``skipped_save`` records as before."""
     import os
 
-    from repro.faults import retry
-    from repro.sweep import load_sweep, scheduler
+    from repro import telemetry
+    from repro.sweep import load_sweep
 
+    assert telemetry.active() is None
     spec = load_sweep(GOLDEN / "sweep_smoke.json")
     plan = _plan(tmp_path, {"site": "streamcache.save", "kind": "enospc",
                             "match": "lbm", "probability": 1.0})
-    seen = tmp_path / "seen.txt"
-    real_execute = scheduler._execute_cells
+    writers = tmp_path / "writers.txt"
     real_append = SweepJournal.append_many
-
-    def note(line):
-        with open(seen, "a") as fh:
-            fh.write(f"{os.getpid()} {line}\n")
-
-    def execute(*args, **kwargs):
-        note(f"listeners {len(retry._LISTENERS)}")
-        return real_execute(*args, **kwargs)
 
     def append_many(self, records):
         records = list(records)
-        for event, _fields in records:
-            if event == "fault_handled":
-                note("journalled")
+        with open(writers, "a") as fh:      # a file: workers would write here too
+            fh.writelines(f"{os.getpid()}\n" for event, _fields in records
+                          if event == "fault_handled")
         real_append(self, records)
 
-    monkeypatch.setattr(scheduler, "_execute_cells", execute)
     monkeypatch.setattr(SweepJournal, "append_many", append_many)
     store = tmp_path / "s.sqlite"
     report = run_sweep(spec, store, workers=2, faults_plan=plan)
@@ -258,12 +249,63 @@ def test_worker_handled_faults_are_journalled_by_the_parent(tmp_path,
         {("streamcache.save", "skipped_save")}
     assert sorted(r["entry"].split("-")[0] for r in handled) == ["lbm", "lbm"]
     assert len({r["entry"] for r in handled}) == 2     # one per lbm shard
-    lines = [line.split(" ", 1) for line in seen.read_text().splitlines()]
-    parent = str(os.getpid())
-    workers = [what for pid, what in lines if pid != parent]
-    assert workers and set(workers) == {"listeners 0"}
-    assert [pid for pid, what in lines if what == "journalled"] == [parent] * 2
-    assert len(retry._LISTENERS) == 0       # the parent's listener is gone too
+    assert writers.read_text().split() == [str(os.getpid())] * 2
+    counted = [r["faults"] for r in _events(records, "cell_completed")
+               if r["faults"]]
+    assert counted == [{"streamcache.save:skipped_save": 1}] * 2
+
+
+def test_inline_and_pooled_runs_journal_the_same_record(tmp_path):
+    """Untraced, ``--workers 1`` and ``--workers 2`` leave the same durable
+    record under one fault plan: every completed cell carries its stage
+    seconds, and both runs journal the same handled faults and the same
+    row fault counts."""
+    from collections import Counter
+
+    from repro import telemetry
+    from repro.sweep import load_sweep
+
+    assert telemetry.active() is None
+    spec = load_sweep(GOLDEN / "sweep_smoke.json")
+    plan = _plan(tmp_path,
+                 {"site": "sweep.cell", "kind": "exception", "match": "mcf",
+                  "probability": 1.0},
+                 {"site": "streamcache.save", "kind": "enospc", "match": "lbm",
+                  "probability": 1.0})
+    journals, row_faults = {}, {}
+    for workers in (1, 2):
+        store = tmp_path / f"w{workers}.sqlite"
+        report = run_sweep(spec, store, workers=workers, faults_plan=plan)
+        assert report.workers == workers and len(report.failed) == 4
+        records, bad = read_journal(journal_path(store))
+        assert bad == []
+        _assert_valid(records)
+        journals[workers] = records
+        with ResultsStore(store) as s:
+            row_faults[workers] = {row["fingerprint"]: row["faults"]
+                                   for row in s.rows()}
+
+    stage_keys = {}
+    for workers, records in journals.items():
+        completed = _events(records, "cell_completed")
+        assert len(completed) == 4                      # the lbm cells
+        # Each store starts with an empty stream cache and lbm's saves
+        # fail, so every shard that completed a cell walked its stream.
+        for rec in completed:
+            assert set(rec["stages"]) == {"walk", "replay", "charge"}
+            assert all(secs >= 0 for secs in rec["stages"].values())
+        stage_keys[workers] = [sorted(rec["stages"]) for rec in completed]
+    assert stage_keys[1] == stage_keys[2]
+
+    handled = {workers: Counter((r["site"], r["action"])
+                                for r in _events(records, "fault_handled"))
+               for workers, records in journals.items()}
+    assert handled[1] == handled[2] == Counter({
+        ("sweep.cell", "cell_skipped"): 4,
+        ("streamcache.save", "skipped_save"): 2})
+    assert row_faults[1] == row_faults[2]
+    assert [f for f in row_faults[1].values() if f] == \
+        [{"streamcache.save:skipped_save": 1}] * 2     # each lbm shard's first row
 
 
 def test_worker_loss_journals_stall_then_fallback(tmp_path, monkeypatch):

@@ -142,6 +142,23 @@ def test_report_without_store_uses_journal_only(tmp_path):
 
 
 # -------------------------------------------------------------------- CLI
+def test_cli_watch_once_shows_untraced_inline_stages(tmp_path, capsys):
+    """An untraced ``--workers 1`` sweep journals per-cell stage seconds,
+    so ``repro watch`` has stage lines to print."""
+    from repro import telemetry
+    from repro.cli import main
+
+    assert telemetry.active() is None
+    store = tmp_path / "smoke.sqlite"
+    assert main(["sweep", str(GOLDEN / "sweep_smoke.json"),
+                 "--store", str(store), "--workers", "1"]) == 0
+    capsys.readouterr()
+    assert main(["watch", str(store), "--once"]) == 0
+    out = capsys.readouterr().out
+    assert "stage replay:" in out and "stage charge:" in out
+    assert "stage walk:" in out
+
+
 def test_cli_watch_once_and_report(tmp_path, capsys):
     from repro.cli import main
 

@@ -264,10 +264,9 @@ class TestParallelEquivalence:
         assert {"content_walk", "workload_build"} <= spans
 
     def test_worker_snapshot_merges_spans_and_events(self, tmp_path):
-        """A pool worker's snapshot carries its spans, counters and events,
-        and merging it folds all three into the parent session."""
-        from dataclasses import asdict
-
+        """A traced shard's snapshot carries its spans, counters and events
+        (what a pool worker of a traced parent returns), and merging it
+        folds all three into the parent session."""
         from repro.sweep import SweepSpec
         from repro.sweep.scheduler import run_shard
 
@@ -275,9 +274,9 @@ class TestParallelEquivalence:
                           workloads=(PAPER_WORKLOADS[0],),
                           schemes=("base", "redhip"),
                           refs_per_core=500).cells()
-        rows, failures, _stages, snapshot = run_shard(
-            [asdict(c) for c in cells], [c.fingerprint() for c in cells],
-            "equiv", str(tmp_path / "cache"), None)
+        rows, failures, _stages, _handled, snapshot = run_shard(
+            cells, [c.fingerprint() for c in cells], "equiv",
+            str(tmp_path / "cache"), None, traced=True)
         assert len(rows) == len(cells) and not failures
         assert snapshot["metrics"]["counters"]["content.walks"] == 1
         assert snapshot["label"] == f"sweep-{PAPER_WORKLOADS[0]}"
