@@ -80,7 +80,6 @@ from repro.sim import (
     PrefetchConfig,
     SchemeResult,
     SimConfig,
-    bench_config,
 )
 from repro.workloads import PAPER_WORKLOADS, Trace, Workload, get_workload
 
@@ -125,7 +124,6 @@ __all__ = [
     "Workload",
     "__version__",
     "base_scheme",
-    "bench_config",
     "cbf_scheme",
     "gated_redhip_scheme",
     "get_machine",

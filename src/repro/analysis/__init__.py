@@ -1,19 +1,15 @@
 """Trace and result analysis utilities: reuse-distance (stack-distance)
-profiling, windowed phase statistics, and multi-seed confidence runs."""
+profiling and windowed phase statistics."""
 
-from repro.analysis.multiseed import MetricEstimate, MultiSeedResult, run_multi_seed
 from repro.analysis.phases import PhaseStats, windowed_skip_rate, windowed_stats
 from repro.analysis.reuse import COLD, ReuseProfile, profile_trace, reuse_distances
 
 __all__ = [
     "COLD",
-    "MetricEstimate",
-    "MultiSeedResult",
     "PhaseStats",
     "ReuseProfile",
     "profile_trace",
     "reuse_distances",
-    "run_multi_seed",
     "windowed_skip_rate",
     "windowed_stats",
 ]

@@ -29,11 +29,11 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.energy.params import MACHINES, get_machine
-from repro.experiments import clear_cache, experiment_ids, run_experiment
+from repro.experiments import clear_cache, experiment_ids, get_spec, run_experiment
 from repro.hierarchy.inclusion import InclusionPolicy
 from repro.sim.config import SimConfig
 from repro.sim.report import ExperimentResult
-from repro.util.validation import ReproError
+from repro.util.validation import ConfigError, ReproError
 from repro.workloads import PAPER_WORKLOADS, get_workload
 from repro.workloads.tracefile import save_workload
 
@@ -326,18 +326,22 @@ def _emit(result: ExperimentResult, out: Path | None, chart: bool = False) -> No
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         path = out / f"{result.experiment_id}.md"
-        path.write_text(
-            f"# {result.experiment_id}: {result.title}\n\n```\n{result.table}\n```\n\n"
-            + (result.notes + "\n" if result.notes else "")
-        )
+        path.write_text(result.markdown())
         print(f"wrote {path}", file=sys.stderr)
 
 
-def _run_kwargs(args) -> dict:
-    kwargs = {}
-    if args.workloads:
-        kwargs["workloads"] = tuple(w.strip() for w in args.workloads.split(","))
-    return kwargs
+def _run_kwargs(args, experiment_id: str, strict: bool = True) -> dict:
+    """``--workloads`` for a spec that takes a workload subset (the ones
+    whose smoke pass picks one).  ``run`` refuses it for a fixed line-up;
+    ``run-all`` (``strict=False``) runs those on their own line-up."""
+    if not args.workloads:
+        return {}
+    if "workloads" not in get_spec(experiment_id).smoke_kwargs:
+        if strict:
+            raise ConfigError(f"experiment {experiment_id} evaluates a fixed "
+                              f"workload line-up; drop --workloads")
+        return {}
+    return {"workloads": tuple(w.strip() for w in args.workloads.split(","))}
 
 
 def _experiments(args) -> int:
@@ -374,12 +378,8 @@ def _experiments(args) -> int:
         print(f"ok  {s.experiment_id:24s} {result.title}")
         if args.out is not None:
             args.out.mkdir(parents=True, exist_ok=True)
-            path = args.out / f"{result.experiment_id}.md"
-            path.write_text(
-                f"# {result.experiment_id}: {result.title}\n\n"
-                f"```\n{result.table}\n```\n\n"
-                + (result.notes + "\n" if result.notes else "")
-            )
+            (args.out / f"{result.experiment_id}.md").write_text(
+                result.markdown())
     clear_cache()
     print("all specs ran")
     return 0
@@ -846,8 +846,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "run":
             cfg = _config(args)
             with telemetry.session(cfg, label=f"run-{args.experiment}") as sess:
-                result = run_experiment(args.experiment, cfg,
-                                        store=args.store, **_run_kwargs(args))
+                result = run_experiment(
+                    args.experiment, cfg, store=args.store,
+                    **_run_kwargs(args, args.experiment))
                 _emit(result, args.out, chart=args.chart)
                 clear_cache()
                 _write_manifest(sess, cfg, [args.experiment], args.out)
@@ -856,7 +857,8 @@ def main(argv: list[str] | None = None) -> int:
             with telemetry.session(cfg, label="run-all") as sess:
                 ids = experiment_ids()
                 for eid in ids:
-                    result = run_experiment(eid, cfg, **_run_kwargs(args))
+                    result = run_experiment(
+                        eid, cfg, **_run_kwargs(args, eid, strict=False))
                     _emit(result, args.out, chart=args.chart)
                 clear_cache()
                 _write_manifest(sess, cfg, ids, args.out)

@@ -6,7 +6,7 @@ reproduction we carry Table I verbatim (see :mod:`repro.energy.params`) and
 provide this *analytical* model for two purposes:
 
 1. Sanity-checking: the Table I numbers should fall inside the model's
-   plausibility band (``benchmarks/bench_table1_params.py`` asserts this),
+   plausibility band (``tests/test_energy_models.py`` asserts this),
    confirming we transcribed them consistently.
 2. Extrapolation: ablation experiments that change structure sizes (e.g.
    the prediction-table size sweep of Figure 11) need energy estimates for

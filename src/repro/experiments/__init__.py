@@ -5,7 +5,6 @@ runnable regeneration."""
 from repro.experiments.context import clear_cache, default_config, get_runner
 from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.experiments.registry import (
-    EXPERIMENTS,
     SPECS,
     experiment_ids,
     get_spec,
@@ -13,7 +12,6 @@ from repro.experiments.registry import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentSpec",
     "SPECS",
     "clear_cache",

@@ -3,27 +3,27 @@
 The paper argues each simplification earns its keep; these experiments
 make the arguments quantitative:
 
-``run_hash_ablation``
+``ablation-hash``
     bits-hash vs xor-hash.  Accuracy is comparable, but xor destroys the
     set-index-substring property, so recalibration degenerates to the
     serial per-tag process ("several million cycles") — the sweep stall
     and energy explode, which is the paper's §III-B argument for bits-hash.
 
-``run_entry_width_ablation``
+``ablation-entry-width``
     1-bit entries + recalibration vs counting entries (a bits-hash CBF) at
     the *same area budget*.  Counters spend 4x the bits per entry, so at
     equal area they cover a quarter of the hash space — the paper's
     "a simpler scheme can be more accurate per bit" claim.
 
-``run_banking_ablation``
+``ablation-banking``
     Recalibration sweep latency vs bank parallelism (Figure 5's knob):
     cycles halve per doubling while sweep energy is constant.
 
-``run_replacement_ablation``
+``ablation-replacement``
     LRU vs random vs tree-PLRU content trajectories: ReDHiP's savings are
     robust to the replacement policy (it predicts presence, not reuse).
 
-``run_fill_accounting_ablation``
+``ablation-fill-accounting``
     Sensitivity of Figure 7's normalized energies to charging line fills
     (the paper's accounting is probe-dominated; this quantifies how much
     the normalized savings dilute as fill energy is charged).
@@ -32,18 +32,11 @@ make the arguments quantitative:
 from __future__ import annotations
 
 from repro.core.recalibration import RecalibrationCost
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table
 
-__all__ = [
-    "SPECS",
-    "run_hash_ablation",
-    "run_entry_width_ablation",
-    "run_banking_ablation",
-    "run_replacement_ablation",
-    "run_fill_accounting_ablation",
-]
+__all__ = ["SPECS"]
 
 #: A representative subset keeps each ablation to a few content walks.
 ABLATION_WORKLOADS = ("bwaves", "mcf", "soplex", "blas")
@@ -271,18 +264,3 @@ SPECS = (
         render=render_fill_accounting_ablation,
     ),
 )
-
-
-def _wrap(spec: ExperimentSpec):
-    def run(config=None, **kwargs) -> ExperimentResult:
-        return run_spec(spec, config, **kwargs)
-
-    run.__doc__ = f"Back-compat entry point for {spec.experiment_id!r}."
-    return run
-
-
-run_hash_ablation = _wrap(SPECS[0])
-run_entry_width_ablation = _wrap(SPECS[1])
-run_banking_ablation = _wrap(SPECS[2])
-run_replacement_ablation = _wrap(SPECS[3])
-run_fill_accounting_ablation = _wrap(SPECS[4])

@@ -34,9 +34,10 @@ serially in this process.
   run back-to-back share content walks.
 
 The registry (:mod:`repro.experiments.registry`) maps artifact ids to
-specs; the per-figure modules keep thin ``run(config=None, **kwargs)``
-wrappers that route through here, so both ``run_experiment("fig6")`` and
-``fig6_speedup.run()`` are the same code path.
+specs, and ``run_experiment(id)`` is ``run_spec(get_spec(id))``: the
+per-figure modules export specs only, so every regeneration — ``repro
+run``, ``repro run-all``, ``repro experiments smoke``, the chaos runs —
+is this one code path.
 """
 
 from __future__ import annotations

@@ -1,19 +1,19 @@
 """Extension experiments beyond the paper's evaluation section.
 
-``run_gating``
+``ext-gating``
     The §IV footnote made concrete: on cache-friendly workloads (very high
     L1 hit rates) plain ReDHiP *loses* performance to lookup overhead; the
     utility gate recovers the loss while keeping most of the benefit on
     memory-bound workloads.  A cache-friendly synthetic workload is added
     to the line-up for exactly this purpose.
 
-``run_missmap``
+``ext-missmap``
     ReDHiP vs a MissMap-style exact page tracker [18] at equal area.  The
     MissMap never goes stale on covered pages but falls off a cliff when
     the working set exceeds its page capacity — the accuracy-per-bit
     argument §III makes, from the other direction.
 
-``run_core_scaling``
+``ext-cores``
     ReDHiP's benefit vs core count at fixed LLC and table capacity: more
     co-running programs alias into the same prediction table and churn the
     LLC harder between sweeps, so per-program savings shrink — which is
@@ -34,24 +34,12 @@ from repro.core.redhip import redhip_scheme
 from repro.predictors.base import base_scheme
 from repro.predictors.missmap import missmap_scheme
 from repro.experiments.context import get_runner
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads.synthetic import Component, Region, assemble_mixture
 from repro.workloads.trace import duplicate_for_cores
 
-__all__ = [
-    "SPECS",
-    "run_gating",
-    "run_missmap",
-    "run_core_scaling",
-    "run_depth_scaling",
-    "run_sharing",
-    "run_reuse_check",
-    "run_timing_sensitivity",
-    "run_related_work",
-    "run_nine",
-    "run_adaptive_recal",
-]
+__all__ = ["SPECS"]
 
 GATING_WORKLOADS = ("bwaves", "mcf", "soplex")
 MISSMAP_WORKLOADS = ("bwaves", "mcf", "soplex", "blas")
@@ -617,23 +605,3 @@ SPECS = (
         smoke_kwargs=_SMOKE,
     ),
 )
-
-
-def _wrap(spec: ExperimentSpec):
-    def run(config=None, **kwargs) -> ExperimentResult:
-        return run_spec(spec, config, **kwargs)
-
-    run.__doc__ = f"Back-compat entry point for {spec.experiment_id!r}."
-    return run
-
-
-run_gating = _wrap(SPECS[0])
-run_missmap = _wrap(SPECS[1])
-run_core_scaling = _wrap(SPECS[2])
-run_depth_scaling = _wrap(SPECS[3])
-run_sharing = _wrap(SPECS[4])
-run_reuse_check = _wrap(SPECS[5])
-run_timing_sensitivity = _wrap(SPECS[6])
-run_related_work = _wrap(SPECS[7])
-run_nine = _wrap(SPECS[8])
-run_adaptive_recal = _wrap(SPECS[9])

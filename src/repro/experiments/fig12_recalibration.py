@@ -11,12 +11,12 @@ P/64, P/8, P, 8P, 64P, and infinity.
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "cells", "render", "run", "sweep_periods"]
+__all__ = ["SPEC", "cells", "render", "sweep_periods"]
 
 EXPERIMENT_ID = "fig12"
 TITLE = "ReDHiP dynamic energy vs recalibration period (accuracy only)"
@@ -107,8 +107,3 @@ SPEC = ExperimentSpec(
     cells=cells,
     render=render,
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

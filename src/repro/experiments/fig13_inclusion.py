@@ -15,12 +15,12 @@ integrated simulator.
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render"]
 
 EXPERIMENT_ID = "fig13"
 TITLE = "ReDHiP dynamic-energy savings by inclusion policy"
@@ -79,8 +79,3 @@ SPEC = ExperimentSpec(
     cells=cells,
     render=render,
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

@@ -26,13 +26,13 @@ from dataclasses import replace
 from repro.core.redhip import redhip_scheme
 from repro.predictors.base import base_scheme
 from repro.experiments.context import get_runner
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.sim.config import SimConfig
 from repro.sim.integrated import PrefetchConfig
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "run"]
+__all__ = ["SPEC", "build"]
 
 EXPERIMENT_ID = "fig14-15"
 TITLE = "Stride prefetching vs ReDHiP vs both (speedup and dynamic energy)"
@@ -104,8 +104,3 @@ SPEC = ExperimentSpec(
     sweep=("prefetch",),
     smoke_kwargs={"workloads": ("mcf", "bwaves")},
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

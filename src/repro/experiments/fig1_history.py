@@ -12,10 +12,10 @@ and sizes grow monotonically within a level.
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, format_table
 
-__all__ = ["CACHE_HISTORY_KB", "SPEC", "build", "run"]
+__all__ = ["CACHE_HISTORY_KB", "SPEC", "build"]
 
 EXPERIMENT_ID = "fig1"
 TITLE = "Hardware cache sizes by level and year of appearance"
@@ -63,8 +63,3 @@ SPEC = ExperimentSpec(
     figure="Figure 1",
     kind="paper",
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

@@ -8,7 +8,7 @@ included in ReDHiP.
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import (
     PAPER_SCHEME_KEYS,
     SCHEME_NAMES,
@@ -18,7 +18,7 @@ from repro.experiments.grids import (
 from repro.sim.report import ExperimentResult, add_average, format_table, speedup_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render"]
 
 EXPERIMENT_ID = "fig6"
 TITLE = "Speedup over base: Oracle, CBF, Phased, ReDHiP"
@@ -69,8 +69,3 @@ SPEC = ExperimentSpec(
     cells=cells,
     render=render,
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

@@ -8,7 +8,7 @@ Oracle < ReDHiP < Phased < CBF < Base.
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import (
     PAPER_SCHEME_KEYS,
     SCHEME_NAMES,
@@ -23,7 +23,7 @@ from repro.sim.report import (
 )
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render"]
 
 EXPERIMENT_ID = "fig7"
 TITLE = "Dynamic energy normalized to base: Oracle, CBF, Phased, ReDHiP"
@@ -75,8 +75,3 @@ SPEC = ExperimentSpec(
     cells=cells,
     render=render,
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

@@ -11,7 +11,7 @@ paper's figure.
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import SCHEME_NAMES, grid_cell, row_result
 from repro.sim.report import (
     ExperimentResult,
@@ -21,7 +21,7 @@ from repro.sim.report import (
 )
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "cells", "render", "run"]
+__all__ = ["SPEC", "cells", "render"]
 
 EXPERIMENT_ID = "fig8"
 TITLE = "Performance-energy metric (speedup x total-energy saving)"
@@ -66,8 +66,3 @@ SPEC = ExperimentSpec(
     cells=cells,
     render=render,
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

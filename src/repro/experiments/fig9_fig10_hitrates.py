@@ -9,13 +9,12 @@ longer probe them — the paper reports average improvements of ~14, 12 and
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, add_average, format_table, hit_rate_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC_FIG9", "SPEC_FIG10", "SPEC_DELTA",
-           "run_fig9", "run_fig10", "run_delta"]
+__all__ = ["SPEC_FIG9", "SPEC_FIG10", "SPEC_DELTA"]
 
 PAPER_DELTAS_PP = {"L2": 0.14, "L3": 0.12, "L4": 0.18}
 
@@ -119,18 +118,3 @@ SPEC_DELTA = ExperimentSpec(
     cells=cells_delta,
     render=render_delta,
 )
-
-
-def run_fig9(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC_FIG9, config, **kwargs)
-
-
-def run_fig10(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC_FIG10, config, **kwargs)
-
-
-def run_delta(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC_DELTA, config, **kwargs)

@@ -67,6 +67,7 @@ def grid_cell(cfg, workload: str, scheme: str, **axes) -> CellSpec:
     ``recal_multiple=1.0`` — the paper cadence every figure uses unless it
     sweeps the period itself.
     """
+    axes.setdefault("seed", cfg.seed)
     axes.setdefault("policy", cfg.policy.value)
     axes.setdefault(
         "replacement", None if cfg.replacement == "lru" else cfg.replacement
@@ -80,7 +81,6 @@ def grid_cell(cfg, workload: str, scheme: str, **axes) -> CellSpec:
         workload=workload,
         scheme=scheme,
         refs_per_core=cfg.refs_per_core,
-        seed=cfg.seed,
         **axes,
     ).canonical()
 

@@ -10,11 +10,11 @@ visible.
 from __future__ import annotations
 
 from repro.predictors.base import base_scheme
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, add_average, format_table
 from repro.workloads import PAPER_WORKLOADS
 
-__all__ = ["SPEC", "build", "run"]
+__all__ = ["SPEC", "build"]
 
 EXPERIMENT_ID = "intro"
 TITLE = "Share of dynamic cache energy consumed by L3+L4 in the base case"
@@ -57,8 +57,3 @@ SPEC = ExperimentSpec(
     schemes=("Base",),
     smoke_kwargs={"workloads": ("mcf", "bwaves")},
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

@@ -1,9 +1,10 @@
 """Experiment registry: every table/figure id -> declarative spec.
 
 ``run_experiment("fig6")`` regenerates the corresponding paper artifact
-and returns an :class:`repro.sim.report.ExperimentResult`; the benchmark
-harness and the examples both go through this registry, so the set of
-reproducible artifacts is defined in exactly one place.
+and returns an :class:`repro.sim.report.ExperimentResult`; the CLI
+(``repro run``/``run-all``), the examples and the tests all go through
+this registry, so the set of reproducible artifacts is defined in
+exactly one place.
 
 Each entry is an :class:`~repro.experiments.driver.ExperimentSpec`
 declaring the artifact's figure anchor, sweep axes, scheme line-up and
@@ -15,7 +16,7 @@ renders this table without running anything.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict
 
 from repro.experiments import (
     ablations,
@@ -38,7 +39,7 @@ from repro.experiments.driver import ExperimentSpec, run_spec
 from repro.sim.report import ExperimentResult
 from repro.util.validation import ConfigError
 
-__all__ = ["EXPERIMENTS", "SPECS", "experiment_ids", "get_spec", "run_experiment"]
+__all__ = ["SPECS", "experiment_ids", "get_spec", "run_experiment"]
 
 #: Registry order mirrors the paper: figures/tables first, then
 #: extensions, then ablations.
@@ -63,19 +64,6 @@ SPECS: Dict[str, ExperimentSpec] = {
         *studies.SPECS,
         *ablations.SPECS,
     )
-}
-
-
-def _entry(spec: ExperimentSpec) -> Callable[..., ExperimentResult]:
-    def run(config=None, **kwargs) -> ExperimentResult:
-        return run_spec(spec, config, **kwargs)
-
-    return run
-
-
-#: Back-compat view: id -> runnable ``fn(config=None, **kwargs)``.
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    eid: _entry(spec) for eid, spec in SPECS.items()
 }
 
 

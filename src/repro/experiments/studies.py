@@ -23,15 +23,24 @@ cannot express instead of silently computing something different.
 Both report the dynamic-energy ratio vs the base case, averaged over the
 workload line-up — one scalar per (scheme, axis point), so the artifact
 table has schemes as rows and axis points as columns.
+
+``multiseed``
+    Error bars for the headline numbers, which the paper does not print:
+    ReDHiP vs base on three representative workloads at ``seeds``
+    consecutive seeds from ``cfg.seed``, reported as mean ± 95 % CI of
+    the speedup and the normalized dynamic energy, plus mean skip
+    coverage.
 """
 
 from __future__ import annotations
 
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.experiments.grids import grid_cell, row_result
 from repro.sim.report import ExperimentResult, format_table
+from repro.util.stats import MetricEstimate
+from repro.util.validation import check_positive
 
-__all__ = ["SPECS", "run_recal_study", "run_pt_study"]
+__all__ = ["SPECS"]
 
 STUDY_WORKLOADS = ("bwaves", "mcf", "soplex", "blas")
 _SMOKE = {"workloads": ("mcf", "bwaves")}
@@ -157,6 +166,54 @@ def render_pt_study(cfg, rows, workloads=STUDY_WORKLOADS) -> ExperimentResult:
     )
 
 
+MULTISEED_WORKLOADS = ("bwaves", "mcf", "soplex")
+MULTISEED_TITLE = "ReDHiP vs base across seeds (mean ± 95% CI)"
+MULTISEED_COLUMNS = ["speedup", "spd ±95%", "dynE", "dynE ±95%", "coverage"]
+
+
+def _seed_range(cfg, seeds: int) -> range:
+    check_positive("seeds", seeds)
+    return range(cfg.seed, cfg.seed + seeds)
+
+
+def cells_multiseed(cfg, workloads=MULTISEED_WORKLOADS, seeds: int = 5):
+    return [grid_cell(cfg, w, scheme, seed=s)
+            for w in workloads for s in _seed_range(cfg, seeds)
+            for scheme in ("base", "redhip")]
+
+
+def render_multiseed(cfg, rows, workloads=MULTISEED_WORKLOADS,
+                     seeds: int = 5) -> ExperimentResult:
+    series: dict[str, dict[str, float]] = {}
+    for wname in workloads:
+        speedup, dynamic, coverage = [], [], []
+        for s in _seed_range(cfg, seeds):
+            base = row_result(rows, grid_cell(cfg, wname, "base", seed=s))
+            res = row_result(rows, grid_cell(cfg, wname, "redhip", seed=s))
+            speedup.append(res.speedup_over(base) - 1.0)
+            dynamic.append(res.dynamic_ratio(base))
+            coverage.append(res.skip_coverage)
+        spd = MetricEstimate("speedup", tuple(speedup))
+        dyn = MetricEstimate("dynamic_ratio", tuple(dynamic))
+        series[wname] = {
+            "speedup": spd.mean,
+            "spd ±95%": spd.ci95,
+            "dynE": dyn.mean,
+            "dynE ±95%": dyn.ci95,
+            "coverage": MetricEstimate("skip_coverage", tuple(coverage)).mean,
+        }
+    seed_range = _seed_range(cfg, seeds)
+    return ExperimentResult(
+        experiment_id="multiseed",
+        title=MULTISEED_TITLE,
+        series=series,
+        table=format_table(series, MULTISEED_COLUMNS, value_format="{:+.3f}"),
+        notes=(f"Normal-approximation 95% CI over seeds {seed_range[0]}–"
+               f"{seed_range[-1]} (n={len(seed_range)}); the paper prints "
+               f"no error bars."),
+    )
+
+
 SPECS = (
     ExperimentSpec(
         experiment_id="study-recal",
@@ -180,16 +237,15 @@ SPECS = (
         cells=cells_pt_study,
         render=render_pt_study,
     ),
+    ExperimentSpec(
+        experiment_id="multiseed",
+        title=MULTISEED_TITLE,
+        kind="extension",
+        workloads=MULTISEED_WORKLOADS,
+        schemes=("Base", "ReDHiP"),
+        sweep=("seed",),
+        smoke_kwargs=_SMOKE,
+        cells=cells_multiseed,
+        render=render_multiseed,
+    ),
 )
-
-
-def _wrap(spec: ExperimentSpec):
-    def run(config=None, **kwargs) -> ExperimentResult:
-        return run_spec(spec, config, **kwargs)
-
-    run.__doc__ = f"Back-compat entry point for {spec.experiment_id!r}."
-    return run
-
-
-run_recal_study = _wrap(SPECS[0])
-run_pt_study = _wrap(SPECS[1])

@@ -15,10 +15,10 @@ from __future__ import annotations
 from repro.energy.accounting import CostTable
 from repro.energy.cacti import CactiModel
 from repro.energy.params import get_machine
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, format_table
 
-__all__ = ["SPEC", "build", "run"]
+__all__ = ["SPEC", "build"]
 
 EXPERIMENT_ID = "table1"
 TITLE = "Architecture parameters (Table I) with CACTI-model cross-check"
@@ -88,8 +88,3 @@ SPEC = ExperimentSpec(
     figure="Table I",
     kind="paper",
 )
-
-
-def run(config=None, **kwargs) -> ExperimentResult:
-    """Back-compat entry point: route the spec through the shared driver."""
-    return run_spec(SPEC, config, **kwargs)

@@ -1,6 +1,6 @@
 """Predictor zoo: ReDHiP head-to-head with its 2014-2024 lineage.
 
-``run_zoo_levelpred``
+``ext-zoo-levelpred``
     Cache level prediction (Jalili & Erez, arXiv:2103.14808) strictly
     generalizes ReDHiP: after an L1 miss it predicts the exact hit level
     and probes only that level, so a confident correct prediction costs
@@ -9,7 +9,7 @@
     *is* ReDHiP's machinery, so the two schemes skip identically at equal
     table budget — the delta is purely the level table's doing.
 
-``run_zoo_ehc``
+``ext-zoo-ehc``
     Expected-hit-count reuse prediction (Vakil Ghahani et al.,
     arXiv:1808.05024) as an LLC policy: a block whose expected hit count
     has been spent is treated as dead and its LLC probe degrades to the
@@ -29,10 +29,10 @@ from repro.core.redhip import redhip_scheme
 from repro.predictors.base import base_scheme, oracle_scheme, phased_scheme
 from repro.predictors.ehc import ehc_scheme
 from repro.predictors.levelpred import levelpred_scheme, oracle_levelpred_scheme
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, add_average, format_table
 
-__all__ = ["SPECS", "run_zoo_levelpred", "run_zoo_ehc"]
+__all__ = ["SPECS"]
 
 ZOO_WORKLOADS = ("bwaves", "mcf", "soplex", "blas")
 
@@ -178,15 +178,3 @@ SPECS = (
         smoke_kwargs=_SMOKE,
     ),
 )
-
-
-def _wrap(spec: ExperimentSpec):
-    def run(config=None, **kwargs) -> ExperimentResult:
-        return run_spec(spec, config, **kwargs)
-
-    run.__doc__ = f"Back-compat entry point for {spec.experiment_id!r}."
-    return run
-
-
-run_zoo_levelpred = _wrap(SPECS[0])
-run_zoo_ehc = _wrap(SPECS[1])

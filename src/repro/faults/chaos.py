@@ -67,13 +67,7 @@ def render_artifact(result) -> str:
     be a pure function of the result — no timestamps, no paths.
     """
     series = json.dumps(result.series, indent=2, sort_keys=True, default=float)
-    out = (
-        f"# {result.experiment_id}: {result.title}\n\n"
-        f"```\n{result.table}\n```\n\n"
-    )
-    if result.notes:
-        out += result.notes + "\n\n"
-    return out + "## series\n\n```json\n" + series + "\n```\n"
+    return result.markdown() + "\n## series\n\n```json\n" + series + "\n```\n"
 
 
 def _one_run(experiment_id: str, config, workloads, out_dir: Path, label: str,

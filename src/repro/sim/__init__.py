@@ -2,7 +2,7 @@
 evaluation), the integrated single-pass reference simulator, and the
 caching experiment runner."""
 
-from repro.sim.config import SimConfig, bench_config, default_recal_period
+from repro.sim.config import SimConfig, default_recal_period
 from repro.sim.content import ContentSimulator, merge_order
 from repro.sim.evaluate import SchemeResult, evaluate_scheme, replay_predictor
 from repro.sim.integrated import IntegratedSimulator, PrefetchConfig
@@ -29,7 +29,6 @@ __all__ = [
     "SimConfig",
     "StreamCache",
     "add_average",
-    "bench_config",
     "default_recal_period",
     "dynamic_energy_table",
     "evaluate_scheme",

@@ -1,18 +1,15 @@
-"""Run configuration and environment-driven defaults.
+"""Run configuration.
 
 A :class:`SimConfig` pins everything that determines a content trajectory:
 machine, inclusion policy, replacement policy, trace length and seed.
 Scheme choice deliberately lives *outside* it — one content trajectory
-serves every scheme (DESIGN.md, "Two-phase simulation").
+serves every scheme (DESIGN.md, "Two-phase simulation").  Machine, trace
+length and seed are never read from the environment: a run is pinned by
+its config (the CLI's ``--machine``/``--refs``/``--seed``).
 
-Environment knobs honoured by the benchmark/experiment layer:
+Environment knobs for the opt-in observation and robustness layers, each
+mirrored by a field below:
 
-``REPRO_MACHINE``
-    ``scaled`` (default) or ``paper``.
-``REPRO_BENCH_REFS``
-    References per core for benchmark runs (default 160 000 — long enough
-    for steady-state LLC churn on the scaled machine; the vectorized cold
-    path made doubling the old 80 000 default fit the same bench budget).
 ``REPRO_STREAM_CACHE``
     Persistent stream-cache directory (``1`` selects ``.repro-cache/``);
     see :mod:`repro.sim.streamcache`.
@@ -26,14 +23,13 @@ Environment knobs honoured by the benchmark/experiment layer:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
-from repro.energy.params import MachineConfig, get_machine
+from repro.energy.params import MachineConfig
 from repro.hierarchy.inclusion import InclusionPolicy
 from repro.util.validation import check_positive
 
-__all__ = ["SimConfig", "default_recal_period", "bench_config"]
+__all__ = ["SimConfig", "default_recal_period"]
 
 
 def default_recal_period(machine: MachineConfig) -> int:
@@ -108,7 +104,6 @@ class SimConfig:
     #: ``checked`` it is excluded from comparisons and from
     #: :meth:`cache_key`.  ``REPRO_FAULTS=plan.json`` enables it globally.
     faults: "str | None" = field(default=None, compare=False)
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         check_positive("refs_per_core", self.refs_per_core)
@@ -137,11 +132,3 @@ class SimConfig:
             self.replacement,
             self.coherent,
         )
-
-
-def bench_config(machine_name: str | None = None, refs_per_core: int | None = None,
-                 **kwargs) -> SimConfig:
-    """Build the benchmark-layer config from the environment."""
-    name = machine_name or os.environ.get("REPRO_MACHINE", "scaled")
-    refs = refs_per_core or int(os.environ.get("REPRO_BENCH_REFS", "160000"))
-    return SimConfig(machine=get_machine(name), refs_per_core=refs, **kwargs)

@@ -2,8 +2,8 @@
 
 Every experiment module returns an :class:`ExperimentResult` whose
 ``series`` are keyed exactly like the paper's figures (benchmark -> scheme
--> value), plus a pre-formatted text table for terminal/bench output and
-the EXPERIMENTS.md records.
+-> value), plus a pre-formatted text table for terminal output; its
+:meth:`~ExperimentResult.markdown` is the one artifact file format.
 """
 
 from __future__ import annotations
@@ -39,6 +39,14 @@ class ExperimentResult:
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"== {self.experiment_id}: {self.title} ==\n{self.table}"
+
+    def markdown(self) -> str:
+        """The artifact as ``<id>.md``: what ``repro run``/``run-all``/
+        ``experiments smoke --out`` write and ``tests/golden/artifacts/``
+        pins byte for byte."""
+        return (f"# {self.experiment_id}: {self.title}\n\n"
+                f"```\n{self.table}\n```\n\n"
+                + (self.notes + "\n" if self.notes else ""))
 
 
 def add_average(series: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "MetricEstimate",
     "geometric_mean",
     "normalize_to",
     "percent",
@@ -82,3 +84,33 @@ def summarize(values: Iterable[float]) -> dict[str, float]:
         "std": float(arr.std()),
         "n": int(arr.size),
     }
+
+
+#: z value for a two-sided 95 % interval.
+Z95 = 1.96
+
+
+@dataclass(frozen=True)
+class MetricEstimate:
+    """Mean / spread / normal-approximation 95 % CI of one scalar metric
+    across seeds — the error bars the paper does not print."""
+
+    name: str
+    samples: tuple[float, ...]
+
+    @property
+    def mean(self) -> float:
+        return float(np.mean(self.samples))
+
+    @property
+    def std(self) -> float:
+        return float(np.std(self.samples, ddof=1)) if len(self.samples) > 1 else 0.0
+
+    @property
+    def ci95(self) -> float:
+        """Half-width of the 95 % CI on the mean."""
+        n = len(self.samples)
+        return float(Z95 * self.std / np.sqrt(n)) if n > 1 else 0.0
+
+    def __str__(self) -> str:
+        return f"{self.name}: {self.mean:+.3f} ± {self.ci95:.3f} (n={len(self.samples)})"

@@ -1,17 +1,22 @@
-"""Reuse-distance analysis, phase statistics and multi-seed runs."""
+"""Reuse-distance analysis, phase statistics and multi-seed estimates."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.multiseed import MetricEstimate, run_multi_seed
+from dataclasses import replace
+
 from repro.analysis.phases import windowed_skip_rate, windowed_stats
 from repro.analysis.reuse import COLD, profile_trace, reuse_distances
 from repro.core.redhip import ReDHiPController, redhip_scheme
 from repro.energy.params import get_machine
+from repro.experiments import run_experiment
+from repro.predictors.base import base_scheme
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
+from repro.sim.runner import ExperimentRunner
+from repro.util.stats import MetricEstimate
 
 from conftest import make_explicit_trace, make_trace, single_core_workload
 
@@ -124,13 +129,27 @@ def test_metric_estimate_math():
     assert "x:" in str(est)
 
 
-def test_run_multi_seed():
-    cfg = SimConfig(machine=MACHINE, refs_per_core=1500)
-    res = run_multi_seed(cfg, "mcf",
-                         redhip_scheme(recal_period=cfg.recal_period),
-                         seeds=(1, 2, 3))
-    assert len(res.speedup.samples) == 3
-    assert 0 < res.dynamic_ratio.mean < 1
-    assert res.skip_coverage.mean > 0.3
-    rows = res.as_rows()
-    assert set(rows) == {"speedup", "dynamic_ratio", "total_ratio", "skip_coverage"}
+def test_multiseed_spec_matches_per_seed_runs():
+    """The ``multiseed`` grid spec, rendered from store rows, reports the
+    same estimates as running ReDHiP vs base live at each seed."""
+    cfg = SimConfig(machine=MACHINE, refs_per_core=1500, seed=2)
+    row = run_experiment("multiseed", cfg, workloads=("mcf",),
+                         seeds=3).series["mcf"]
+    speedup, dynamic, coverage = [], [], []
+    for seed in (2, 3, 4):
+        runner = ExperimentRunner(replace(cfg, seed=seed))
+        base = runner.run("mcf", base_scheme())
+        res = runner.run("mcf", redhip_scheme(recal_period=cfg.recal_period))
+        speedup.append(res.speedup_over(base) - 1.0)
+        dynamic.append(res.dynamic_ratio(base))
+        coverage.append(res.skip_coverage)
+    spd = MetricEstimate("speedup", tuple(speedup))
+    dyn = MetricEstimate("dynamic_ratio", tuple(dynamic))
+    assert row == {
+        "speedup": spd.mean, "spd ±95%": spd.ci95,
+        "dynE": dyn.mean, "dynE ±95%": dyn.ci95,
+        "coverage": MetricEstimate("skip_coverage", tuple(coverage)).mean,
+    }
+    assert spd.ci95 > 0  # three distinct seeds, three distinct draws
+    assert 0 < dyn.mean < 1
+    assert row["coverage"] > 0.3

@@ -1,7 +1,13 @@
 """The algorithm-level tracers: Graph500 BFS and PMF-SGD."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import repro
 from repro.energy.params import get_machine
 from repro.workloads.graph500 import bfs_reference_stream, build_graph500_trace
 from repro.workloads.pmf import ROW_BYTES, build_pmf_trace, sgd_reference_stream
@@ -41,6 +47,24 @@ def test_graph500_trace_builds():
     assert t.name == "blas"
     other = build_graph500_trace(m, refs=2000, seed=3, process_id=1)
     assert (t.addr != other.addr).any()  # distinct per-process graphs
+
+
+def test_blas_build_does_not_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` on first use (~11 ms per
+    process, paid inside every cold figure that builds ``blas``); the BFS
+    tracer dedups its frontier without it."""
+    code = (
+        "import sys\n"
+        "from repro.energy.params import get_machine\n"
+        "from repro.workloads import get_workload\n"
+        "get_workload('blas', get_machine('tiny'), 2000, 1)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_sgd_stream_pattern():

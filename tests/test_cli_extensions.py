@@ -1,5 +1,7 @@
 """The CLI and the extension experiments."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -41,6 +43,23 @@ def test_cli_run_with_out(tmp_path, capsys):
     assert rc == 0
     assert (tmp_path / "fig1.md").exists()
     assert "L4" in (tmp_path / "fig1.md").read_text()
+
+
+def test_cli_run_out_matches_the_golden_artifact(tmp_path, capsys):
+    """``repro run --out`` writes the same bytes as ``experiments smoke
+    --out`` (the goldens) for the same config: one artifact format."""
+    golden = Path(__file__).parent / "golden" / "artifacts" / "fig6.md"
+    rc = main(["run", "fig6", "--machine", "tiny", "--refs", "1500",
+               "--seed", "7", "--workloads", "mcf,bwaves",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert (tmp_path / "fig6.md").read_text() == golden.read_text()
+
+
+def test_cli_run_workloads_on_a_fixed_lineup_errors(capsys):
+    assert main(["run", "fig9", "--machine", "tiny", "--refs", "500",
+                 "--workloads", "mcf"]) == 1
+    assert "fixed workload line-up" in capsys.readouterr().err
 
 
 def test_cli_unknown_experiment(capsys):

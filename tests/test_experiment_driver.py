@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
+import repro.experiments
 from repro.cli import main
 from repro.energy.params import get_machine
 from repro.experiments import SPECS, ExperimentSpec, clear_cache, get_spec, run_spec
@@ -154,3 +158,17 @@ def test_workers_reach_the_grid_pool_only(tmp_path, monkeypatch):
     with telemetry.session(force=True, label="test") as sess:
         run_spec(get_spec("ext-nine"), cfg, smoke=True)
         assert "parallel.pools" not in sess.registry.snapshot()["counters"]
+
+
+def test_specs_are_the_only_entry_points():
+    """Artifacts regenerate through ``run_spec``/``run_experiment`` only:
+    no experiment module exports a ``run``/``run_*`` wrapper or an
+    id -> callable table beside the registry."""
+    for info in pkgutil.iter_modules(repro.experiments.__path__):
+        module = importlib.import_module(f"repro.experiments.{info.name}")
+        names = set(vars(module)) | set(getattr(module, "__all__", ()))
+        stale = sorted(
+            n for n in names
+            if n in ("EXPERIMENTS", "run")
+            or (n.startswith("run_") and n not in ("run_spec", "run_experiment")))
+        assert not stale, (info.name, stale)

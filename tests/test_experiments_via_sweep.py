@@ -37,7 +37,7 @@ def _drop_shared_runner():
 
 
 def test_converted_specs_declare_the_grid_protocol():
-    assert len(CONVERTED) == 16
+    assert len(CONVERTED) == 17
     for eid in CONVERTED:
         spec = SPECS[eid]
         assert spec.render is not None and spec.build is None, eid

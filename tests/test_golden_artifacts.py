@@ -1,7 +1,8 @@
 """Byte-identity of every registered experiment artifact.
 
-``tests/golden/artifacts/`` holds the rendered markdown for all 32
-registry specs at the smoke configuration (tiny machine, 1500 refs/core,
+``tests/golden/artifacts/`` holds the rendered markdown
+(:meth:`~repro.sim.report.ExperimentResult.markdown`) for every registry
+spec at the smoke configuration (tiny machine, 1500 refs/core,
 seed 7) — the same config CI's ``repro experiments smoke`` uses.  Any
 refactor of the charging kernel, the simulators, or the experiment
 driver must leave these bytes untouched; an intentional change means
@@ -25,15 +26,6 @@ def smoke_config():
     return SimConfig(machine=get_machine("tiny"), refs_per_core=1500, seed=7)
 
 
-def render(result) -> str:
-    """The exact artifact format ``repro experiments smoke --out`` writes."""
-    return (
-        f"# {result.experiment_id}: {result.title}\n\n"
-        f"```\n{result.table}\n```\n\n"
-        + (result.notes + "\n" if result.notes else "")
-    )
-
-
 def test_golden_covers_entire_registry():
     on_disk = {p.stem for p in GOLDEN_DIR.glob("*.md")}
     assert on_disk == set(SPECS), (
@@ -47,7 +39,7 @@ def test_artifact_bytes_unchanged(experiment_id):
     spec = SPECS[experiment_id]
     result = run_spec(spec, smoke_config(), smoke=True)
     golden = (GOLDEN_DIR / f"{experiment_id}.md").read_text()
-    assert render(result) == golden, experiment_id
+    assert result.markdown() == golden, experiment_id
 
 
 @pytest.fixture(scope="module", autouse=True)

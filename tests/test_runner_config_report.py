@@ -5,7 +5,8 @@ import pytest
 from repro.energy.params import get_machine
 from repro.predictors.base import base_scheme, oracle_scheme
 from repro.core.redhip import redhip_scheme
-from repro.sim.config import SimConfig, bench_config, default_recal_period
+from repro.experiments import default_config
+from repro.sim.config import SimConfig, default_recal_period
 from repro.sim.report import (
     add_average,
     dynamic_energy_table,
@@ -37,14 +38,14 @@ def test_simconfig_policy_parse_and_key():
         SimConfig(machine=get_machine("tiny"), refs_per_core=0)
 
 
-def test_bench_config_env(monkeypatch):
-    monkeypatch.setenv("REPRO_MACHINE", "tiny")
-    monkeypatch.setenv("REPRO_BENCH_REFS", "123")
-    cfg = bench_config()
-    assert cfg.machine.name == "tiny"
-    assert cfg.refs_per_core == 123
-    cfg2 = bench_config(machine_name="scaled", refs_per_core=55)
-    assert cfg2.machine.name == "scaled" and cfg2.refs_per_core == 55
+def test_default_config_ignores_the_environment(monkeypatch):
+    """The documented artifact config (scaled, 80k refs/core, seed 1) is
+    what ``run_experiment(id)`` runs; the retired env knobs change nothing."""
+    monkeypatch.setenv("REPRO_MACHINE", "paper")
+    monkeypatch.setenv("REPRO_BENCH_REFS", "5")
+    cfg = default_config()
+    assert cfg == SimConfig(machine=get_machine("scaled"))
+    assert (cfg.refs_per_core, cfg.seed) == (80_000, 1)
 
 
 # ------------------------------------------------------------------ runner
