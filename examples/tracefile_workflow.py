@@ -11,6 +11,7 @@ Run:  python examples/tracefile_workflow.py [workload] [refs_per_core]
 
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from repro import (
@@ -37,8 +38,10 @@ def main() -> None:
         print(f"saved {workload.total_refs} references "
               f"({saved.stat().st_size / 1024:.0f} KB compressed) to {saved.name}")
 
-        # A fresh process would start here: load and replay.
-        replayed = load_workload(saved)
+        # A fresh process would start here: load and replay.  The runner
+        # refuses a registry name for an added workload, so the replayed
+        # trace gets its own.
+        replayed = replace(load_workload(saved), name=f"{name}-trace")
         runner = ExperimentRunner(config)
         runner.add_workload(replayed)
         base = runner.run(replayed.name, base_scheme())

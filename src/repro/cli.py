@@ -29,7 +29,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.energy.params import MACHINES, get_machine
-from repro.experiments import clear_cache, experiment_ids, get_spec, run_experiment
+from repro.experiments import experiment_ids, get_spec, run_experiment
 from repro.hierarchy.inclusion import InclusionPolicy
 from repro.sim.config import SimConfig
 from repro.sim.report import ExperimentResult
@@ -380,7 +380,6 @@ def _experiments(args) -> int:
             args.out.mkdir(parents=True, exist_ok=True)
             (args.out / f"{result.experiment_id}.md").write_text(
                 result.markdown())
-    clear_cache()
     print("all specs ran")
     return 0
 
@@ -850,7 +849,6 @@ def main(argv: list[str] | None = None) -> int:
                     args.experiment, cfg, store=args.store,
                     **_run_kwargs(args, args.experiment))
                 _emit(result, args.out, chart=args.chart)
-                clear_cache()
                 _write_manifest(sess, cfg, [args.experiment], args.out)
         elif args.command == "run-all":
             cfg = _config(args)
@@ -860,7 +858,6 @@ def main(argv: list[str] | None = None) -> int:
                     result = run_experiment(
                         eid, cfg, **_run_kwargs(args, eid, strict=False))
                     _emit(result, args.out, chart=args.chart)
-                clear_cache()
                 _write_manifest(sess, cfg, ids, args.out)
         elif args.command == "workload":
             workload = get_workload(args.name, get_machine(args.machine),

@@ -2,8 +2,7 @@
 describe them, and the registry that maps every paper artifact id to a
 runnable regeneration."""
 
-from repro.experiments.context import clear_cache, default_config, get_runner
-from repro.experiments.driver import ExperimentSpec, run_spec
+from repro.experiments.driver import ExperimentSpec, default_config, run_spec
 from repro.experiments.registry import (
     SPECS,
     experiment_ids,
@@ -14,10 +13,8 @@ from repro.experiments.registry import (
 __all__ = [
     "ExperimentSpec",
     "SPECS",
-    "clear_cache",
     "default_config",
     "experiment_ids",
-    "get_runner",
     "get_spec",
     "run_experiment",
     "run_spec",

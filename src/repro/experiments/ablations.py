@@ -189,8 +189,8 @@ def render_fill_accounting_ablation(cfg, rows, workloads=ABLATION_WORKLOADS) -> 
     )
 
 
-def build_banking_ablation(ctx) -> ExperimentResult:
-    machine = ctx.config.machine
+def build_banking_ablation(cfg) -> ExperimentResult:
+    machine = cfg.machine
     series: dict[str, dict[str, float]] = {}
     for banks in (1, 2, 4, 8, 16):
         cost = RecalibrationCost.for_machine(machine, "bits", banks=banks)

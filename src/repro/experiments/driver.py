@@ -3,10 +3,10 @@
 Every paper artifact is described by an :class:`ExperimentSpec` — id,
 title, figure, sweep axes, scheme line-up, workloads — plus exactly one
 implementation: either the ``cells``/``render`` grid pair, or a ``build``
-callable that turns an :class:`ExperimentContext` into an
-:class:`~repro.sim.report.ExperimentResult`.  :func:`run_spec` is the one
-path every spec runs through, so the cross-cutting wiring happens exactly
-once:
+callable that turns the resolved :class:`~repro.sim.config.SimConfig` into
+an :class:`~repro.sim.report.ExperimentResult`.  :func:`run_spec` is the
+one path every spec runs through, so the cross-cutting wiring happens
+exactly once:
 
 **One execution substrate** (DESIGN.md): a grid spec *compiles to* a
 sweep — :func:`run_spec` expands the grid, executes it through
@@ -17,21 +17,21 @@ the canonical store rows.  A config the cell vocabulary cannot express
 (non-registry machines, coherent or timing-model variants, ``checked``
 set on the config) is refused with a :class:`ConfigError`.  Pass
 ``store=<path>`` to keep the results store (a second run resumes from it);
-by default each run uses a private temporary store, recomputing cells but
-sharing content walks through a process-wide stream cache.  The grid's
-shards run in the scheduler's process pool (``workers=``, else
-``REPRO_PARALLEL`` when set, else one process).  ``build`` specs have
-no store and no pool: they refuse ``store=`` and ``workers=``, and walk
-serially in this process.
+by default each run uses a private temporary store and recomputes its
+cells.  The grid's shards run in the scheduler's process pool
+(``workers=``, else ``REPRO_PARALLEL`` when set, else one process).
+``build`` specs have no store and no pool: they refuse ``store=`` and
+``workers=``, and walk serially in this process.
 
+* **one stream cache per run** — the resolved config carries the stream
+  cache every spec of either kind walks through (the caller's, else the
+  process-shared temporary one unless ``REPRO_STREAM_CACHE`` is set), so
+  ``repro run-all`` walks each content trajectory once;
 * **telemetry** — each run is wrapped in an ``experiment`` span and bumps
   the ``experiments.runs`` counter;
 * **fault injection** — a config that names a fault plan
   (``SimConfig(faults=...)``) is activated before the build runs, even
-  for specs that never construct a runner;
-* **runner memoization** — the context's :attr:`ExperimentContext.runner`
-  is the shared memoized runner for the resolved config, so specs that
-  run back-to-back share content walks.
+  for specs that never construct a runner.
 
 The registry (:mod:`repro.experiments.registry`) maps artifact ids to
 specs, and ``run_experiment(id)`` is ``run_spec(get_spec(id))``: the
@@ -48,27 +48,29 @@ import tempfile
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Mapping
 
 from repro import faults, telemetry
 from repro.energy.params import get_machine
-from repro.experiments.context import default_config, get_runner
 from repro.sim.config import SimConfig
 from repro.sim.report import ExperimentResult
 from repro.util.validation import ConfigError, ReproError
 
-__all__ = ["ExperimentContext", "ExperimentSpec", "run_spec"]
+__all__ = ["ExperimentSpec", "default_config", "run_spec"]
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Declarative description of one reproducible artifact.
 
-    A spec has exactly one implementation: ``build(ctx, **kwargs)``, or
-    the ``cells``/``render`` grid pair.  Everything else is metadata the
-    driver and the CLI (``repro experiments ls``) read without running
-    anything.
+    A spec has exactly one implementation: ``build(cfg, **kwargs)``, or
+    the ``cells``/``render`` grid pair.  All three take the resolved
+    config, whose ``stream_cache`` is the run's shared cache: a build that
+    simulates makes its own ``ExperimentRunner(cfg)`` (or one on a
+    ``replace(cfg, ...)`` variant), so walks are shared through the cache
+    alone.  Everything else is metadata the driver and the CLI (``repro
+    experiments ls``) read without running anything.
 
     ``smoke_kwargs`` are the overrides a cheap registry-wide smoke pass
     uses (typically a two-workload subset).
@@ -110,40 +112,38 @@ class ExperimentSpec:
                 f"implementation, build or the cells/render pair")
 
 
-class ExperimentContext:
-    """What a spec's ``build`` receives: the resolved config plus the
-    memoized runner for it (built lazily, so runner-less specs never pay
-    for one)."""
-
-    def __init__(self, spec: ExperimentSpec, config: SimConfig) -> None:
-        self.spec = spec
-        self.config = config
-
-    @property
-    def runner(self):
-        return get_runner(self.config)
+def default_config() -> SimConfig:
+    """The config every artifact is documented at (EXPERIMENTS.md): the
+    ``scaled`` machine, 80k refs/core, seed 1 — the CLI's defaults too."""
+    return SimConfig(machine=get_machine("scaled"))
 
 
-#: Process-shared stream-cache directory for grid runs without an explicit
-#: cache: private temporary stores come and go per figure, but the content
-#: trajectories they replay are shared — ``repro run-all`` walks each one
-#: once.  Created lazily, removed at interpreter exit.
+#: Process-shared stream-cache directory for runs without an explicit
+#: cache: every spec, grid or build, walks through it, so ``repro
+#: run-all`` walks each content trajectory once.  Created lazily, removed
+#: at interpreter exit.
 _SHARED_STREAM_CACHE: "tempfile.TemporaryDirectory | None" = None
 
 
-def _grid_stream_cache(cfg: SimConfig) -> "str | None":
+def _with_stream_cache(cfg: SimConfig) -> SimConfig:
+    """``cfg`` with the stream cache one run walks through.
+
+    An explicit ``cfg.stream_cache`` wins.  With ``REPRO_STREAM_CACHE``
+    set (any value, a falsy one included) the config is left alone:
+    :func:`~repro.sim.streamcache.resolve_cache` honours the environment
+    directly, so ``REPRO_STREAM_CACHE=0`` makes every spec walk its own
+    streams.  Otherwise the process-shared temporary cache is used.
+    """
     from repro.sim.streamcache import CACHE_ENV
 
-    if cfg.stream_cache:
-        return cfg.stream_cache
-    if os.environ.get(CACHE_ENV, "").strip():
-        return None  # resolve_cache honours the environment directly
+    if cfg.stream_cache or os.environ.get(CACHE_ENV, "").strip():
+        return cfg
     global _SHARED_STREAM_CACHE
     if _SHARED_STREAM_CACHE is None:
         _SHARED_STREAM_CACHE = tempfile.TemporaryDirectory(
             prefix="repro-experiments-cache-")
         atexit.register(_SHARED_STREAM_CACHE.cleanup)
-    return _SHARED_STREAM_CACHE.name
+    return replace(cfg, stream_cache=_SHARED_STREAM_CACHE.name)
 
 
 @contextmanager
@@ -214,10 +214,9 @@ def _run_grid(spec: ExperimentSpec, cfg: SimConfig,
     if workers is None:
         workers = default_workers() if os.environ.get("REPRO_PARALLEL") else 1
     with _grid_store(store, spec.experiment_id) as store_path:
-        stream_cache = _grid_stream_cache(cfg)
         run = partial(run_cells, cells, spec.experiment_id, store_path,
                       workers=workers, faults_plan=cfg.faults,
-                      stream_cache=stream_cache, fingerprints=fingerprints)
+                      stream_cache=cfg.stream_cache, fingerprints=fingerprints)
         report = run()
         if report.failed:
             # One retry pass: transient failures (injected cell faults,
@@ -262,7 +261,7 @@ def run_spec(
                     f"experiment and keeps no results store or worker "
                     f"pool; drop {flag}"
                 )
-    cfg = config if config is not None else default_config()
+    cfg = _with_stream_cache(config if config is not None else default_config())
     if smoke:
         kwargs = {**dict(spec.smoke_kwargs), **kwargs}
     with telemetry.span("experiment", experiment=spec.experiment_id):
@@ -270,4 +269,4 @@ def run_spec(
         faults.ensure(cfg)
         if spec.build is None:
             return _run_grid(spec, cfg, store, workers, kwargs)
-        return spec.build(ExperimentContext(spec, cfg), **kwargs)
+        return spec.build(cfg, **kwargs)

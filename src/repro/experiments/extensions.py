@@ -33,9 +33,9 @@ from repro.core.gating import gated_redhip_scheme
 from repro.core.redhip import redhip_scheme
 from repro.predictors.base import base_scheme
 from repro.predictors.missmap import missmap_scheme
-from repro.experiments.context import get_runner
 from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, add_average, format_table
+from repro.sim.runner import ExperimentRunner
 from repro.workloads.synthetic import Component, Region, assemble_mixture
 from repro.workloads.trace import duplicate_for_cores
 
@@ -65,9 +65,8 @@ def _gate_bait_workload(machine, refs: int, seed: int):
     return duplicate_for_cores(trace, machine.cores, seed=seed)
 
 
-def build_gating(ctx, workloads=GATING_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
+def build_gating(cfg, workloads=GATING_WORKLOADS) -> ExperimentResult:
+    runner = ExperimentRunner(cfg)
     bait = _gate_bait_workload(cfg.machine, cfg.refs_per_core, cfg.seed)
     runner.add_workload(bait)
     window = max(64, cfg.total_refs // 256)
@@ -106,9 +105,8 @@ def build_gating(ctx, workloads=GATING_WORKLOADS) -> ExperimentResult:
     )
 
 
-def build_missmap(ctx, workloads=MISSMAP_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
+def build_missmap(cfg, workloads=MISSMAP_WORKLOADS) -> ExperimentResult:
+    runner = ExperimentRunner(cfg)
     series: dict[str, dict[str, float]] = {}
     for wname in workloads:
         base = runner.run(wname, base_scheme())
@@ -133,14 +131,13 @@ def build_missmap(ctx, workloads=MISSMAP_WORKLOADS) -> ExperimentResult:
     )
 
 
-def build_core_scaling(ctx, workloads=SCALING_WORKLOADS,
+def build_core_scaling(base_cfg, workloads=SCALING_WORKLOADS,
                        core_counts=(2, 4, 8)) -> ExperimentResult:
-    base_cfg = ctx.config
     series: dict[str, dict[str, float]] = {}
     for cores in core_counts:
         machine = base_cfg.machine.with_cores(cores)
         cfg = replace(base_cfg, machine=machine)
-        runner = get_runner(cfg)
+        runner = ExperimentRunner(cfg)
         for wname in workloads:
             base = runner.run(wname, base_scheme())
             red = runner.run(wname, redhip_scheme(recal_period=cfg.recal_period))
@@ -166,7 +163,7 @@ def build_core_scaling(ctx, workloads=SCALING_WORKLOADS,
 DEPTH_WORKLOADS = ("mcf", "bwaves")
 
 
-def build_depth_scaling(ctx, workloads=DEPTH_WORKLOADS,
+def build_depth_scaling(base_cfg, workloads=DEPTH_WORKLOADS,
                         depths=(2, 3, 4, 5)) -> ExperimentResult:
     """ReDHiP vs hierarchy depth — Figure 1's trend, quantified.
 
@@ -179,12 +176,11 @@ def build_depth_scaling(ctx, workloads=DEPTH_WORKLOADS,
     from repro.energy.params import deep_machine
     from repro.predictors.base import oracle_scheme
 
-    base_cfg = ctx.config
     series: dict[str, dict[str, float]] = {}
     for depth in depths:
         machine = deep_machine(depth, cores=base_cfg.machine.cores)
         cfg = replace(base_cfg, machine=machine)
-        runner = get_runner(cfg)
+        runner = ExperimentRunner(cfg)
         for wname in workloads:
             base = runner.run(wname, base_scheme())
             red = runner.run(wname, redhip_scheme(recal_period=cfg.recal_period))
@@ -204,7 +200,7 @@ def build_depth_scaling(ctx, workloads=DEPTH_WORKLOADS,
     )
 
 
-def build_sharing(ctx, fractions=(0.0, 0.2, 0.4)) -> ExperimentResult:
+def build_sharing(cfg, fractions=(0.0, 0.2, 0.4)) -> ExperimentResult:
     """ReDHiP under multi-threaded sharing with write-invalidate coherence.
 
     §III: ReDHiP 'does not require changes to existing cache coherence
@@ -219,8 +215,7 @@ def build_sharing(ctx, fractions=(0.0, 0.2, 0.4)) -> ExperimentResult:
     from repro.sim.evaluate import evaluate_scheme
     from repro.workloads.shared import build_shared_workload
 
-    base_cfg = ctx.config
-    cfg = replace(base_cfg, coherent=True)
+    cfg = replace(cfg, coherent=True)
     series: dict[str, dict[str, float]] = {}
     for frac in fractions:
         workload = build_shared_workload(
@@ -253,7 +248,7 @@ def build_sharing(ctx, fractions=(0.0, 0.2, 0.4)) -> ExperimentResult:
     )
 
 
-def build_reuse_check(ctx, workloads=("bwaves", "mcf", "soplex")) -> ExperimentResult:
+def build_reuse_check(cfg, workloads=("bwaves", "mcf", "soplex")) -> ExperimentResult:
     """Analytic cross-check: reuse-distance hit rates vs simulation.
 
     The fully-associative LRU hit rate computed from each trace's
@@ -264,8 +259,7 @@ def build_reuse_check(ctx, workloads=("bwaves", "mcf", "soplex")) -> ExperimentR
     from repro.analysis.reuse import profile_trace
     from repro.energy.params import BLOCK_SIZE
 
-    runner = ctx.runner
-    cfg = runner.config
+    runner = ExperimentRunner(cfg)
     series: dict[str, dict[str, float]] = {}
     l1_capacity = cfg.machine.level(1).size // BLOCK_SIZE
     for wname in workloads:
@@ -295,7 +289,7 @@ def build_reuse_check(ctx, workloads=("bwaves", "mcf", "soplex")) -> ExperimentR
 TIMING_WORKLOADS = ("mcf", "bwaves", "soplex")
 
 
-def build_timing_sensitivity(ctx, workloads=TIMING_WORKLOADS) -> ExperimentResult:
+def build_timing_sensitivity(base_cfg, workloads=TIMING_WORKLOADS) -> ExperimentResult:
     """How robust are the headline results to the paper's timing model?
 
     §IV makes two simplifications this experiment relaxes:
@@ -313,7 +307,6 @@ def build_timing_sensitivity(ctx, workloads=TIMING_WORKLOADS) -> ExperimentResul
     """
     from repro.predictors.base import oracle_scheme
 
-    base_cfg = ctx.config
     variants = [
         ("paper model", {}),
         ("mem 200cyc/20nJ", {"memory_latency": 200.0, "memory_energy_nj": 20.0}),
@@ -324,7 +317,7 @@ def build_timing_sensitivity(ctx, workloads=TIMING_WORKLOADS) -> ExperimentResul
     series: dict[str, dict[str, float]] = {}
     for label, overrides in variants:
         cfg = replace(base_cfg, **overrides)
-        runner = get_runner(cfg)
+        runner = ExperimentRunner(cfg)
         spd_r, spd_o, dyn_r, cache_r = [], [], [], []
         for wname in workloads:
             base = runner.run(wname, base_scheme())
@@ -425,7 +418,7 @@ def render_related_work(cfg, rows, workloads=RELWORK_WORKLOADS) -> ExperimentRes
 NINE_WORKLOADS = ("bwaves", "mcf", "soplex")
 
 
-def build_nine(ctx, workloads=NINE_WORKLOADS) -> ExperimentResult:
+def build_nine(cfg, workloads=NINE_WORKLOADS) -> ExperimentResult:
     """How load-bearing is §III's inclusion assumption?
 
     Under a non-inclusive/non-exclusive (NINE) LLC — the other common real
@@ -437,8 +430,7 @@ def build_nine(ctx, workloads=NINE_WORKLOADS) -> ExperimentResult:
     """
     from repro.sim.content import ContentSimulator
 
-    base_cfg = ctx.config
-    cfg = base_cfg.with_policy("nine")
+    cfg = cfg.with_policy("nine")
     series: dict[str, dict[str, float]] = {}
     for wname in workloads:
         from repro.workloads import get_workload
@@ -472,7 +464,7 @@ def build_nine(ctx, workloads=NINE_WORKLOADS) -> ExperimentResult:
 ADAPTIVE_WORKLOADS = ("bwaves", "mcf", "soplex", "blas")
 
 
-def build_adaptive_recal(ctx, workloads=ADAPTIVE_WORKLOADS,
+def build_adaptive_recal(cfg, workloads=ADAPTIVE_WORKLOADS,
                          threshold: float = 0.4) -> ExperimentResult:
     """Fixed-period vs staleness-driven (adaptive) recalibration.
 
@@ -480,8 +472,7 @@ def build_adaptive_recal(ctx, workloads=ADAPTIVE_WORKLOADS,
     instead of every N L1 misses — same machinery, churn-proportional
     trigger (see :class:`repro.core.recalibration.AdaptiveRecalibrationEngine`).
     """
-    runner = ctx.runner
-    cfg = runner.config
+    runner = ExperimentRunner(cfg)
     fixed = redhip_scheme(recal_period=cfg.recal_period, name="ReDHiP-fixed")
     adaptive = redhip_scheme(recal_period=None, recal_threshold=threshold,
                              name="ReDHiP-adaptive")

@@ -25,11 +25,11 @@ from dataclasses import replace
 
 from repro.core.redhip import redhip_scheme
 from repro.predictors.base import base_scheme
-from repro.experiments.context import get_runner
 from repro.experiments.driver import ExperimentSpec
 from repro.sim.config import SimConfig
 from repro.sim.integrated import PrefetchConfig
 from repro.sim.report import ExperimentResult, add_average, format_table
+from repro.sim.runner import ExperimentRunner
 from repro.workloads import PAPER_WORKLOADS
 
 __all__ = ["SPEC", "build"]
@@ -40,11 +40,10 @@ TITLE = "Stride prefetching vs ReDHiP vs both (speedup and dynamic energy)"
 COLUMNS = ["SP", "ReDHiP", "SP+ReDHiP"]
 
 
-def build(ctx, workloads=PAPER_WORKLOADS, refs_cap: int | None = None) -> ExperimentResult:
-    base_cfg = ctx.config
+def build(base_cfg, workloads=PAPER_WORKLOADS, refs_cap: int | None = None) -> ExperimentResult:
     cap = refs_cap if refs_cap is not None else max(20_000, base_cfg.refs_per_core // 2)
     cfg: SimConfig = replace(base_cfg, refs_per_core=min(base_cfg.refs_per_core, cap))
-    runner = get_runner(cfg)
+    runner = ExperimentRunner(cfg)
     pf = PrefetchConfig()
     red = redhip_scheme(recal_period=cfg.recal_period)
     speedups: dict[str, dict[str, float]] = {}

@@ -39,7 +39,7 @@ CACHE_HISTORY_KB: dict[str, list[tuple[int, int]]] = {
 }
 
 
-def build(ctx) -> ExperimentResult:
+def build(cfg) -> ExperimentResult:
     """Emit the Figure 1 series (size in KB per level per year)."""
     series: dict[str, dict[str, float]] = {}
     for level, points in CACHE_HISTORY_KB.items():

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.predictors.base import base_scheme
 from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, add_average, format_table
+from repro.sim.runner import ExperimentRunner
 from repro.workloads import PAPER_WORKLOADS
 
 __all__ = ["SPEC", "build"]
@@ -20,8 +21,8 @@ EXPERIMENT_ID = "intro"
 TITLE = "Share of dynamic cache energy consumed by L3+L4 in the base case"
 
 
-def build(ctx, workloads=PAPER_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
+def build(cfg, workloads=PAPER_WORKLOADS) -> ExperimentResult:
+    runner = ExperimentRunner(cfg)
     series: dict[str, dict[str, float]] = {}
     for wname in workloads:
         res = runner.run(wname, base_scheme())

@@ -24,7 +24,7 @@ EXPERIMENT_ID = "table1"
 TITLE = "Architecture parameters (Table I) with CACTI-model cross-check"
 
 
-def build(ctx, machine_name: str = "paper") -> ExperimentResult:
+def build(cfg, machine_name: str = "paper") -> ExperimentResult:
     machine = get_machine(machine_name)
     model = CactiModel()
     series: dict[str, dict[str, float]] = {}

@@ -31,6 +31,7 @@ from repro.predictors.ehc import ehc_scheme
 from repro.predictors.levelpred import levelpred_scheme, oracle_levelpred_scheme
 from repro.experiments.driver import ExperimentSpec
 from repro.sim.report import ExperimentResult, add_average, format_table
+from repro.sim.runner import ExperimentRunner
 
 __all__ = ["SPECS"]
 
@@ -51,9 +52,8 @@ def _with_category_table(table: str, by_scheme: dict, workload: str) -> str:
     )
 
 
-def build_zoo_levelpred(ctx, workloads=ZOO_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
+def build_zoo_levelpred(cfg, workloads=ZOO_WORKLOADS) -> ExperimentResult:
+    runner = ExperimentRunner(cfg)
     red = redhip_scheme(recal_period=cfg.recal_period)
     lp = levelpred_scheme(recal_period=cfg.recal_period)
     olp = oracle_levelpred_scheme()
@@ -108,9 +108,8 @@ def build_zoo_levelpred(ctx, workloads=ZOO_WORKLOADS) -> ExperimentResult:
     )
 
 
-def build_zoo_ehc(ctx, workloads=ZOO_WORKLOADS) -> ExperimentResult:
-    runner = ctx.runner
-    cfg = runner.config
+def build_zoo_ehc(cfg, workloads=ZOO_WORKLOADS) -> ExperimentResult:
+    runner = ExperimentRunner(cfg)
     red = redhip_scheme(recal_period=cfg.recal_period)
     live = ehc_scheme(recal_period=cfg.recal_period)
     stale = ehc_scheme(recal_period=None, name="EHC-stale")

@@ -74,25 +74,21 @@ def _one_run(experiment_id: str, config, workloads, out_dir: Path, label: str,
              plan: "FaultPlan | None", workers: int) -> tuple[str, dict]:
     """One run, cold pass then warm pass; returns (artifact text of the
     warm pass, manifest dict of both)."""
-    from repro.experiments import clear_cache, get_spec, run_experiment
+    from repro.experiments import get_spec, run_experiment
 
     run_dir = out_dir / label
     cfg = replace(config, stream_cache=str(run_dir / "cache"), faults=None)
     kwargs = {"workloads": tuple(workloads)} if workloads else {}
     # A build-only spec has no pool: both of its passes walk serially.
     pool = {"workers": workers} if get_spec(experiment_id).build is None else {}
-    clear_cache()
-    try:
-        with faults.scope(plan):
-            with telemetry.session(force=True, label=f"chaos-{label}") as sess:
-                run_experiment(experiment_id, cfg, **pool, **kwargs)
-                clear_cache()  # the warm pass reads streams from disk
-                result = run_experiment(experiment_id, cfg, **kwargs)
-            manifest_path = telemetry.write_manifest(
-                run_dir, sess, config=cfg, experiments=[experiment_id]
-            )
-    finally:
-        clear_cache()
+    with faults.scope(plan):
+        with telemetry.session(force=True, label=f"chaos-{label}") as sess:
+            run_experiment(experiment_id, cfg, **pool, **kwargs)
+            # The warm pass reads every stream from the run's disk cache.
+            result = run_experiment(experiment_id, cfg, **kwargs)
+        manifest_path = telemetry.write_manifest(
+            run_dir, sess, config=cfg, experiments=[experiment_id]
+        )
     artifact = render_artifact(result)
     (run_dir / "artifact.md").write_text(artifact)
     return artifact, telemetry.load_manifest(manifest_path)

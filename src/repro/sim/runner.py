@@ -44,6 +44,9 @@ class ExperimentRunner:
     stage_s: dict[str, float] = field(default_factory=dict, repr=False)
     _workloads: dict[tuple, Workload] = field(default_factory=dict, repr=False)
     _streams: dict[tuple, OutcomeStream] = field(default_factory=dict, repr=False)
+    #: Names registered by :meth:`add_workload`: their streams stay in
+    #: process, since the disk cache keys a stream by workload name.
+    _added: set[str] = field(default_factory=set, repr=False)
 
     def __post_init__(self) -> None:
         # A config that asks for telemetry (SimConfig(telemetry=True) /
@@ -59,10 +62,22 @@ class ExperimentRunner:
     # ------------------------------------------------------------ workloads
     def add_workload(self, workload: Workload) -> str:
         """Register an explicit workload (custom traces, loaded trace
-        files); it becomes addressable by its name like registry entries."""
+        files); it becomes addressable by its name like registry entries.
+
+        A registry name is refused: streams are identified by workload
+        name, so a custom trace under one would be served the registry
+        workload's stream (and vice versa).
+        """
+        from repro.sweep.spec import known_workloads
+
+        if workload.name in known_workloads():
+            raise ConfigError(
+                f"workload name {workload.name!r} belongs to the workload "
+                f"registry; give the custom workload another name")
         key = (workload.name, self.config.machine.name,
                self.config.refs_per_core, self.config.seed)
         self._workloads[key] = workload
+        self._added.add(workload.name)
         return workload.name
 
     def _resolve(self, workload: "str | Workload") -> str:
@@ -89,13 +104,14 @@ class ExperimentRunner:
         Lookup order: in-process cache, then the persistent disk cache
         (when enabled via ``SimConfig.stream_cache`` /
         ``REPRO_STREAM_CACHE`` — loads are fingerprint-verified), then a
-        fresh content walk whose result is written back to both.
+        fresh content walk whose result is written back to both.  Streams
+        of workloads added with :meth:`add_workload` never touch the disk.
         """
         workload_name = self._resolve(workload_name)
         cfg = self.config if policy is None else self.config.with_policy(policy)
         key = (workload_name, *cfg.cache_key())
         if key not in self._streams:
-            disk = resolve_cache(cfg)
+            disk = None if workload_name in self._added else resolve_cache(cfg)
             stream = None
             if disk is not None:
                 with telemetry.span("cache_load", workload=workload_name):

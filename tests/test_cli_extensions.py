@@ -5,16 +5,14 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.experiments import clear_cache, run_experiment
+from repro.experiments import run_experiment
 from repro.energy.params import get_machine
 from repro.sim.config import SimConfig
 
 
 @pytest.fixture(scope="module")
 def cfg():
-    clear_cache()
-    yield SimConfig(machine=get_machine("tiny"), refs_per_core=4000, seed=3)
-    clear_cache()
+    return SimConfig(machine=get_machine("tiny"), refs_per_core=4000, seed=3)
 
 
 # --------------------------------------------------------------------- CLI

@@ -10,17 +10,10 @@ import pytest
 import repro.experiments
 from repro.cli import main
 from repro.energy.params import get_machine
-from repro.experiments import SPECS, ExperimentSpec, clear_cache, get_spec, run_spec
+from repro.experiments import SPECS, ExperimentSpec, get_spec, run_spec
 from repro.sim.config import SimConfig
 from repro.sim.report import scheme_comparison_table
 from repro.util.validation import ConfigError
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _fresh_cache():
-    clear_cache()
-    yield
-    clear_cache()
 
 
 # ------------------------------------------------------------- registry
@@ -36,10 +29,10 @@ def test_every_spec_is_complete():
 
 @pytest.mark.parametrize("impl", [
     {},
-    {"build": lambda ctx: None, "cells": lambda cfg: [],
+    {"build": lambda cfg: None, "cells": lambda cfg: [],
      "render": lambda cfg, rows: None},
     {"cells": lambda cfg: []},
-    {"build": lambda ctx: None, "render": lambda cfg, rows: None},
+    {"build": lambda cfg: None, "render": lambda cfg, rows: None},
 ], ids=["neither", "both", "cells-without-render", "build-and-render"])
 def test_spec_rejects_zero_or_two_implementations(impl):
     with pytest.raises(ConfigError, match="spec bad"):
@@ -172,3 +165,60 @@ def test_specs_are_the_only_entry_points():
             if n in ("EXPERIMENTS", "run")
             or (n.startswith("run_") and n not in ("run_spec", "run_experiment")))
         assert not stale, (info.name, stale)
+
+
+# --------------------------------------------------------- stream cache
+def _config_seen_by_build(cfg):
+    seen = []
+    probe = ExperimentSpec(experiment_id="probe", title="t",
+                           build=lambda c: seen.append(c))
+    run_spec(probe, cfg)
+    return seen[0]
+
+
+def test_run_spec_resolves_one_stream_cache_per_run(tmp_path, monkeypatch):
+    """A build sees the run's stream cache on its config: the caller's,
+    else the process-shared one; with ``REPRO_STREAM_CACHE`` set (even to
+    a falsy value) the config is left alone for the environment to rule."""
+    cfg = SimConfig(machine=get_machine("tiny"), refs_per_core=800, seed=7)
+    monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
+    explicit = str(tmp_path / "cache")
+    assert _config_seen_by_build(
+        SimConfig(machine=cfg.machine, stream_cache=explicit)).stream_cache \
+        == explicit
+    shared = _config_seen_by_build(cfg).stream_cache
+    assert shared and shared == _config_seen_by_build(cfg).stream_cache
+    for env in ("0", str(tmp_path / "env-cache")):
+        monkeypatch.setenv("REPRO_STREAM_CACHE", env)
+        assert _config_seen_by_build(cfg).stream_cache is None
+
+
+def test_every_spec_walks_each_trajectory_once(tmp_path, monkeypatch):
+    """The whole registry in one process (``repro experiments smoke``'s
+    shape) makes one content walk per trajectory: build and grid specs
+    share walks through the process-shared stream cache, across spec
+    kinds and across a build's evaluation-only config variants.  The
+    shared cache is pointed at an empty directory, so walks earlier in
+    this process do not hide any."""
+    from types import SimpleNamespace
+
+    from repro.experiments import driver
+    from repro.sim.content import ContentSimulator
+
+    monkeypatch.delenv("REPRO_PARALLEL", raising=False)
+    monkeypatch.delenv("REPRO_STREAM_CACHE", raising=False)
+    monkeypatch.setattr(driver, "_SHARED_STREAM_CACHE",
+                        SimpleNamespace(name=str(tmp_path)))
+    walks = []
+    real_run = ContentSimulator.run
+
+    def counting_run(self, workload, max_accesses=None):
+        walks.append((workload.name, *self.config.cache_key()))
+        return real_run(self, workload, max_accesses=max_accesses)
+
+    monkeypatch.setattr(ContentSimulator, "run", counting_run)
+    cfg = SimConfig(machine=get_machine("tiny"), refs_per_core=1500, seed=7)
+    for spec in SPECS.values():
+        run_spec(spec, cfg, smoke=True)
+    repeated = sorted({key for key in walks if walks.count(key) > 1})
+    assert walks and not repeated

@@ -3,7 +3,7 @@ expected structure; the key qualitative shapes hold on the tiny machine."""
 
 import pytest
 
-from repro.experiments import clear_cache, experiment_ids, run_experiment
+from repro.experiments import experiment_ids, run_experiment
 from repro.experiments.fig11_table_size import sweep_sizes
 from repro.experiments.fig12_recalibration import sweep_periods
 from repro.sim.config import SimConfig
@@ -15,9 +15,7 @@ WORKLOADS = ("mcf", "bwaves")
 
 @pytest.fixture(scope="module")
 def cfg():
-    clear_cache()
-    yield SimConfig(machine=get_machine("tiny"), refs_per_core=3000, seed=11)
-    clear_cache()
+    return SimConfig(machine=get_machine("tiny"), refs_per_core=3000, seed=11)
 
 
 def test_registry_covers_every_paper_artifact():

@@ -16,7 +16,7 @@ import pytest
 
 from repro.energy.dram import DramConfig
 from repro.energy.params import get_machine
-from repro.experiments import SPECS, clear_cache, run_spec
+from repro.experiments import SPECS, run_spec
 from repro.sim.config import SimConfig
 from repro.sweep import run_cells
 from repro.util.validation import ConfigError
@@ -28,12 +28,6 @@ CONVERTED = tuple(eid for eid, spec in SPECS.items() if spec.cells is not None)
 def smoke_config(**overrides):
     return SimConfig(machine=get_machine("tiny"), refs_per_core=1500,
                      seed=7, **overrides)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drop_shared_runner():
-    yield
-    clear_cache()
 
 
 def test_converted_specs_declare_the_grid_protocol():

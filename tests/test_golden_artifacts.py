@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.energy.params import get_machine
-from repro.experiments import SPECS, clear_cache, run_spec
+from repro.experiments import SPECS, run_spec
 from repro.sim.config import SimConfig
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "artifacts"
@@ -40,9 +40,3 @@ def test_artifact_bytes_unchanged(experiment_id):
     result = run_spec(spec, smoke_config(), smoke=True)
     golden = (GOLDEN_DIR / f"{experiment_id}.md").read_text()
     assert result.markdown() == golden, experiment_id
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _drop_shared_runner():
-    yield
-    clear_cache()

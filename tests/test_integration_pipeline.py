@@ -1,12 +1,14 @@
 """Whole-pipeline integration tests: figure regeneration is deterministic,
 internally consistent, and the scheme inequalities hold under randomness."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.energy.params import get_machine
-from repro.experiments import clear_cache, run_experiment
+from repro.experiments import run_experiment
 from repro.predictors.base import base_scheme, phased_scheme, waypred_scheme
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
@@ -17,13 +19,13 @@ from conftest import single_core_workload
 MACHINE = get_machine("tiny")
 
 
-def test_figure_regeneration_is_deterministic():
+def test_figure_regeneration_is_deterministic(tmp_path):
+    """Two cold regenerations, each walking into its own stream cache."""
     cfg = SimConfig(machine=MACHINE, refs_per_core=2500, seed=4)
-    clear_cache()
-    a = run_experiment("fig6", cfg, workloads=("mcf",))
-    clear_cache()
-    b = run_experiment("fig6", cfg, workloads=("mcf",))
-    clear_cache()
+    a = run_experiment("fig6", replace(cfg, stream_cache=str(tmp_path / "a")),
+                       workloads=("mcf",))
+    b = run_experiment("fig6", replace(cfg, stream_cache=str(tmp_path / "b")),
+                       workloads=("mcf",))
     assert a.series == b.series
     assert a.table == b.table
 
@@ -32,11 +34,9 @@ def test_fig6_fig7_fig8_internally_consistent():
     """Figure 8 must be derivable from Figures 6 and 7's inputs: the same
     scheme ordering appears in the combined metric."""
     cfg = SimConfig(machine=MACHINE, refs_per_core=3000, seed=2)
-    clear_cache()
     f6 = run_experiment("fig6", cfg, workloads=("mcf", "bwaves"),
                         include_no_overhead=False)
     f8 = run_experiment("fig8", cfg, workloads=("mcf", "bwaves"))
-    clear_cache()
     for bench in ("mcf", "bwaves"):
         # ReDHiP beats CBF on the combined metric whenever it beats it on
         # both speedup (fig6) and, by construction of our workloads,

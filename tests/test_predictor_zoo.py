@@ -43,7 +43,7 @@ from repro.util.proptest import cases
 from repro.util.validation import ConfigError, ReproError
 
 from test_charging_equivalence import assert_charged_equal
-from test_vector_content import build_case_workload, random_machine
+from test_vector_content import build_case_workload, case_runner, random_machine
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -348,8 +348,7 @@ def test_fuzz_zoo_schemes_cross_path(monkeypatch, tmp_path):
                  f"({machine.name}, refs={refs}, seed={seed})")
         workload = build_case_workload(family, machine, refs, seed)
         scheme = _fuzz_scheme(scheme_name, cfg)
-        runner = ExperimentRunner(cfg)
-        runner.add_workload(workload)
+        runner = case_runner(cfg, workload)
         try:
             fast = runner.run(workload.name, scheme)
             slow = IntegratedSimulator(cfg).run(workload, scheme)

@@ -71,12 +71,43 @@ def test_warm_runner_skips_walk(cached_config, monkeypatch):
     assert loaded.num_accesses == cached_config.total_refs
 
 
+def test_custom_workload_is_never_served_a_cached_stream(cached_config):
+    """Streams are keyed by workload name.  A custom workload may not take
+    a registry name (it would be served the registry stream from the disk
+    cache), and an added workload's stream never touches the disk: two
+    custom workloads under one name each get their own walk."""
+    from dataclasses import replace
+
+    from repro.util.validation import ConfigError
+    from repro.workloads import get_workload
+
+    cfg = cached_config
+    _walk(cfg, "mcf")
+
+    def build(name):
+        return get_workload(name, cfg.machine, cfg.refs_per_core, cfg.seed)
+
+    impostor = replace(build("lbm"), name="mcf")
+    with pytest.raises(ConfigError, match="'mcf'"):
+        ExperimentRunner(cfg).add_workload(impostor)
+
+    files = sorted(Path(cfg.stream_cache).iterdir())
+    for source in ("lbm", "bwaves"):
+        custom = replace(build(source), name="custom")
+        runner = ExperimentRunner(cfg)
+        runner.add_workload(custom)
+        got = runner.stream("custom")
+        uncached = ContentSimulator(replace(cfg, stream_cache=None)).run(custom)
+        assert got.fingerprint() == uncached.fingerprint()
+    assert sorted(Path(cfg.stream_cache).iterdir()) == files
+
+
 def test_warm_figure_regeneration_runs_no_walk(cached_config, monkeypatch):
-    """Figure-level warm path: regenerating fig6 over a filled cache, with
-    the in-process runner memo dropped, runs zero content walks, loads
-    every stream from disk and renders the same table byte for byte."""
+    """Figure-level warm path: regenerating fig6 over a filled cache runs
+    zero content walks, loads every stream from disk and renders the same
+    table byte for byte."""
     from repro import telemetry
-    from repro.experiments import clear_cache, get_spec, run_spec
+    from repro.experiments import get_spec, run_spec
 
     workloads = ("mcf", "soplex")
     walks = []
@@ -87,17 +118,14 @@ def test_warm_figure_regeneration_runs_no_walk(cached_config, monkeypatch):
         return real_run(self, workload, max_accesses=max_accesses)
 
     monkeypatch.setattr(ContentSimulator, "run", counting_run)
-    clear_cache()
     cold = run_spec(get_spec("fig6"), cached_config, workloads=workloads)
     assert sorted(walks) == sorted(workloads)
 
-    clear_cache()
     walks.clear()
     with telemetry.session(force=True, label="warm") as sess:
         warm = run_spec(get_spec("fig6"), cached_config, workloads=workloads)
         hits = sess.registry.counter_total("stream_cache.hit")
         misses = sess.registry.counter_total("stream_cache.miss")
-    clear_cache()
     assert walks == []
     assert (hits, misses) == (len(workloads), 0)
     assert warm.table == cold.table

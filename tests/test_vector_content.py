@@ -34,6 +34,8 @@ from repro.hierarchy.events import EVENT_EVICT
 from repro.sim import vector_content
 from repro.sim.config import SimConfig
 from repro.sim.content import ContentSimulator
+from repro.sim.runner import ExperimentRunner
+from repro.sweep.spec import known_workloads
 from repro.util.proptest import cases
 from repro.util.validation import ConfigError
 from repro.workloads import get_workload
@@ -157,6 +159,16 @@ def build_case_workload(name: str, machine: MachineConfig,
         return build_shared_workload(machine, refs_per_core, seed=seed,
                                      shared_fraction=0.5)
     return get_workload(name, machine, refs_per_core, seed)
+
+
+def case_runner(cfg: SimConfig, workload: Workload) -> ExperimentRunner:
+    """A runner that serves ``workload`` by name.  A registry workload is
+    left to the runner, which builds the same one from ``cfg`` (a custom
+    workload may not take a registry name); any other is added."""
+    runner = ExperimentRunner(cfg)
+    if workload.name not in known_workloads():
+        runner.add_workload(workload)
+    return runner
 
 
 def assert_bit_identical(cfg: SimConfig, workload: Workload, label: str,

@@ -52,7 +52,7 @@ from repro.util.proptest import cases
 from repro.util.validation import ConfigError, ReproError
 from repro.workloads.shared import merge_order
 
-from test_vector_content import build_case_workload, random_machine
+from test_vector_content import build_case_workload, case_runner, random_machine
 
 SEEDS = (1, 2, 3)
 
@@ -356,8 +356,7 @@ def test_fuzz_zoo_kernels_match_scalar(monkeypatch, tmp_path):
         wave = (1, vector_replay._WAVE_MIN)[i % 2]
         cfg = SimConfig(machine=machine, refs_per_core=refs, seed=seed)
         workload = build_case_workload(family, machine, refs, seed)
-        runner = ExperimentRunner(cfg)
-        runner.add_workload(workload)
+        runner = case_runner(cfg, workload)
         stream = runner.stream(workload.name)
         n_miss = stream.num_misses
         monkeypatch.setattr(vector_replay, "_WAVE_MIN", wave)
@@ -969,8 +968,7 @@ def test_fuzz_cbf_kernel_matches_scalar(monkeypatch, tmp_path):
         seed = int(rng.integers(0, 2**31))
         cfg = SimConfig(machine=machine, refs_per_core=refs, seed=seed)
         workload = build_case_workload(family, machine, refs, seed)
-        runner = ExperimentRunner(cfg)
-        runner.add_workload(workload)
+        runner = case_runner(cfg, workload)
         stream = runner.stream(workload.name)
         if i % 2:
             stream = _drop_fills(stream, rng, 0.2)
